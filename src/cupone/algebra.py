@@ -62,6 +62,17 @@ def word_total_degree(word):
     return sum(letter.total_degree for letter in word)
 
 
+def _merge(into, pairs, coeff=1):
+    """Add coeff·c at key into the sparse map `into`, in place, for each
+    (key, c) of `pairs`; entries that cancel are removed."""
+    for key, c in pairs:
+        new = into.get(key, 0) + coeff * c
+        if new:
+            into[key] = new
+        else:
+            into.pop(key, None)
+
+
 def _word_key(word):
     return (len(word), tuple(letter.sort_key() for letter in word))
 
@@ -119,12 +130,7 @@ class TensorElement:
 
     def __add__(self, other):
         out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            new = out.get(word, 0) + coeff
-            if new:
-                out[word] = new
-            else:
-                out.pop(word, None)
+        _merge(out, other.terms.items())
         return TensorElement(out)
 
     def __sub__(self, other):
@@ -163,17 +169,6 @@ class TensorElement:
         if len(degs) > 1:
             raise DegreeError(f"element is not homogeneous: bidegrees {sorted(degs)}")
         return degs.pop()
-
-    def total_degree(self):
-        deg = self.bidegree()
-        return None if deg is None else deg[0] + deg[1]
-
-    def letters(self):
-        seen = {}
-        for word in self.terms:
-            for letter in word:
-                seen[letter.sort_key()] = letter
-        return [seen[k] for k in sorted(seen)]
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: _word_key(item[0]))
@@ -218,13 +213,7 @@ def word_multiply(x, y):
     _check_universe(x, y)
     out = {}
     for wx, cx in x.terms.items():
-        for wy, cy in y.terms.items():
-            word = wx + wy
-            new = out.get(word, 0) + cx * cy
-            if new:
-                out[word] = new
-            else:
-                del out[word]
+        _merge(out, ((wx + wy, cy) for wy, cy in y.terms.items()), cx)
     return TensorElement(out)
 
 
@@ -248,7 +237,7 @@ def extend_derivation(images, x):
             )
         return image
 
-    out = TensorElement()
+    out = {}
     for word, coeff in x.terms.items():
         sign = 1
         for pos, letter in enumerate(word):
@@ -256,10 +245,10 @@ def extend_derivation(images, x):
             if not image.is_zero():
                 prefix = TensorElement({word[:pos]: coeff * sign})
                 suffix = TensorElement({word[pos + 1:]: 1})
-                out = out + word_multiply(word_multiply(prefix, image), suffix)
+                _merge(out, word_multiply(word_multiply(prefix, image), suffix).terms.items())
             if letter.total_degree % 2:
                 sign = -sign
-    return out
+    return TensorElement(out)
 
 
 class FreeDGA:

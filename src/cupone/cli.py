@@ -16,7 +16,7 @@ import json
 import re
 import sys
 
-from .algebra import TensorElement, format_word
+from .algebra import TensorElement, _merge
 from .cup1 import Cup1Monomial, normalize_cup1
 from .dga import BigradedDGA, SimplicialComplex
 from .errors import DomainError
@@ -66,10 +66,6 @@ def parse_group(text):
     return FGAbelianGroup.from_divisors(divisors)
 
 
-def format_group(group):
-    return str(group)
-
-
 class Workspace:
     """Validated objects from one input document, keyed by name."""
 
@@ -100,6 +96,14 @@ def _element_from_pairs(dga, pairs, where):
         raise InputError(f"{where}: {exc}") from None
 
 
+def _label_table(pairs):
+    """{label: coefficient} from [[coefficient, label], ...], adding repeats."""
+    table = {}
+    for coeff, label in pairs:
+        table[str(label)] = table.get(str(label), 0) + int(coeff)
+    return table
+
+
 def _load_dga(name, spec):
     try:
         bidegrees = {}
@@ -108,21 +112,9 @@ def _load_dga(name, spec):
             if label in bidegrees:
                 raise InputError(f"dgas.{name}: duplicate basis label {label!r}")
             bidegrees[str(label)] = (int(r), int(t))
-        diff = {}
-        for label, pairs in sorted(spec.get("differential", {}).items()):
-            table = {}
-            for coeff, l2 in pairs:
-                table[str(l2)] = table.get(str(l2), 0) + int(coeff)
-            diff[str(label)] = table
-        products = {}
-        for l1, l2, pairs in spec.get("products", []):
-            table = {}
-            for coeff, l3 in pairs:
-                table[str(l3)] = table.get(str(l3), 0) + int(coeff)
-            products[(str(l1), str(l2))] = table
-        unit = {}
-        for coeff, label in spec.get("unit", []):
-            unit[str(label)] = unit.get(str(label), 0) + int(coeff)
+        diff = {str(label): _label_table(pairs) for label, pairs in sorted(spec.get("differential", {}).items())}
+        products = {(str(l1), str(l2)): _label_table(pairs) for l1, l2, pairs in spec.get("products", [])}
+        unit = _label_table(spec.get("unit", []))
         return BigradedDGA(name, bidegrees, diff, products, unit)
     except (DomainError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"dgas.{name}: {exc}") from None
@@ -221,12 +213,16 @@ def parse_input(text, source_name="<input>"):
 
 def _cga_element(resolution, pairs, where):
     """Element of a resolution from [[coeff, word], ...] with cup1 letters."""
-    out = TensorElement.zero()
+    out = {}
     for item in pairs:
         try:
             coeff, word = item
         except (TypeError, ValueError):
             raise InputError(f"{where}: entries must be [coefficient, word] pairs")
+        try:
+            coeff = int(coeff)
+        except (TypeError, ValueError):
+            raise InputError(f"{where}: coefficient {coeff!r} is not an integer") from None
         letters = []
         sign = 1
         for token in word:
@@ -244,8 +240,8 @@ def _cga_element(resolution, pairs, where):
             else:
                 raise InputError(f"{where}: bad word letter {token!r}")
         if sign:
-            out = out + TensorElement({tuple(letters): int(coeff) * sign})
-    return out
+            _merge(out, [(tuple(letters), coeff * sign)])
+    return TensorElement(out)
 
 
 def element_to_pairs(element):
@@ -455,9 +451,9 @@ def cmd_tor(w, args):
     b = parse_group(args.b)
     report = {
         "command": "tor",
-        "parameters": {"a": format_group(a), "b": format_group(b)},
+        "parameters": {"a": str(a), "b": str(b)},
         "verdict": "computed",
-        "tor": format_group(tor(a, b)),
+        "tor": str(tor(a, b)),
     }
     return report, EXIT_OK
 
@@ -474,7 +470,7 @@ def cmd_hypotheses(w, args):
         else:
             row["status"] = "pass" if v.ok else "fail"
             row["injective"] = v.injective
-            row["tor"] = format_group(v.tor_group)
+            row["tor"] = str(v.tor_group)
             if v.note:
                 row["note"] = v.note
         rows.append(row)
@@ -494,14 +490,14 @@ def cmd_d_x(w, args):
         raise InputError("d-x needs --homology, a comma-separated list of group literals")
     groups = [parse_group(tok) for tok in args.homology.split(",")]
     dga = build_DX(space, groups)
-    truncation = args.truncation if args.truncation else 3
+    truncation = 3 if args.truncation is None else args.truncation
     zero = TwistingElement.zero(dga, truncation)
     smoke = is_twisting(zero)
     report = {
         "command": "d-x",
         "parameters": {
             "space": args.space,
-            "homology": [format_group(g) for g in groups],
+            "homology": [str(g) for g in groups],
             "truncation": truncation,
         },
         "verdict": "computed",

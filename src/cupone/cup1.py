@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Generator, TensorElement, word_multiply, word_total_degree
+from .algebra import Generator, TensorElement, _merge, word_multiply, word_total_degree
 from .errors import DomainError
 
 
@@ -158,11 +158,11 @@ def _cup1_words(wu, wv):
 
 def cup1_pair(u, v):
     """Bilinear ⌣₁ pairing of two elements of the extended free algebra."""
-    out = TensorElement.zero()
+    out = {}
     for wv, cv in v.terms.items():
         for wu, cu in u.terms.items():
-            out = out + _cup1_words(wu, wv).scale(cu * cv)
-    return out
+            _merge(out, _cup1_words(wu, wv).terms.items(), cu * cv)
+    return TensorElement(out)
 
 
 def cup1_boundary(m, ambient_d):
@@ -198,6 +198,13 @@ def cup1_boundary(m, ambient_d):
     out = out + TensorElement.of(head, tail, coeff=sa)
     out = out + TensorElement.of(tail, head, coeff=-sza)
     return out
+
+
+def closed_images(plain, bundles):
+    """Differential images when every plain generator is closed: zero on
+    `plain` and the unshuffle boundary on each bundle of `bundles`."""
+    zero = {g: TensorElement.zero() for g in plain}
+    return {**zero, **{b: cup1_boundary(b, zero) for b in bundles}}
 
 
 def unshuffle_splittings(n):

@@ -16,19 +16,11 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from .algebra import _merge
 from .errors import DegreeError, DomainError, SizeError
-from .linalg import FGAbelianGroup
+from .linalg import IntMatrix
 
 MAX_VALIDATED_BASIS = 160
-
-
-def _merge(into, terms, coeff=1):
-    for label, c in terms.items():
-        new = into.get(label, 0) + coeff * c
-        if new:
-            into[label] = new
-        else:
-            into.pop(label, None)
 
 
 class DgaElement:
@@ -62,7 +54,7 @@ class DgaElement:
     def __add__(self, other):
         self._same(other)
         out = dict(self.coeffs)
-        _merge(out, other.coeffs)
+        _merge(out, other.coeffs.items())
         return DgaElement(self.dga, out)
 
     def __sub__(self, other):
@@ -88,7 +80,7 @@ class DgaElement:
             for l2, c2 in other.coeffs.items():
                 table = self.dga.products.get((l1, l2))
                 if table:
-                    _merge(out, table, c1 * c2)
+                    _merge(out, table.items(), c1 * c2)
         return DgaElement(self.dga, out)
 
     def d(self):
@@ -96,14 +88,8 @@ class DgaElement:
         for label, c in self.coeffs.items():
             table = self.dga.diff.get(label)
             if table:
-                _merge(out, table, c)
+                _merge(out, table.items(), c)
         return DgaElement(self.dga, out)
-
-    def component(self, r, t):
-        return DgaElement(
-            self.dga,
-            {l: c for l, c in self.coeffs.items() if self.dga.bidegrees[l] == (r, t)},
-        )
 
     def components_by_bidegree(self):
         out = {}
@@ -168,16 +154,8 @@ class BigradedDGA:
 
     def differential_matrix(self, r, t):
         """Matrix of d from (r, t) to (r+1, t) on the sorted bases."""
-        from .linalg import IntMatrix
-
         src = self.basis_of(r, t)
-        tgt = self.basis_of(r + 1, t)
-        index = {l: i for i, l in enumerate(tgt)}
-        rows = [[0] * len(src) for _ in tgt]
-        for j, label in enumerate(src):
-            for l2, c in self.diff.get(label, {}).items():
-                rows[index[l2]][j] = c
-        return IntMatrix(rows, cols=len(src))
+        return IntMatrix.from_columns(self.basis_of(r + 1, t), [self.diff.get(l, {}).items() for l in src])
 
     # -- validation --------------------------------------------------------
 
@@ -234,17 +212,13 @@ class DgaMap:
         self.source = source
         self.target = target
         self.name = name
-        self.images = {}
+        self.images = {label: target.element() for label in source.bidegrees}
         for label, img in images.items():
-            elt = img if isinstance(img, DgaElement) else target.element(img)
-            self.images[label] = elt
+            self.images[label] = img if isinstance(img, DgaElement) else target.element(img)
         self._validate()
 
     def apply(self, element):
-        out = self.target.element()
-        for label, c in element.coeffs.items():
-            out = out + self.images.get(label, self.target.element()).scale(c)
-        return out
+        return linear_extension(self.target, self.images, element)
 
     __call__ = apply
 
@@ -259,15 +233,7 @@ class DgaMap:
         )
 
     def _validate(self):
-        for label in self.source.bidegrees:
-            img = self.images.get(label)
-            if img is None:
-                self.images[label] = self.target.element()
-                continue
-            deg = self.source.bidegrees[label]
-            for l2 in img.coeffs:
-                if self.target.bidegrees[l2] != deg:
-                    raise DegreeError(f"{self.name}({label}) does not preserve bidegree {deg}")
+        check_bidegree_shift(self.source, self.target, self.images, (0, 0), self.name)
         for label in sorted(self.source.bidegrees):
             e = self.source.basis_element(label)
             if self.apply(e.d()) != self.apply(e).d():
@@ -284,6 +250,30 @@ class DgaMap:
     @classmethod
     def identity(cls, dga):
         return cls(dga, dga, {l: {l: 1} for l in dga.bidegrees}, name="id")
+
+
+def linear_extension(target, images, element):
+    """Linear extension of basis-label images to an element of the source;
+    a label without an image maps to zero."""
+    out = {}
+    for label, c in element.coeffs.items():
+        img = images.get(label)
+        if img is not None:
+            _merge(out, img.coeffs.items(), c)
+    return DgaElement(target, out)
+
+
+def check_bidegree_shift(source, target, images, shift, name):
+    """Check that the image of every label of bidegree (r, t) lies in
+    bidegree (r, t) + shift; `name` labels the map in the error."""
+    for label, img in images.items():
+        if label not in source.bidegrees:
+            raise DomainError(f"{name}: {label!r} is not a basis label of the source")
+        r, t = source.bidegrees[label]
+        want = (r + shift[0], t + shift[1])
+        for l2 in img.coeffs:
+            if target.bidegrees[l2] != want:
+                raise DegreeError(f"{name}({label}) must lie in bidegree {want}")
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +395,12 @@ def two_stage_hom_dga(graded_group, name=None):
             if j2 == 1:
                 for (src, dst, order) in boundary_pairs(q2):
                     if src == b2:
-                        _merge(image, {_hom_label(q, j, b, q2, 0, dst): order})
+                        _merge(image, [(_hom_label(q, j, b, q2, 0, dst), order)])
             # precompose with ∂ on the source
             if j == 0:
                 for (src, dst, order) in boundary_pairs(q):
                     if dst == b:
-                        _merge(image, {_hom_label(q, 1, src, q2, j2, b2): -sign * order})
+                        _merge(image, [(_hom_label(q, 1, src, q2, j2, b2), -sign * order)])
             if image:
                 diff[label] = image
 
@@ -454,10 +444,10 @@ def tensor_dga(B, C, name=None):
         for cl, (j, t) in C.bidegrees.items():
             image = {}
             for bl2, c in B.diff.get(bl, {}).items():
-                _merge(image, {tensor_label(bl2, cl): c})
+                _merge(image, [(tensor_label(bl2, cl), c)])
             sign = -1 if i % 2 else 1
             for cl2, c in C.diff.get(cl, {}).items():
-                _merge(image, {tensor_label(bl, cl2): sign * c})
+                _merge(image, [(tensor_label(bl, cl2), sign * c)])
             if image:
                 diff[tensor_label(bl, cl)] = image
 
@@ -477,7 +467,7 @@ def tensor_dga(B, C, name=None):
                 out = {}
                 for bl3, cb in btable.items():
                     for cl3, cc in ctable.items():
-                        _merge(out, {tensor_label(bl3, cl3): sign * cb * cc})
+                        _merge(out, [(tensor_label(bl3, cl3), sign * cb * cc)])
                 if out:
                     products[(tensor_label(bl1, cl1), tensor_label(bl2, cl2))] = out
 
@@ -512,9 +502,11 @@ def free_truncated_dga(generators, diffs, max_r=None, min_t=None, name=None):
             raise DomainError(f"duplicate generator {nm}")
         gens[nm] = (r, t)
 
+    def bidegree(w):
+        return sum(gens[nm][0] for nm in w), sum(gens[nm][1] for nm in w)
+
     def fits(w):
-        r = sum(gens[nm][0] for nm in w)
-        t = sum(gens[nm][1] for nm in w)
+        r, t = bidegree(w)
         return (max_r is None or r <= max_r) and (min_t is None or t >= min_t)
 
     words = [()]
@@ -532,11 +524,7 @@ def free_truncated_dga(generators, diffs, max_r=None, min_t=None, name=None):
     def wlabel(w):
         return "·".join(w) if w else "1"
 
-    bidegrees = {}
-    for w in words:
-        r = sum(gens[nm][0] for nm in w)
-        t = sum(gens[nm][1] for nm in w)
-        bidegrees[wlabel(w)] = (r, t)
+    bidegrees = {wlabel(w): bidegree(w) for w in words}
 
     products = {}
     for w1 in words:
@@ -553,7 +541,7 @@ def free_truncated_dga(generators, diffs, max_r=None, min_t=None, name=None):
             for coeff, img_word in gen_images.get(nm, ()):  # image of one letter
                 new_word = w[:pos] + tuple(img_word) + w[pos + 1:]
                 if fits(new_word):
-                    _merge(image, {wlabel(new_word): sign * coeff})
+                    _merge(image, [(wlabel(new_word), sign * coeff)])
             if (gens[nm][0] + gens[nm][1]) % 2:
                 sign = -sign
         return image
@@ -565,8 +553,3 @@ def free_truncated_dga(generators, diffs, max_r=None, min_t=None, name=None):
             diff[wlabel(w)] = image
 
     return BigradedDGA(name or "T(V)/window", bidegrees, diff, products, {"1": 1})
-
-
-def graded_group_from_lists(torsion_lists):
-    """Convenience: list of divisor lists -> list of FGAbelianGroup."""
-    return [FGAbelianGroup.from_divisors(divs) for divs in torsion_lists]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import DomainError
-from .linalg import FGAbelianGroup, IntMatrix, kernel_basis, solve
+from .linalg import FGAbelianGroup, IntMatrix, cokernel_group, kernel_basis, solve
 
 Z = FGAbelianGroup(1)
 TRIVIAL = FGAbelianGroup(0)
@@ -33,9 +33,7 @@ def _generator_orders(group):
 def _relation_matrix(group):
     """Columns generate the relation lattice of the chosen presentation."""
     orders = _generator_orders(group)
-    cols = [i for i, d in enumerate(orders) if d]
-    rows = [[orders[i] if i == j else 0 for j in cols] for i in range(len(orders))]
-    return IntMatrix(rows, cols=len(cols))
+    return IntMatrix.from_columns(range(len(orders)), [[(i, d)] for i, d in enumerate(orders) if d])
 
 
 @dataclass(frozen=True)
@@ -100,10 +98,7 @@ def cokernel(h):
     """target / im(h) in canonical form: SNF of [matrix | target relations]."""
     rel = _relation_matrix(h.target)
     rows = [list(h.matrix.entries[i]) + list(rel.entries[i]) for i in range(h.matrix.rows)]
-    presentation = IntMatrix(rows, cols=h.matrix.cols + rel.cols)
-    from .linalg import cokernel_group
-
-    return cokernel_group(presentation, h.matrix.rows)
+    return cokernel_group(IntMatrix(rows, cols=h.matrix.cols + rel.cols))
 
 
 def is_injective(h):

@@ -41,6 +41,18 @@ class IntMatrix:
     def identity(cls, n):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
+    @classmethod
+    def from_columns(cls, row_keys, columns):
+        """Matrix with one row per key of `row_keys`, in that order, and one
+        column per entry of `columns`, each an iterable of (row key, value)
+        pairs; values at the same key add up."""
+        index = {key: i for i, key in enumerate(row_keys)}
+        rows = [[0] * len(columns) for _ in row_keys]
+        for j, column in enumerate(columns):
+            for key, value in column:
+                rows[index[key]][j] += value
+        return cls(rows, cols=len(columns))
+
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
@@ -74,7 +86,7 @@ class IntMatrix:
                         if ok[j]:
                             acc[j] += a * ok[j]
             out.append(acc)
-        return IntMatrix(out)
+        return IntMatrix(out, cols=other.cols)
 
     def mul_vector(self, vec):
         if self.cols != len(vec):
@@ -83,12 +95,6 @@ class IntMatrix:
 
     def column(self, j):
         return tuple(row[j] for row in self.entries)
-
-    def is_diagonal(self):
-        return all(v == 0 for i, row in enumerate(self.entries) for j, v in enumerate(row) if i != j)
-
-    def diagonal(self):
-        return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
     def det(self):
         """Determinant by fraction-free (Bareiss) elimination."""
@@ -235,7 +241,7 @@ def smith_normal_form(matrix):
             for j in range(nr):
                 u[i][j] = -u[i][j]
 
-    return IntMatrix(a), IntMatrix(u), IntMatrix(v)
+    return IntMatrix(a, cols=nc), IntMatrix(u, cols=nr), IntMatrix(v, cols=nc)
 
 
 def _chain_from_diagonal(diag):
@@ -326,10 +332,6 @@ def invariant_factors(matrix):
         pivots.append(pv)
 
     return tuple(_chain_from_diagonal(pivots))
-
-
-def rank(matrix):
-    return len(invariant_factors(matrix))
 
 
 def solve(matrix, rhs):
@@ -425,14 +427,11 @@ class FGAbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def cokernel_group(matrix, ambient_rank=None):
-    """Z^ambient / (column lattice of M) as an FGAbelianGroup."""
+def cokernel_group(matrix):
+    """Z^rows / (column lattice of M) as an FGAbelianGroup."""
     m = matrix if isinstance(matrix, IntMatrix) else IntMatrix(matrix)
-    n = m.rows if ambient_rank is None else ambient_rank
-    if n != m.rows:
-        raise DomainError("ambient rank must equal the row count")
     factors = invariant_factors(m)
-    divisors = [d for d in factors if d >= 2] + [0] * (n - len(factors))
+    divisors = [d for d in factors if d >= 2] + [0] * (m.rows - len(factors))
     return FGAbelianGroup.from_divisors(divisors)
 
 
@@ -470,19 +469,11 @@ def homology(boundaries):
 def homology_at(d_out, d_in):
     """ker(d_out)/im(d_in) for one position, given the two adjacent maps.
 
-    Assumes d_out ∘ d_in = 0 (checked).  Either map may be None, meaning
-    the zero map from/to the zero module.
+    This is the middle group of the complex [d_out, d_in], so d∘d = 0 is
+    checked.  Either map may be None, meaning the zero map from/to the
+    zero module; the other one is then a one-map complex.
     """
-    if d_out is not None and d_in is not None:
-        if d_out.cols != d_in.rows:
-            raise DomainError("adjacent boundary shapes disagree")
-        prod = d_out.mul(d_in)
-        if any(v for row in prod.entries for v in row):
-            raise DomainError("d∘d is nonzero")
     if d_out is None and d_in is None:
         raise DomainError("homology_at needs at least one map to size the module")
-    dim = d_out.cols if d_out is not None else d_in.rows
-    rank_out = rank(d_out) if d_out is not None else 0
-    facts_in = invariant_factors(d_in) if d_in is not None else ()
-    free = dim - rank_out - len(facts_in)
-    return FGAbelianGroup.from_divisors([0] * free + [d for d in facts_in if d >= 2])
+    maps = [d for d in (d_out, d_in) if d is not None]
+    return homology(maps)[0 if d_out is None else 1]

@@ -14,11 +14,16 @@ from dataclasses import dataclass
 from string import ascii_lowercase
 
 from .algebra import Generator, TensorElement, extend_derivation, format_word
-from .cup1 import Cup1Monomial, cup1_boundary
+from .cup1 import Cup1Monomial, closed_images
 from .errors import DomainError, SizeError
 from .linalg import IntMatrix, homology
 
 MAX_N = 7
+
+
+def _check_size(n):
+    if not 1 <= n <= MAX_N:
+        raise SizeError(f"n must be between 1 and {MAX_N}")
 
 
 @dataclass(frozen=True)
@@ -30,6 +35,7 @@ class Face:
     blocks: tuple
 
     def __post_init__(self):
+        _check_size(self.n)
         blocks = tuple(frozenset(b) for b in self.blocks)
         object.__setattr__(self, "blocks", blocks)
         union = set()
@@ -66,7 +72,10 @@ class Face:
                 current = ""
             elif ch == "}":
                 depth -= 1
-                blocks.append(frozenset(int(v) for v in current.split(",") if v.strip()))
+                try:
+                    blocks.append(frozenset(int(v) for v in current.split(",") if v.strip()))
+                except ValueError:
+                    raise DomainError(f"cannot parse face {text!r}: block items must be integers") from None
             elif depth:
                 current += ch
         if n is None:
@@ -76,8 +85,7 @@ class Face:
 
 def enumerate_faces(n):
     """All faces of P_n grouped by dimension: {dim: [Face, ...]}."""
-    if not 1 <= n <= MAX_N:
-        raise SizeError(f"n must be between 1 and {MAX_N}")
+    _check_size(n)
     items = list(range(1, n + 1))
     partitions = []
 
@@ -154,25 +162,13 @@ def face_of_monomial(word, letters):
     return Face(len(letters), tuple(blocks))
 
 
-def _transport_images(letters):
-    zero = {l: TensorElement.zero() for l in letters}
-    images = dict(zero)
-
-    def fill(letter):
-        if isinstance(letter, Cup1Monomial) and letter not in images:
-            images[letter] = cup1_boundary(letter, zero)
-    return images, fill
-
-
 def face_boundary(face, letters=None):
     """Signed boundary faces, by transport of the unshuffle differential."""
     if face.dimension < 1:
         raise DomainError("vertices have no boundary")
     letters = default_letters(face.n) if letters is None else letters
     word = monomial_of_face(face, letters)
-    images, fill = _transport_images(letters)
-    for letter in next(iter(word.terms)):
-        fill(letter)
+    images = closed_images(letters, [l for l in next(iter(word.terms)) if isinstance(l, Cup1Monomial)])
     dw = extend_derivation(images, word)
     out = []
     for w, coeff in dw.sorted_terms():
@@ -186,14 +182,8 @@ def boundary_matrices(n):
     letters = default_letters(n)
     mats = []
     for dim in range(1, n):
-        src = by_dim.get(dim, [])
-        tgt = by_dim.get(dim - 1, [])
-        index = {str(f): i for i, f in enumerate(tgt)}
-        rows = [[0] * len(src) for _ in tgt]
-        for j, face in enumerate(src):
-            for coeff, sub in face_boundary(face, letters):
-                rows[index[str(sub)]][j] += coeff
-        mats.append(IntMatrix(rows, cols=len(src)))
+        columns = [[(str(sub), coeff) for coeff, sub in face_boundary(face, letters)] for face in by_dim.get(dim, [])]
+        mats.append(IntMatrix.from_columns([str(f) for f in by_dim.get(dim - 1, [])], columns))
     return mats
 
 

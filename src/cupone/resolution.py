@@ -6,9 +6,12 @@ one extra generator per cup-one bundle of distinct plain generators with
 total degree in [1, m]; the differential is the unshuffle boundary and
 the augmentation sends a degree-zero word to its commutative monomial.
 Exactness certificates decompose the tensor-algebra strata into
-d-invariant summands indexed by the generator multiset of a word; the
-homology of a summand only depends on the multiplicity pattern, so
-summand verdicts are memoized across presentations.
+d-invariant summands indexed by the generator multiset of a word, all
+checked by one summand checker.  For a resolution from build_resolution
+the homology of a summand only depends on the multiplicity pattern, so
+the checker runs on generic generators and its verdicts are memoized
+across presentations; any other resolution is checked on its own letters.
+Homotopic maps and derivation homotopies share one extension of s.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import ceil
 
-from .algebra import Generator, TensorElement, extend_derivation, word_multiply
-from .cup1 import Cup1Monomial, cup1_boundary, cup1_pair, normalize_cup1
+from .algebra import Generator, TensorElement, _merge, check_d_squared, extend_derivation, word_multiply
+from .cup1 import Cup1Monomial, bundle_factors, closed_images, cup1_pair
 from .errors import DegreeError, DomainError, PreconditionError
 from .linalg import IntMatrix, homology_at
 
@@ -131,9 +134,6 @@ class Resolution:
     def d(self, element):
         return extend_derivation(self.images, element)
 
-    def cup1(self, u, v):
-        return cup1_pair(u, v)
-
     def rho(self, element):
         """Augmentation to the cga: commutative monomial map, bundles to 0."""
         out = {}
@@ -141,11 +141,7 @@ class Resolution:
             if any(isinstance(letter, Cup1Monomial) for letter in word):
                 continue
             mono = tuple(sorted(letter.name for letter in word))
-            new = out.get(mono, 0) + coeff
-            if new:
-                out[mono] = new
-            else:
-                del out[mono]
+            _merge(out, [(mono, coeff)])
         return out
 
     def __repr__(self):
@@ -165,8 +161,8 @@ def build_resolution(p, truncation=None):
     if not report.ok:
         raise PreconditionError(str(report))
     if p.m is INFINITY:
-        if truncation is None:
-            raise DomainError("m = ∞ needs an explicit total-degree truncation")
+        if truncation is None or truncation < 1:
+            raise DomainError("m = ∞ needs an explicit total-degree truncation >= 1")
         m = truncation
     else:
         m = p.m
@@ -178,11 +174,7 @@ def build_resolution(p, truncation=None):
             if 1 <= total <= m:
                 bundles.append(Cup1Monomial(combo))
     bundles.sort(key=lambda b: b.sort_key())
-    zero = {g: TensorElement.zero() for g in plain}
-    images = dict(zero)
-    for b in bundles:
-        images[b] = cup1_boundary(b, zero)
-    return Resolution(p, m, plain, bundles, images, canonical=True)
+    return Resolution(p, m, plain, bundles, closed_images(plain, bundles), canonical=True)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +185,6 @@ def _stratum_words(counts, k, letters):
     """Words of exactly k block-letters using the multiset `counts` of
     plain generators; blocks have distinct members and come from `letters`
     (name tuple -> letter)."""
-    names = sorted(counts)
     out = []
 
     def walk(remaining, blocks_left, acc):
@@ -228,35 +219,28 @@ def _stratum_words(counts, k, letters):
 
 
 def _boundary_matrix(src_words, tgt_words, images):
-    index = {w: i for i, w in enumerate(tgt_words)}
-    rows = [[0] * len(src_words) for _ in tgt_words]
-    for j, word in enumerate(src_words):
-        dw = extend_derivation(images, TensorElement({word: 1}))
-        for w, coeff in dw.terms.items():
-            rows[index[w]][j] = coeff
-    return IntMatrix(rows, cols=len(src_words))
+    return IntMatrix.from_columns(
+        tgt_words, [extend_derivation(images, TensorElement({word: 1})).terms.items() for word in src_words]
+    )
+
+
+def _letter_table(letters):
+    """Letters keyed by the name tuple of their plain factors."""
+    return {tuple(f.name for f in bundle_factors(letter)): letter for letter in letters}
 
 
 class _SummandChecker:
-    """Homology of one generator-multiset summand, positions on demand."""
+    """Homology of the summand on the multiset `counts` of plain generator
+    names, over `letters` (name tuple -> letter) with differential
+    `images`; positions on demand, each verdict computed once."""
 
-    def __init__(self, mults):
-        self.mults = mults
-        gens = [Generator(f"w{i}", 0, 2) for i in range(len(mults))]
-        self.counts = {g.name: c for g, c in zip(gens, mults)}
-        self.size = sum(mults)
-        letters = {}
-        for k in range(1, len(gens) + 1):
-            for combo in combinations(gens, k):
-                key = tuple(g.name for g in combo)
-                letters[key] = combo[0] if k == 1 else Cup1Monomial(combo)
+    def __init__(self, counts, letters, images):
+        self.counts = dict(counts)
+        self.size = sum(self.counts.values())
         self.letters = letters
-        zero = {g: TensorElement.zero() for g in gens}
-        self.images = dict(zero)
-        for letter in letters.values():
-            if isinstance(letter, Cup1Monomial):
-                self.images[letter] = cup1_boundary(letter, zero)
+        self.images = images
         self._strata = {}
+        self._verdicts = {}
 
     def stratum(self, k):
         if k < 0 or k > self.size:
@@ -265,42 +249,42 @@ class _SummandChecker:
             self._strata[k] = _stratum_words(self.counts, k, self.letters)
         return self._strata[k]
 
-    def negative_position_trivial(self, n):
-        """H at resolution degree −n (n >= 1) of the summand complex."""
-        k = self.size - n
-        mid = self.stratum(k)
-        if not mid:
-            return True
-        lo = self.stratum(k - 1)
-        hi = self.stratum(k + 1)
-        d_in = _boundary_matrix(lo, mid, self.images) if lo else None
-        d_out = _boundary_matrix(mid, hi, self.images) if hi else IntMatrix.zeros(0, len(mid))
-        return homology_at(d_out, d_in).is_trivial
-
-    def res0_exact(self):
-        """ker(augmentation) equals im(d) on the ordering stratum."""
-        c0 = self.stratum(self.size)
-        c1 = self.stratum(self.size - 1)
-        rho = IntMatrix([[1] * len(c0)])
-        d_in = _boundary_matrix(c1, c0, self.images) if c1 else None
-        return homology_at(rho, d_in).is_trivial
+    def verdict(self, n):
+        """Whether the summand's homology vanishes at resolution degree −n.
+        At n = 0 the augmentation, which sums the coefficients on the
+        ordering stratum, takes the place of the outgoing differential, so
+        the verdict is exactness ker(ρ) = im(d).  Each verdict is computed
+        once."""
+        if n not in self._verdicts:
+            k = self.size - n
+            mid = self.stratum(k)
+            ok = True
+            if mid:
+                lo, hi = self.stratum(k - 1), self.stratum(k + 1)
+                if n == 0:
+                    d_out = IntMatrix([[1] * len(mid)])
+                else:
+                    d_out = _boundary_matrix(mid, hi, self.images) if hi else IntMatrix.zeros(0, len(mid))
+                d_in = _boundary_matrix(lo, mid, self.images) if lo else None
+                ok = homology_at(d_out, d_in).is_trivial
+            self._verdicts[n] = ok
+        return self._verdicts[n]
 
 
 _SUMMAND_CACHE = {}
 
 
-def _summand_verdict(mults, position):
-    """Cached verdict for ('res0' or n >= 1) of the pattern `mults`."""
-    key = (mults, position)
-    if key not in _SUMMAND_CACHE:
-        checker = _SUMMAND_CACHE.get(("checker", mults))
-        if checker is None:
-            checker = _SUMMAND_CACHE[("checker", mults)] = _SummandChecker(mults)
-        if position == "res0":
-            _SUMMAND_CACHE[key] = checker.res0_exact()
-        else:
-            _SUMMAND_CACHE[key] = checker.negative_position_trivial(position)
-    return _SUMMAND_CACHE[key]
+def _pattern_checker(mults):
+    """The shared checker of a multiplicity pattern, on generic degree-2
+    generators w0, w1, ...; the homology of a summand of a canonical
+    resolution only depends on the pattern."""
+    if mults not in _SUMMAND_CACHE:
+        gens = [Generator(f"w{i}", 0, 2) for i in range(len(mults))]
+        bundles = [Cup1Monomial(c) for k in range(2, len(gens) + 1) for c in combinations(gens, k)]
+        counts = {g.name: c for g, c in zip(gens, mults)}
+        images = closed_images(gens, bundles)
+        _SUMMAND_CACHE[mults] = _SummandChecker(counts, _letter_table(gens + bundles), images)
+    return _SUMMAND_CACHE[mults]
 
 
 def _resolution_multisets(plain, m):
@@ -364,10 +348,9 @@ def certify_resolution(r):
     """Certify d² = 0, ρ∘d = 0, ρ surjectivity, acyclicity in negative
     resolution degrees and exactness at degree zero, through total
     degree m.  d² failures raise; everything else is report-valued."""
-    for letter in r.letters:
-        dd = r.d(r.d(TensorElement.of(letter)))
-        if not dd.is_zero():
-            raise DomainError(f"d² != 0 at {letter.label()}: {dd}")
+    squared = check_d_squared(r, r.m)
+    if not squared.ok:
+        raise DomainError(str(squared))
 
     for letter in r.letters:
         if r.rho(r.d(TensorElement.of(letter))):
@@ -394,30 +377,21 @@ def certify_resolution(r):
         if exact is not None:
             entry["exact"] = entry["exact"] and exact
 
-    use_cache = r.canonical
+    letters = _letter_table(r.letters)
     degrees_by_name = {g.name: g.int_degree for g in r.plain}
     for counts in _resolution_multisets(r.plain, r.m):
         s = sum(counts.values())
         j = sum(degrees_by_name[n] * c for n, c in counts.items())
+        n_hi = s - max(max(counts.values()), ceil(s / len(counts)))
+        negative = range(max(1, j - r.m), n_hi + 1)
+        if not negative and j > r.m:
+            continue
         mults = tuple(sorted(counts.values(), reverse=True))
-        distinct = len(counts)
-        n_hi = s - max(max(counts.values()), ceil(s / distinct))
-        n_lo = max(1, j - r.m)
-        checker = None
-        if not use_cache:
-            checker = _direct_checker(r, counts)
-        for n in range(n_lo, n_hi + 1):
-            if use_cache:
-                ok = _summand_verdict(mults, n)
-            else:
-                ok = checker.negative_position_trivial(n)
-            record(j - n, neg_ok=ok)
+        checker = _pattern_checker(mults) if r.canonical else _SummandChecker(counts, letters, r.images)
+        for n in negative:
+            record(j - n, neg_ok=checker.verdict(n))
         if j <= r.m:
-            if use_cache:
-                ok = _summand_verdict(mults, "res0")
-            else:
-                ok = checker.res0_exact()
-            record(j, exact=ok)
+            record(j, exact=checker.verdict(0))
 
     degrees = tuple(
         DegreeCertificate(t, entry["neg"], entry["neg_ok"], entry["exact"])
@@ -430,27 +404,6 @@ def certify_resolution(r):
     if not surjective:
         failure = "augmentation not surjective in range"
     return CertifyReport(not bad and surjective, r.m, True, surjective, degrees, failure)
-
-
-class _DirectChecker(_SummandChecker):
-    """Summand checker over the resolution's own letters and differential."""
-
-    def __init__(self, r, counts):
-        self.counts = dict(counts)
-        self.size = sum(counts.values())
-        letters = {}
-        for letter in r.letters:
-            if isinstance(letter, Cup1Monomial):
-                letters[tuple(f.name for f in letter.factors)] = letter
-            else:
-                letters[(letter.name,)] = letter
-        self.letters = letters
-        self.images = r.images
-        self._strata = {}
-
-
-def _direct_checker(r, counts):
-    return _DirectChecker(r, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +424,7 @@ class ResolutionMap:
         return cls(r, r, {letter: TensorElement.of(letter) for letter in r.letters})
 
     def apply(self, element):
-        out = TensorElement.zero()
+        out = {}
         for word, coeff in element.terms.items():
             img = self._word_cache.get(word)
             if img is None:
@@ -482,8 +435,8 @@ class ResolutionMap:
                     except KeyError:
                         raise DomainError(f"map has no image for {letter.label()}") from None
                 self._word_cache[word] = img
-            out = out + img.scale(coeff)
-        return out
+            _merge(out, img.terms.items(), coeff)
+        return TensorElement(out)
 
     __call__ = apply
 
@@ -499,12 +452,12 @@ class ResolutionMap:
 
 def _normalize_cga_element(target, value):
     """Sort each word into the commutative normal form of the target cga."""
-    out = TensorElement.zero()
+    out = {}
     for word, coeff in value.terms.items():
         letters = [target.letter(l.name) for l in word]
         letters.sort(key=lambda l: l.name)
-        out = out + TensorElement({tuple(letters): coeff})
-    return out
+        _merge(out, [(tuple(letters), coeff)])
+    return TensorElement(out)
 
 
 def build_rh_map(f_on_generators, source, target):
@@ -539,6 +492,51 @@ def build_rh_map(f_on_generators, source, target):
     return rh
 
 
+class _DerivationHomotopy:
+    """A derivation homotopy s from α to β, known on letters through
+    `s_letter` and extended to words by
+
+        s(x·w) = (−1)^{|x|} α(x)·s(w) + s(x)·β(w),
+
+    with β read from its letter images `beta_images`."""
+
+    def __init__(self, alpha, beta_images, s_letter):
+        self.alpha = alpha
+        self.beta_images = beta_images
+        self.s_letter = s_letter
+
+    def __call__(self, element):
+        out = {}
+        for word, coeff in element.terms.items():
+            _merge(out, self._s_word(word).terms.items(), coeff)
+        return TensorElement(out)
+
+    def _s_word(self, word):
+        if not word:
+            return TensorElement.zero()
+        head, rest = word[0], word[1:]
+        sign = -1 if head.total_degree % 2 else 1
+        beta_rest = TensorElement.unit()
+        for letter in rest:
+            beta_rest = word_multiply(beta_rest, self.beta_images[letter])
+        out = word_multiply(self.alpha(TensorElement.of(head)).scale(sign), self._s_word(rest))
+        return out + word_multiply(self.s_letter[head], beta_rest)
+
+    def extend_to(self, b):
+        """s(a0⌣₁z) = −α(a0)⌣₁s(z) + s(a0)⌣₁β(z) + s(z)·s(a0), for a bundle
+        whose tail z already has its s and β values."""
+        head = b.factors[0]
+        z = b.factors[1] if len(b.factors) == 2 else Cup1Monomial(b.factors[1:])
+        sz, s_head = self.s_letter[z], self.s_letter[head]
+        term = -cup1_pair(self.alpha(TensorElement.of(head)), sz)
+        term = term + cup1_pair(s_head, self.beta_images[z])
+        self.s_letter[b] = term + word_multiply(sz, s_head)
+
+
+def _shortest_first(bundles):
+    return sorted(bundles, key=lambda b: (-b.res_degree, b.sort_key()))
+
+
 def derivation_homotopic_map(alpha, s0):
     """The dga self-map homotopic to `alpha` along `s0`.
 
@@ -547,40 +545,12 @@ def derivation_homotopic_map(alpha, s0):
     recursion, β(b) = α(b) − d(s(b)) − s(d(b)).  The result is verified
     to be a chain map."""
     source, target = alpha.source, alpha.target
-    s_letter = {}
-    images = {}
-    for g in source.plain:
-        value = s0.get(g.name, TensorElement.zero())
-        s_letter[g] = value
-        images[g] = alpha(TensorElement.of(g)) - target.d(value)
-
-    def s_element(element):
-        out = TensorElement.zero()
-        for word, coeff in element.terms.items():
-            out = out + _s_word(word).scale(coeff)
-        return out
-
-    def _s_word(word):
-        if not word:
-            return TensorElement.zero()
-        head, rest = word[0], word[1:]
-        rest_elt = TensorElement({rest: 1})
-        sign = -1 if head.total_degree % 2 else 1
-        beta_rest = TensorElement.unit()
-        for letter in rest:
-            beta_rest = word_multiply(beta_rest, images[letter])
-        out = word_multiply(alpha(TensorElement.of(head)).scale(sign), s_element(rest_elt))
-        return out + word_multiply(s_letter[head], beta_rest)
-
-    for b in sorted(source.bundles, key=lambda b: (-b.res_degree, b.sort_key())):
-        head = b.factors[0]
-        z = b.factors[1] if len(b.factors) == 2 else Cup1Monomial(b.factors[1:])
-        beta_z = images[z]
-        term = -cup1_pair(alpha(TensorElement.of(head)), s_letter[z])
-        term = term + cup1_pair(s_letter[head], beta_z)
-        term = term + word_multiply(s_letter[z], s_letter[head])
-        s_letter[b] = term
-        images[b] = alpha(TensorElement.of(b)) - target.d(term) - s_element(source.d(TensorElement.of(b)))
+    s_letter = {g: s0.get(g.name, TensorElement.zero()) for g in source.plain}
+    images = {g: alpha(TensorElement.of(g)) - target.d(s_letter[g]) for g in source.plain}
+    s = _DerivationHomotopy(alpha, images, s_letter)
+    for b in _shortest_first(source.bundles):
+        s.extend_to(b)
+        images[b] = alpha(TensorElement.of(b)) - target.d(s_letter[b]) - s(source.d(TensorElement.of(b)))
 
     beta = ResolutionMap(source, target, images)
     ok, witness = beta.verify_chain_map()
@@ -628,37 +598,14 @@ def extend_homotopy(alpha, beta, s0):
         if target.d(value) != want:
             raise PreconditionError(f"d·s0 != α−β at generator {g.name}")
         s_letter[g] = value
-
-    def s_element(element):
-        out = TensorElement.zero()
-        for word, coeff in element.terms.items():
-            out = out + _s_word(word).scale(coeff)
-        return out
-
-    def _s_word(word):
-        if not word:
-            return TensorElement.zero()
-        head, rest = word[0], word[1:]
-        rest_elt = TensorElement({rest: 1})
-        head_elt = TensorElement.of(head)
-        sign = -1 if head.total_degree % 2 else 1
-        out = alpha(head_elt).scale(sign)
-        out = word_multiply(out, s_element(rest_elt))
-        return out + word_multiply(s_letter[head], beta(rest_elt))
-
-    for b in sorted(source.bundles, key=lambda b: (-b.res_degree, b.sort_key())):
-        head = b.factors[0]
-        z = b.factors[1] if len(b.factors) == 2 else Cup1Monomial(b.factors[1:])
-        sz = s_letter[z]
-        term = -cup1_pair(alpha(TensorElement.of(head)), sz)
-        term = term + cup1_pair(s_letter[head], beta(TensorElement.of(z)))
-        term = term + word_multiply(sz, s_letter[head])
-        s_letter[b] = term
+    s = _DerivationHomotopy(alpha, beta.images, s_letter)
+    for b in _shortest_first(source.bundles):
+        s.extend_to(b)
 
     law_failures = []
     for letter in source.letters:
         elt = TensorElement.of(letter)
-        lhs = target.d(s_letter[letter]) + s_element(source.d(elt))
+        lhs = target.d(s_letter[letter]) + s(source.d(elt))
         rhs = alpha(elt) - beta(elt)
         if lhs != rhs:
             law_failures.append(letter.label())
@@ -669,7 +616,7 @@ def extend_homotopy(alpha, beta, s0):
             sign = -1 if x.total_degree % 2 else 1
             expect = word_multiply(alpha(TensorElement.of(x)).scale(sign), s_letter[y])
             expect = expect + word_multiply(s_letter[x], beta(TensorElement.of(y)))
-            if s_element(prod) != expect:
+            if s(prod) != expect:
                 product_failures.append(f"{x.label()}·{y.label()}")
     return HomotopyReport(
         not law_failures and not product_failures,

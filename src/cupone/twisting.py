@@ -5,32 +5,35 @@ satisfying da = −aa degreewise: ∇(a^r) = −Σ_{i+j=r+1} a^i a^j.  Gauge
 elements p = 1 + p^1 + ... act by a∗p = p⁻¹ap + p⁻¹dp; p⁻¹ is the finite
 geometric series because p′ raises the perturbation degree.  Everything
 is truncated at an explicit level N: all statements hold in perturbation
-degrees <= N.
+degrees <= N.  Twisting elements and gauge perturbations share one base
+for their level components; derivation homotopies reuse the dga maps'
+linear extension and bidegree check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dga import DgaElement, DgaMap, simplicial_cochain_dga, tensor_dga, two_stage_hom_dga
+from .algebra import _merge
+from .dga import (
+    DgaElement,
+    DgaMap,
+    check_bidegree_shift,
+    linear_extension,
+    simplicial_cochain_dga,
+    tensor_dga,
+    two_stage_hom_dga,
+)
 from .errors import DegreeError, DomainError, SizeError
-from .linalg import IntMatrix, kernel_basis, solve
+from .linalg import kernel_basis, solve
 
 
-def _component_map(dga, element, kind):
-    """Split an element into {r: component} along the twisting (t = 1−r)
-    or gauge (t = −r) diagonal; anything off the diagonal is an error."""
-    shift = 1 if kind == "twisting" else 0
-    out = {}
-    for (r, t), comp in element.components_by_bidegree().items():
-        if t != shift - r:
-            raise DegreeError(f"component at bidegree {(r, t)} is off the {kind} diagonal")
-        out[r] = comp
-    return out
+class _LevelElement:
+    """Components r -> element of A^{r,SHIFT−r} for SHIFT+1 <= r <= N+SHIFT−1,
+    where N >= 2 is the truncation level and SHIFT is 1 for twisting
+    elements and 0 for the perturbation of a gauge element."""
 
-
-class TwistingElement:
-    """Components r -> element of A^{r,1−r} for 2 <= r <= N."""
+    KIND = SHIFT = None
 
     def __init__(self, dga, truncation, components):
         if truncation < 2:
@@ -38,16 +41,54 @@ class TwistingElement:
         self.dga = dga
         self.truncation = truncation
         self.components = {}
+        first, last = self._levels(truncation)
         for r, comp in components.items():
             comp = comp if isinstance(comp, DgaElement) else dga.element(comp)
             if comp.is_zero():
                 continue
-            if not 2 <= r <= truncation:
-                raise DomainError(f"twisting component at level {r} outside 2..{truncation}")
+            if not first <= r <= last:
+                raise DomainError(f"{self.KIND} component at level {r} outside {first}..{last}")
             for label in comp.coeffs:
-                if dga.bidegrees[label] != (r, 1 - r):
-                    raise DegreeError(f"component {r} must lie in bidegree {(r, 1 - r)}")
+                if dga.bidegrees[label] != (r, self.SHIFT - r):
+                    raise DegreeError(f"component {r} must lie in bidegree {(r, self.SHIFT - r)}")
             self.components[r] = comp
+
+    @classmethod
+    def _levels(cls, truncation):
+        return cls.SHIFT + 1, truncation + cls.SHIFT - 1
+
+    @classmethod
+    def _from_element(cls, dga, truncation, element):
+        """Split an element along the diagonal t = SHIFT − r, keeping the
+        components inside the level range; anything off it is an error."""
+        first, last = cls._levels(truncation)
+        components = {}
+        for (r, t), comp in element.components_by_bidegree().items():
+            if t != cls.SHIFT - r:
+                raise DegreeError(f"component at bidegree {(r, t)} is off the {cls.KIND} diagonal")
+            if first <= r <= last:
+                components[r] = comp
+        return cls(dga, truncation, components)
+
+    def _component_sum(self):
+        out = {}
+        for comp in self.components.values():
+            _merge(out, comp.coeffs.items())
+        return DgaElement(self.dga, out)
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.dga is other.dga
+            and self.truncation == other.truncation
+            and self.components == other.components
+        )
+
+
+class TwistingElement(_LevelElement):
+    """Components r -> element of A^{r,1−r} for 2 <= r <= N."""
+
+    KIND, SHIFT = "twisting", 1
 
     @classmethod
     def zero(cls, dga, truncation):
@@ -55,49 +96,22 @@ class TwistingElement:
 
     @classmethod
     def from_element(cls, dga, truncation, element):
-        comps = _component_map(dga, element, "twisting")
-        return cls(dga, truncation, {r: c for r, c in comps.items() if 2 <= r <= truncation})
+        return cls._from_element(dga, truncation, element)
 
     def as_element(self):
-        out = self.dga.element()
-        for comp in self.components.values():
-            out = out + comp
-        return out
+        return self._component_sum()
 
     def component(self, r):
         return self.components.get(r, self.dga.element())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TwistingElement)
-            and self.dga is other.dga
-            and self.truncation == other.truncation
-            and self.components == other.components
-        )
 
     def __repr__(self):
         return f"<twisting N={self.truncation}: {self.as_element()}>"
 
 
-class GaugeElement:
+class GaugeElement(_LevelElement):
     """p = 1 + p′ with p^r of bidegree (r, −r) for 1 <= r <= N−1."""
 
-    def __init__(self, dga, truncation, components):
-        if truncation < 2:
-            raise DomainError("truncation level must be >= 2")
-        self.dga = dga
-        self.truncation = truncation
-        self.components = {}
-        for r, comp in components.items():
-            comp = comp if isinstance(comp, DgaElement) else dga.element(comp)
-            if comp.is_zero():
-                continue
-            if not 1 <= r <= truncation - 1:
-                raise DomainError(f"gauge component at level {r} outside 1..{truncation - 1}")
-            for label in comp.coeffs:
-                if dga.bidegrees[label] != (r, -r):
-                    raise DegreeError(f"component {r} must lie in bidegree {(r, -r)}")
-            self.components[r] = comp
+    KIND, SHIFT = "gauge", 0
 
     @classmethod
     def one(cls, dga, truncation):
@@ -105,14 +119,10 @@ class GaugeElement:
 
     @classmethod
     def from_perturbation(cls, dga, truncation, element):
-        comps = _component_map(dga, element, "gauge")
-        return cls(dga, truncation, {r: c for r, c in comps.items() if 1 <= r <= truncation - 1})
+        return cls._from_element(dga, truncation, element)
 
     def perturbation(self):
-        out = self.dga.element()
-        for comp in self.components.values():
-            out = out + comp
-        return out
+        return self._component_sum()
 
     def as_element(self):
         return self.dga.unit + self.perturbation()
@@ -135,14 +145,6 @@ class GaugeElement:
             raise DomainError("gauge elements of different dgas or truncations")
         prime = self.perturbation() + other.perturbation() + self.perturbation() * other.perturbation()
         return GaugeElement.from_perturbation(self.dga, self.truncation, prime)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GaugeElement)
-            and self.dga is other.dga
-            and self.truncation == other.truncation
-            and self.components == other.components
-        )
 
     def __repr__(self):
         return f"<gauge N={self.truncation}: 1 + {self.perturbation()}>"
@@ -182,16 +184,14 @@ def gauge_act(a, p):
         raise DomainError("twisting and gauge truncations differ")
     pinv = p.inverse_element()
     moved = pinv * a.as_element() * p.as_element() + pinv * p.perturbation().d()
-    result = TwistingElement.from_element(a.dga, a.truncation, _slice_twisting(moved, a.truncation))
-    return result
+    return TwistingElement(a.dga, a.truncation, _twisting_part(moved, a.truncation))
 
 
-def _slice_twisting(element, truncation):
-    out = element.dga.element()
-    for (r, t), comp in element.components_by_bidegree().items():
-        if t == 1 - r and 2 <= r <= truncation:
-            out = out + comp
-    return out
+def _twisting_part(element, truncation):
+    """The components of an element on the twisting diagonal at levels 2..N."""
+    return {
+        r: comp for (r, t), comp in element.components_by_bidegree().items() if t == 1 - r and 2 <= r <= truncation
+    }
 
 
 def orbit_relation_holds(a, b, p):
@@ -199,11 +199,7 @@ def orbit_relation_holds(a, b, p):
     pa = p.perturbation()
     lhs = b.as_element() - a.as_element()
     rhs = a.as_element() * pa - pa * b.as_element() + pa.d()
-    diff = lhs - rhs
-    for (r, t), comp in diff.components_by_bidegree().items():
-        if t == 1 - r and 2 <= r <= a.truncation and not comp.is_zero():
-            return False
-    return True
+    return not _twisting_part(lhs - rhs, a.truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +263,10 @@ def gauge_equivalent(a, b, budget=200):
     dga = a.dga
     N = a.truncation
 
-    strata = {}
-    for k in range(2, N + 1):
-        src = dga.basis_of(k - 1, 1 - k)
-        tgt = dga.basis_of(k, 1 - k)
-        index = {l: i for i, l in enumerate(tgt)}
-        rows = [[0] * len(src) for _ in tgt]
-        for j, label in enumerate(src):
-            for l2, c in dga.diff.get(label, {}).items():
-                rows[index[l2]][j] = c
-        strata[k] = (src, tgt, IntMatrix(rows, cols=len(src)))
+    strata = {
+        k: (dga.basis_of(k - 1, 1 - k), dga.basis_of(k, 1 - k), dga.differential_matrix(k - 1, 1 - k))
+        for k in range(2, N + 1)
+    }
 
     nodes = {"used": 0}
 
@@ -372,25 +362,6 @@ class OrbitHomotopyReport:
         return f"{self.failed_law} fails at {self.failed_at}"
 
 
-def apply_degree_map(dga_target, images, element):
-    out = dga_target.element()
-    for label, c in element.coeffs.items():
-        img = images.get(label)
-        if img is not None:
-            out = out + img.scale(c)
-    return out
-
-
-def check_degree_map(source, target, images, shift=(-1, 0)):
-    """Validate that `images` defines a map lowering the first degree by one."""
-    for label, img in images.items():
-        r, t = source.bidegrees[label]
-        want = (r + shift[0], t + shift[1])
-        for l2 in img.coeffs:
-            if target.bidegrees[l2] != want:
-                raise DegreeError(f"s({label}) must lie in bidegree {want}")
-
-
 def homotopy_orbit_check(f, g, s_images, a):
     """Verify that s is an (f,g)-derivation homotopy and that p′ = −s(a)
     witnesses the gauge equivalence of f(a) and g(a).
@@ -404,10 +375,10 @@ def homotopy_orbit_check(f, g, s_images, a):
     if a.dga is not A:
         raise DomainError("the twisting element must live in the source dga")
     s_images = {l: (v if isinstance(v, DgaElement) else B.element(v)) for l, v in s_images.items()}
-    check_degree_map(A, B, s_images)
+    check_bidegree_shift(A, B, s_images, (-1, 0), "s")
 
     def s_apply(element):
-        return apply_degree_map(B, s_images, element)
+        return linear_extension(B, s_images, element)
 
     for label in sorted(A.bidegrees):
         e = A.basis_element(label)

@@ -183,3 +183,30 @@ def test_reports_are_deterministic(doc_path, capsys):
     out = capsys.readouterr().out
     half = len(out) // 2
     assert out[:half] == out[half:]
+
+
+OUT_OF_DOMAIN_DOC = {
+    "cgas": {**DOC["cgas"], "Pinf": {"generators": {"x": 2, "y": 2}, "m": "infinity"}},
+    "cga_maps": {
+        "bad": {"source": "P2", "target": "Q", "images": {"x": [["two", ["u"]]], "y": [[3, ["u"]]]}},
+    },
+    "spaces": DOC["spaces"],
+}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--command", "boundary", "--face", "({a},{1})"], "({a},{1})"),
+    (["--command", "boundary", "--face", "({1,2,3,4,5,6,7,8})"], "between 1 and 7"),
+    (["--command", "rh-map", "--map", "bad"], "cga_maps.bad.images.x"),
+    (["--command", "resolve", "--cga", "Pinf", "--truncation", "-3"], "truncation"),
+    (["--command", "certify", "--cga", "Pinf", "--truncation", "0"], "truncation"),
+    (["--command", "d-x", "--space", "circle", "--homology", "Z", "--truncation", "0"], "truncation"),
+    (["--command", "d-x", "--space", "circle", "--homology", "Z", "--truncation", "1"], "truncation"),
+])
+def test_out_of_domain_input_exits_2_without_traceback(tmp_path, capsys, argv, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(OUT_OF_DOMAIN_DOC), encoding="utf-8")
+    assert main(["--input", str(path), *argv]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""

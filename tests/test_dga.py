@@ -135,6 +135,12 @@ def test_dga_map_identity_and_validation():
         DgaMap(F, F, {**{l: {l: 1} for l in F.bidegrees}, "x": {}})
 
 
+def test_dga_map_rejects_an_unknown_source_label():
+    F = free_truncated_dga([("x", 1, -1), ("y", 2, -1)], {"x": [(1, ("y",))]}, 3)
+    with pytest.raises(DomainError, match="'z' is not a basis label"):
+        DgaMap(F, F, {**{l: {l: 1} for l in F.bidegrees}, "z": {"x": 1}})
+
+
 def test_simplicial_complex_closure():
     X = SimplicialComplex([[0, 1, 2]])
     by_dim = X.by_dim()

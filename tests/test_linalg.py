@@ -171,5 +171,15 @@ def test_group_canonical_form():
 def test_cokernel_group():
     g = cokernel_group(IntMatrix([[2, 0], [0, 3]]))
     assert g == FGAbelianGroup.from_divisors([6])
-    g = cokernel_group(IntMatrix.zeros(2, 1), 2)
+    g = cokernel_group(IntMatrix.zeros(2, 1))
     assert g.rank == 2
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_snf_certificate_on_empty_shapes(shape):
+    d = check_snf(IntMatrix.zeros(*shape))
+    assert (d.rows, d.cols) == shape
+
+
+def test_kernel_of_a_zero_row_matrix_is_the_whole_lattice():
+    assert len(kernel_basis(IntMatrix.zeros(0, 3))) == 3
