@@ -20,9 +20,9 @@ from .algebra import TensorElement, _merge
 from .cup1 import Cup1Monomial, normalize_cup1
 from .dga import BigradedDGA, SimplicialComplex
 from .errors import DomainError
-from .groups import GroupHom, HypothesisInstance, check_hypotheses, cokernel, is_injective, tor
+from .groups import GroupHom, HypothesisInstance, check_hypotheses, tor
 from .linalg import FGAbelianGroup, IntMatrix
-from .permutohedron import Face, complex_description, f_vector, face_boundary
+from .permutohedron import Face, complex_description, face_boundary
 from .resolution import (
     INFINITY,
     CgaPresentation,

@@ -64,20 +64,26 @@ class Face:
             raise DomainError(f"cannot parse face {text!r}")
         body = body[1:-1]
         blocks = []
-        depth = 0
-        current = ""
+        current = None  # text of the open block, None between blocks
         for ch in body:
             if ch == "{":
-                depth += 1
+                if current is not None:
+                    raise DomainError(f"cannot parse face {text!r}: unbalanced braces")
                 current = ""
             elif ch == "}":
-                depth -= 1
+                if current is None:
+                    raise DomainError(f"cannot parse face {text!r}: unbalanced braces")
                 try:
                     blocks.append(frozenset(int(v) for v in current.split(",") if v.strip()))
                 except ValueError:
                     raise DomainError(f"cannot parse face {text!r}: block items must be integers") from None
-            elif depth:
+                current = None
+            elif current is not None:
                 current += ch
+            elif ch != "," and not ch.isspace():
+                raise DomainError(f"cannot parse face {text!r}: {ch!r} outside a block")
+        if current is not None:
+            raise DomainError(f"cannot parse face {text!r}: unbalanced braces")
         if n is None:
             n = sum(len(b) for b in blocks)
         return cls(n, tuple(blocks))

@@ -202,11 +202,28 @@ OUT_OF_DOMAIN_DOC = {
     (["--command", "certify", "--cga", "Pinf", "--truncation", "0"], "truncation"),
     (["--command", "d-x", "--space", "circle", "--homology", "Z", "--truncation", "0"], "truncation"),
     (["--command", "d-x", "--space", "circle", "--homology", "Z", "--truncation", "1"], "truncation"),
+    (["--command", "boundary", "--face", "({1}junk,{2})"], "'j' outside a block"),
+    (["--command", "boundary", "--face", "({1},{2}})"], "unbalanced braces"),
 ])
 def test_out_of_domain_input_exits_2_without_traceback(tmp_path, capsys, argv, message):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(OUT_OF_DOMAIN_DOC), encoding="utf-8")
     assert main(["--input", str(path), *argv]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("dga, message", [
+    ({"basis": [["a", 0, 0]], "differential": {"zz": [[1, "a"]]}, "unit": [[1, "a"]]},
+     "dgas.bad: d(zz): 'zz' is not a basis label"),
+    ({"basis": [["a", 0, 0]], "products": [["a", "a", [[1, "zz"]]]], "unit": [[1, "a"]]},
+     "dgas.bad: a·a: 'zz' is not a basis label"),
+])
+def test_unknown_dga_label_exits_2_naming_the_table_entry(tmp_path, capsys, dga, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"dgas": {"bad": dga}}), encoding="utf-8")
+    assert main(["--input", str(path), "--command", "tor", "--a", "Z", "--b", "Z"]) == 2
     captured = capsys.readouterr()
     assert message in captured.err
     assert "Traceback" not in captured.err and captured.out == ""

@@ -50,6 +50,19 @@ def test_face_text_roundtrip():
     assert Face.parse("({1,3},{2})") == f
 
 
+@pytest.mark.parametrize("text, message", [
+    ("({1}junk,{2})", "'j' outside a block"),
+    ("({1},x{2})", "'x' outside a block"),
+    ("({1},{2)", "unbalanced braces"),
+    ("({1}},{2})", "unbalanced braces"),
+    ("({{1},{2})", "unbalanced braces"),
+])
+def test_face_parse_rejects_text_outside_blocks(text, message):
+    with pytest.raises(DomainError, match=message):
+        Face.parse(text)
+    assert Face.parse(" ( {1, 3} , {2} ) ") == Face(3, ({1, 3}, {2}))
+
+
 def test_face_validation():
     with pytest.raises(DomainError):
         Face(3, ({1, 2}, {2, 3}))
