@@ -12,6 +12,7 @@ compatible with the boundary formula below (see cup1_boundary).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .algebra import Generator, TensorElement, _merge, word_multiply, word_total_degree
 from .errors import DomainError
@@ -205,6 +206,14 @@ def closed_images(plain, bundles):
     `plain` and the unshuffle boundary on each bundle of `bundles`."""
     zero = {g: TensorElement.zero() for g in plain}
     return {**zero, **{b: cup1_boundary(b, zero) for b in bundles}}
+
+
+def bundle_images(plain):
+    """Closed images of the `plain` generators, given in canonical order,
+    and of every bundle on two or more of them: one table serves every
+    monomial on these generators."""
+    bundles = [Cup1Monomial(c) for k in range(2, len(plain) + 1) for c in combinations(plain, k)]
+    return closed_images(plain, bundles)
 
 
 def unshuffle_splittings(n):

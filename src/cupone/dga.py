@@ -133,6 +133,9 @@ class BigradedDGA:
         self.diff = {l: dict(t) for l, t in diff.items() if t}
         self.products = {k: dict(t) for k, t in products.items() if t}
         self.unit_coeffs = dict(unit)
+        self._labels_by_bidegree = {}
+        for label, deg in sorted(self.bidegrees.items()):
+            self._labels_by_bidegree.setdefault(deg, []).append(label)
         if validate:
             self._validate()
 
@@ -149,13 +152,10 @@ class BigradedDGA:
         return DgaElement(self, self.unit_coeffs)
 
     def basis_of(self, r, t):
-        return sorted(l for l, deg in self.bidegrees.items() if deg == (r, t))
+        return list(self._labels_by_bidegree.get((r, t), ()))
 
     def components(self):
-        out = {}
-        for label, deg in self.bidegrees.items():
-            out.setdefault(deg, []).append(label)
-        return {deg: sorted(labels) for deg, labels in sorted(out.items())}
+        return {deg: list(labels) for deg, labels in sorted(self._labels_by_bidegree.items())}
 
     def total_degree(self, label):
         r, t = self.bidegrees[label]
@@ -547,9 +547,11 @@ def free_truncated_dga(generators, diffs, max_r=None, min_t=None, name=None):
     def bidegree(w):
         return sum(gens[nm][0] for nm in w), sum(gens[nm][1] for nm in w)
 
-    def fits(w):
-        r, t = bidegree(w)
+    def in_window(r, t):
         return (max_r is None or r <= max_r) and (min_t is None or t >= min_t)
+
+    def fits(w):
+        return in_window(*bidegree(w))
 
     words = [()]
     frontier = [()]
@@ -566,13 +568,14 @@ def free_truncated_dga(generators, diffs, max_r=None, min_t=None, name=None):
     def wlabel(w):
         return "·".join(w) if w else "1"
 
-    bidegrees = {wlabel(w): bidegree(w) for w in words}
+    labelled = [(w, wlabel(w), *bidegree(w)) for w in words]
+    bidegrees = {label: (r, t) for _w, label, r, t in labelled}
 
     products = {}
-    for w1 in words:
-        for w2 in words:
-            if fits(w1 + w2):
-                products[(wlabel(w1), wlabel(w2))] = {wlabel(w1 + w2): 1}
+    for w1, l1, r1, t1 in labelled:
+        for w2, l2, r2, t2 in labelled:
+            if in_window(r1 + r2, t1 + t2):
+                products[(l1, l2)] = {wlabel(w1 + w2): 1}
 
     gen_images = {nm: list(terms) for nm, terms in diffs.items()}
 

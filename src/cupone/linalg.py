@@ -4,6 +4,13 @@ Smith normal form with unimodular transform certificates, integer linear
 solving, homology of bounded chain complexes, and finitely generated
 abelian groups in invariant-factor canonical form.  All arithmetic uses
 Python's arbitrary-precision integers; nothing here ever rounds.
+
+Matrices are stored sparsely, as rows of nonzero entries: boundary maps
+are built column by column with `IntMatrix.from_columns`, multiplied and
+checked for ∂∘∂ = 0 on the sparse rows, and reduced by the sparse
+elimination of `invariant_factors` without a dense copy.  Only the Smith
+normal form with transforms (behind `solve` and `kernel_basis`) works
+on dense arrays.
 """
 
 from __future__ import annotations
@@ -15,12 +22,18 @@ from .errors import DomainError
 
 
 class IntMatrix:
-    """Immutable integer matrix stored as a tuple of row tuples."""
+    """Immutable integer matrix stored sparsely.
 
-    __slots__ = ("rows", "cols", "entries")
+    `sparse_rows` maps a row index to a dict {column index: value} of that
+    row's nonzero entries; rows without a nonzero entry are absent and no
+    zero is ever stored, so equal matrices have equal `sparse_rows`.
+    `entries` is a dense tuple-of-row-tuples view, built on each access.
+    """
+
+    __slots__ = ("rows", "cols", "sparse_rows")
 
     def __init__(self, entries, cols=None):
-        rows = tuple(tuple(int(v) for v in row) for row in entries)
+        rows = [tuple(int(v) for v in row) for row in entries]
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -31,70 +44,109 @@ class IntMatrix:
             width = 0 if cols is None else cols
         self.rows = len(rows)
         self.cols = width
-        self.entries = rows
+        self.sparse_rows = {}
+        for i, row in enumerate(rows):
+            nonzero = {j: v for j, v in enumerate(row) if v}
+            if nonzero:
+                self.sparse_rows[i] = nonzero
+
+    @classmethod
+    def _of_sparse(cls, rows, cols, sparse_rows):
+        """Wrap sparse rows that hold no zero value and no empty row."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.sparse_rows = rows, cols, sparse_rows
+        return m
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
+        return cls._of_sparse(rows, cols, {})
 
     @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._of_sparse(n, n, {i: {i: 1} for i in range(n)})
 
     @classmethod
     def from_columns(cls, row_keys, columns):
         """Matrix with one row per key of `row_keys`, in that order, and one
         column per entry of `columns`, each an iterable of (row key, value)
-        pairs; values at the same key add up."""
+        pairs; values at the same key add up, and sums that cancel are not
+        stored."""
         index = {key: i for i, key in enumerate(row_keys)}
-        rows = [[0] * len(columns) for _ in row_keys]
+        sparse = {}
         for j, column in enumerate(columns):
             for key, value in column:
-                rows[index[key]][j] += value
-        return cls(rows, cols=len(columns))
+                row = sparse.setdefault(index[key], {})
+                new = row.get(j, 0) + value
+                if new:
+                    row[j] = new
+                else:
+                    row.pop(j, None)
+        return cls._of_sparse(len(row_keys), len(columns), {i: row for i, row in sorted(sparse.items()) if row})
+
+    @property
+    def entries(self):
+        out = []
+        for i in range(self.rows):
+            dense = [0] * self.cols
+            for j, v in self.sparse_rows.get(i, {}).items():
+                dense[j] = v
+            out.append(tuple(dense))
+        return tuple(out)
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        if not (-self.rows <= i < self.rows and -self.cols <= j < self.cols):
+            raise IndexError(f"entry ({i}, {j}) outside a {self.rows}x{self.cols} matrix")
+        return self.sparse_rows.get(i % self.rows, {}).get(j % self.cols, 0)
 
     def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.entries == other.entries and self.cols == other.cols
+        return (
+            isinstance(other, IntMatrix)
+            and self.rows == other.rows
+            and self.cols == other.cols
+            and self.sparse_rows == other.sparse_rows
+        )
 
     def __hash__(self):
-        return hash((self.cols, self.entries))
+        stored = frozenset((i, j, v) for i, row in self.sparse_rows.items() for j, v in row.items())
+        return hash((self.rows, self.cols, stored))
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.entries]!r})"
 
     def transpose(self):
-        return IntMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        out = {}
+        for i, row in self.sparse_rows.items():
+            for j, v in row.items():
+                out.setdefault(j, {})[i] = v
+        return IntMatrix._of_sparse(self.cols, self.rows, dict(sorted(out.items())))
 
     def mul(self, other):
         if self.cols != other.rows:
             raise DomainError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        ot = other.entries
-        out = []
-        for row in self.entries:
-            acc = [0] * other.cols
-            for k, a in enumerate(row):
-                if a:
-                    ok = ot[k]
-                    for j in range(other.cols):
-                        if ok[j]:
-                            acc[j] += a * ok[j]
-            out.append(acc)
-        return IntMatrix(out, cols=other.cols)
+        right = other.sparse_rows
+        out = {}
+        for i, row in self.sparse_rows.items():
+            acc = {}
+            for k, a in row.items():
+                for j, b in right.get(k, {}).items():
+                    acc[j] = acc.get(j, 0) + a * b
+            acc = {j: v for j, v in acc.items() if v}
+            if acc:
+                out[i] = acc
+        return IntMatrix._of_sparse(self.rows, other.cols, out)
 
     def mul_vector(self, vec):
         if self.cols != len(vec):
             raise DomainError("vector length mismatch")
-        return tuple(sum(a * v for a, v in zip(row, vec) if a and v) for row in self.entries)
+        rows = self.sparse_rows
+        return tuple(sum(a * vec[j] for j, a in rows[i].items()) if i in rows else 0 for i in range(self.rows))
 
     def column(self, j):
-        return tuple(row[j] for row in self.entries)
+        if not -self.cols <= j < self.cols:
+            raise IndexError(f"column {j} outside a {self.rows}x{self.cols} matrix")
+        j %= self.cols
+        return tuple(self.sparse_rows.get(i, {}).get(j, 0) for i in range(self.rows))
 
     def det(self):
         """Determinant by fraction-free (Bareiss) elimination."""
@@ -245,8 +297,11 @@ def smith_normal_form(matrix):
 
 
 def _chain_from_diagonal(diag):
-    """Invariant factors of diag(d1..dk): gcd/lcm passes until d_i | d_{i+1}."""
+    """Invariant factors of diag(d1..dk): gcd/lcm passes until d_i | d_{i+1}.
+    Units divide everything, so they skip the passes and lead the chain."""
     vals = [abs(d) for d in diag if d != 0]
+    units = [1] * sum(1 for d in vals if d == 1)
+    vals = [d for d in vals if d != 1]
     changed = True
     while changed:
         changed = False
@@ -257,7 +312,7 @@ def _chain_from_diagonal(diag):
                     vals[i], vals[j] = g, vals[i] // g * vals[j]
                     changed = True
         vals.sort()
-    return vals
+    return units + vals
 
 
 def invariant_factors(matrix):
@@ -267,13 +322,11 @@ def invariant_factors(matrix):
     of the Smith normal form.
     """
     m = matrix if isinstance(matrix, IntMatrix) else IntMatrix(matrix)
-    rows = {}
+    rows = {i: dict(row) for i, row in m.sparse_rows.items()}
     cols = {}
-    for i, row in enumerate(m.entries):
-        for j, val in enumerate(row):
-            if val:
-                rows.setdefault(i, {})[j] = val
-                cols.setdefault(j, set()).add(i)
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
 
     pivots = []
     while rows:
@@ -447,8 +500,7 @@ def homology(boundaries):
     for k in range(len(mats) - 1):
         if mats[k].cols != mats[k + 1].rows:
             raise DomainError(f"boundary shapes disagree between degrees {k + 1} and {k + 2}")
-        prod = mats[k].mul(mats[k + 1])
-        if any(v for row in prod.entries for v in row):
+        if mats[k].mul(mats[k + 1]).sparse_rows:
             raise DomainError(f"d∘d is nonzero at degree {k + 2}")
 
     n_groups = len(mats) + 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from string import ascii_lowercase
 
 from .algebra import Generator, TensorElement, extend_derivation, format_word
-from .cup1 import Cup1Monomial, closed_images
+from .cup1 import Cup1Monomial, bundle_images, closed_images
 from .errors import DomainError, SizeError
 from .linalg import IntMatrix, homology
 
@@ -168,13 +168,18 @@ def face_of_monomial(word, letters):
     return Face(len(letters), tuple(blocks))
 
 
-def face_boundary(face, letters=None):
-    """Signed boundary faces, by transport of the unshuffle differential."""
+def face_boundary(face, letters=None, images=None):
+    """Signed boundary faces, by transport of the unshuffle differential.
+
+    `images` is a table of closed letter and bundle images covering the
+    face's monomial, such as `bundle_images(letters)` shared by every face;
+    without it the images of this face's own bundles are built."""
     if face.dimension < 1:
         raise DomainError("vertices have no boundary")
     letters = default_letters(face.n) if letters is None else letters
     word = monomial_of_face(face, letters)
-    images = closed_images(letters, [l for l in next(iter(word.terms)) if isinstance(l, Cup1Monomial)])
+    if images is None:
+        images = closed_images(letters, [l for l in next(iter(word.terms)) if isinstance(l, Cup1Monomial)])
     dw = extend_derivation(images, word)
     out = []
     for w, coeff in dw.sorted_terms():
@@ -186,9 +191,12 @@ def boundary_matrices(n):
     """Cellular boundary matrices [∂_1, ..., ∂_{n-1}] of P_n."""
     by_dim = enumerate_faces(n)
     letters = default_letters(n)
+    images = bundle_images(letters)
     mats = []
     for dim in range(1, n):
-        columns = [[(str(sub), coeff) for coeff, sub in face_boundary(face, letters)] for face in by_dim.get(dim, [])]
+        columns = [
+            [(str(sub), coeff) for coeff, sub in face_boundary(face, letters, images)] for face in by_dim.get(dim, [])
+        ]
         mats.append(IntMatrix.from_columns([str(f) for f in by_dim.get(dim - 1, [])], columns))
     return mats
 
@@ -206,23 +214,24 @@ def complex_description(n):
     (a⌣₁c)b, (b⌣₁c)a around the top cell a⌣₁b⌣₁c."""
     by_dim = enumerate_faces(n)
     letters = default_letters(n)
+    images = bundle_images(letters)
+    labels = {
+        str(face): format_word(next(iter(monomial_of_face(face, letters).terms)))
+        for faces in by_dim.values()
+        for face in faces
+    }
     cells = []
     for dim in sorted(by_dim):
         for face in by_dim[dim]:
-            label = format_word(next(iter(monomial_of_face(face, letters).terms)))
             entry = {
                 "dimension": dim,
                 "face": str(face),
-                "label": label,
+                "label": labels[str(face)],
             }
             if dim >= 1:
+                boundary = [(coeff, str(sub)) for coeff, sub in face_boundary(face, letters, images)]
                 entry["boundary"] = [
-                    {
-                        "coefficient": coeff,
-                        "face": str(sub),
-                        "label": format_word(next(iter(monomial_of_face(sub, letters).terms))),
-                    }
-                    for coeff, sub in face_boundary(face, letters)
+                    {"coefficient": coeff, "face": sub, "label": labels[sub]} for coeff, sub in boundary
                 ]
             cells.append(entry)
     return {"n": n, "f_vector": list(f_vector(n)), "cells": cells}

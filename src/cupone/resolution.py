@@ -21,7 +21,7 @@ from itertools import combinations
 from math import ceil
 
 from .algebra import Generator, TensorElement, _merge, check_d_squared, extend_derivation, word_multiply
-from .cup1 import Cup1Monomial, bundle_factors, closed_images, cup1_pair
+from .cup1 import Cup1Monomial, bundle_factors, bundle_images, closed_images, cup1_pair
 from .errors import DegreeError, DomainError, PreconditionError
 from .linalg import IntMatrix, homology_at
 
@@ -280,10 +280,9 @@ def _pattern_checker(mults):
     resolution only depends on the pattern."""
     if mults not in _SUMMAND_CACHE:
         gens = [Generator(f"w{i}", 0, 2) for i in range(len(mults))]
-        bundles = [Cup1Monomial(c) for k in range(2, len(gens) + 1) for c in combinations(gens, k)]
         counts = {g.name: c for g, c in zip(gens, mults)}
-        images = closed_images(gens, bundles)
-        _SUMMAND_CACHE[mults] = _SummandChecker(counts, _letter_table(gens + bundles), images)
+        images = bundle_images(gens)
+        _SUMMAND_CACHE[mults] = _SummandChecker(counts, _letter_table(images), images)
     return _SUMMAND_CACHE[mults]
 
 

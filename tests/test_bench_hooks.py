@@ -35,3 +35,15 @@ def test_traced_methods_are_in_their_own_class_dict():
         if not callable(vars(getattr(importlib.import_module(module), cls)).get(attr))
     ]
     assert not missing
+
+
+def test_matrix_counts_read_the_sparse_carrier():
+    from cupone.linalg import IntMatrix
+
+    tracer = load_tracer().Tracer()
+    m = IntMatrix.from_columns(["x", "y", "z"], [[("x", 1), ("z", -2)], [], [("y", 3), ("y", -3)], [("z", 5)]])
+    tracer._matrix_shape((m,))
+    stored = sum(len(row) for row in m.sparse_rows.values())
+    assert stored == 3
+    assert tracer.counts["linalg.matrix_entries"] == 3 * 4
+    assert tracer.counts["linalg.matrix_nnz"] == stored

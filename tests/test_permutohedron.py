@@ -1,7 +1,7 @@
 import pytest
 
 from cupone.algebra import Generator, TensorElement
-from cupone.cup1 import Cup1Monomial, cup1_boundary
+from cupone.cup1 import Cup1Monomial, bundle_images, cup1_boundary
 from cupone.errors import DomainError, SizeError
 from cupone.permutohedron import (
     Face,
@@ -178,3 +178,39 @@ def test_complex_description_fig1_labels():
         "a⌣₁b⌣₁c",
     }
     assert desc["f_vector"] == [6, 6, 1]
+
+
+def test_shared_image_table_matches_each_face_own_images():
+    for n in range(2, 6):
+        letters = default_letters(n)
+        shared = bundle_images(letters)
+        for faces in enumerate_faces(n).values():
+            for f in faces:
+                if f.dimension >= 1:
+                    assert face_boundary(f, letters, shared) == face_boundary(f, letters)
+
+
+def ordered_splits(face):
+    """Faces obtained by splitting one block B of `face` into two ordered
+    nonempty pieces, in place: the facets of an ordered-partition cell."""
+    out = []
+    for p, block in enumerate(face.blocks):
+        items = sorted(block)
+        for mask in range(1, 2 ** len(items) - 1):
+            first = frozenset(v for i, v in enumerate(items) if mask >> i & 1)
+            out.append(Face(face.n, face.blocks[:p] + (first, block - first) + face.blocks[p + 1:]))
+    return out
+
+
+def test_transported_boundary_is_the_ordered_split_support():
+    for n in range(2, 7):
+        letters = default_letters(n)
+        shared = bundle_images(letters)
+        for faces in enumerate_faces(n).values():
+            for f in faces:
+                if f.dimension == 0:
+                    continue
+                terms = face_boundary(f, letters, shared)
+                assert len(terms) == sum(2 ** len(b) - 2 for b in f.blocks)
+                assert all(coeff in (1, -1) for coeff, _sub in terms)
+                assert sorted(str(sub) for _c, sub in terms) == sorted(str(g) for g in ordered_splits(f))
