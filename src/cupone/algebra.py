@@ -5,11 +5,18 @@ Elements are finite integer combinations of words in bigraded letters
 plain tuples; elements are sparse term maps with no stored zeros, so
 syntactic equality is equality.  Differentials are Koszul-signed
 derivations extended from letter images.
+
+The letters of one computation must form a universe: no label may name
+two bidegrees.  `word_multiply` checks the letters of both factors on
+every product.  `extend_derivation` builds no products: it splices image
+words into place and checks the letters of its input and of the images
+it used once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import DegreeError, DomainError
 
@@ -33,6 +40,15 @@ class Generator:
             raise DomainError(f"generator {self.name}: resolution degree must be <= 0")
         if self.int_degree < 0:
             raise DomainError(f"generator {self.name}: internal degree must be >= 0")
+        # letters key every term map, so the hash is computed once
+        object.__setattr__(self, "_hash", hash((self.name, self.res_degree, self.int_degree)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through __init__: a string hash differs between processes
+        return (type(self), (self.name, self.res_degree, self.int_degree))
 
     @property
     def bidegree(self):
@@ -195,59 +211,68 @@ class TensorElement:
         return f"<TensorElement {self}>"
 
 
-def _check_universe(x, y):
+def _check_universe(*term_maps):
+    """DomainError if a label names two bidegrees among the letters of the
+    words of `term_maps`; letters are compared in first-seen order."""
     named = {}
-    for elt in (x, y):
-        for word in elt.terms:
-            for letter in word:
-                key = letter.label()
-                prev = named.setdefault(key, letter)
-                if prev.bidegree != letter.bidegree:
-                    raise DomainError(
-                        f"letter {key!r} appears with bidegrees {prev.bidegree} and {letter.bidegree}"
-                    )
+    # the distinct letters of every word of every map
+    for letter in dict.fromkeys(chain.from_iterable(chain.from_iterable(term_maps))):
+        key = letter.label()
+        prev = named.setdefault(key, letter)
+        if prev.bidegree != letter.bidegree:
+            raise DomainError(
+                f"letter {key!r} appears with bidegrees {prev.bidegree} and {letter.bidegree}"
+            )
 
 
 def word_multiply(x, y):
     """Bilinear concatenation product of the free algebra."""
-    _check_universe(x, y)
+    _check_universe(x.terms, y.terms)
     out = {}
     for wx, cx in x.terms.items():
         _merge(out, ((wx + wy, cy) for wy, cy in y.terms.items()), cx)
     return TensorElement(out)
 
 
+def _letter_image(images, letter):
+    """The image of `letter`, which must be homogeneous of bidegree
+    (res+1, int) of the letter, or zero."""
+    try:
+        image = images[letter]
+    except KeyError:
+        raise DomainError(f"no differential image for letter {letter.label()}") from None
+    deg = image.bidegree()
+    if deg is not None and deg != (letter.res_degree + 1, letter.int_degree):
+        raise DegreeError(
+            f"image of {letter.label()} has bidegree {deg}, "
+            f"expected {(letter.res_degree + 1, letter.int_degree)}"
+        )
+    return image
+
+
 def extend_derivation(images, x):
     """Koszul-signed Leibniz extension of letter images to an element.
 
-    d(uw) = d(u)·w + (−1)^{|u|} u·d(w) with |u| the total degree.  The
-    image of every letter used must be homogeneous of bidegree
-    (res+1, int) of its letter.
+    d(uw) = d(u)·w + (−1)^{|u|} u·d(w) with |u| the total degree, so the
+    terms of d(word) put each word of d(letter) in place of one letter of
+    the word.  The image of every letter used must be homogeneous of
+    bidegree (res+1, int) of its letter; each is fetched and checked once.
     """
-    def image_of(letter):
-        try:
-            image = images[letter]
-        except KeyError:
-            raise DomainError(f"no differential image for letter {letter.label()}") from None
-        deg = image.bidegree()
-        if deg is not None and deg != (letter.res_degree + 1, letter.int_degree):
-            raise DegreeError(
-                f"image of {letter.label()} has bidegree {deg}, "
-                f"expected {(letter.res_degree + 1, letter.int_degree)}"
-            )
-        return image
-
+    used = {}  # letter -> (image terms, whether the letter's total degree is odd)
     out = {}
     for word, coeff in x.terms.items():
-        sign = 1
+        sign = coeff
         for pos, letter in enumerate(word):
-            image = image_of(letter)
-            if not image.is_zero():
-                prefix = TensorElement({word[:pos]: coeff * sign})
-                suffix = TensorElement({word[pos + 1:]: 1})
-                _merge(out, word_multiply(word_multiply(prefix, image), suffix).terms.items())
-            if letter.total_degree % 2:
+            entry = used.get(letter)
+            if entry is None:
+                entry = used[letter] = (_letter_image(images, letter).terms, letter.total_degree % 2)
+            terms, odd = entry
+            if terms:
+                head, tail = word[:pos], word[pos + 1:]
+                _merge(out, ((head + w + tail, c) for w, c in terms.items()), sign)
+            if odd:
                 sign = -sign
+    _check_universe(x.terms, *(terms for terms, _ in used.values()))
     return TensorElement(out)
 
 

@@ -35,14 +35,20 @@ class Cup1Monomial:
         names = [f.name for f in factors]
         if sorted(names) != names or len(set(names)) != len(names):
             raise DomainError(f"bundle factors {names} are not in canonical order; use normalize_cup1")
+        # bundles key every term map and image table, so these are computed once
+        object.__setattr__(self, "int_degree", sum(f.int_degree for f in factors))
+        object.__setattr__(self, "_hash", hash((factors,)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through __init__: a string hash differs between processes
+        return (type(self), (self.factors,))
 
     @property
     def res_degree(self):
         return -(len(self.factors) - 1)
-
-    @property
-    def int_degree(self):
-        return sum(f.int_degree for f in self.factors)
 
     @property
     def bidegree(self):

@@ -187,17 +187,35 @@ def face_boundary(face, letters=None, images=None):
     return out
 
 
-def boundary_matrices(n):
-    """Cellular boundary matrices [∂_1, ..., ∂_{n-1}] of P_n."""
+def _transport(n):
+    """Faces of P_n by dimension, their monomial words in the same order,
+    and the closed image table shared by every face."""
     by_dim = enumerate_faces(n)
     letters = default_letters(n)
-    images = bundle_images(letters)
+    words = {dim: [next(iter(monomial_of_face(f, letters).terms)) for f in faces] for dim, faces in by_dim.items()}
+    return by_dim, words, bundle_images(letters)
+
+
+def _transported_boundary(word, images, rows, dim):
+    """d(word) of a dim-face; every word of it must be a key of `rows`,
+    the words of the (dim − 1)-faces."""
+    boundary = extend_derivation(images, TensorElement({word: 1}))
+    for w in boundary.terms:
+        if w not in rows:
+            raise DomainError(f"transported word {format_word(w)} is not a face of dimension {dim - 1}")
+    return boundary
+
+
+def boundary_matrices(n):
+    """Cellular boundary matrices [∂_1, ..., ∂_{n-1}] of P_n, with rows and
+    columns keyed by the faces' monomial words."""
+    by_dim, words, images = _transport(n)
     mats = []
     for dim in range(1, n):
-        columns = [
-            [(str(sub), coeff) for coeff, sub in face_boundary(face, letters, images)] for face in by_dim.get(dim, [])
-        ]
-        mats.append(IntMatrix.from_columns([str(f) for f in by_dim.get(dim - 1, [])], columns))
+        rows = words[dim - 1]
+        index = set(rows)
+        columns = [_transported_boundary(w, images, index, dim).terms.items() for w in words[dim]]
+        mats.append(IntMatrix.from_columns(rows, columns))
     return mats
 
 
@@ -212,26 +230,20 @@ def complex_description(n):
     This is the golden-file structure; for n = 3 it reproduces the
     hexagon with the labels (a⌣₁b)c, c(a⌣₁b), a(b⌣₁c), b(a⌣₁c),
     (a⌣₁c)b, (b⌣₁c)a around the top cell a⌣₁b⌣₁c."""
-    by_dim = enumerate_faces(n)
-    letters = default_letters(n)
-    images = bundle_images(letters)
-    labels = {
-        str(face): format_word(next(iter(monomial_of_face(face, letters).terms)))
-        for faces in by_dim.values()
-        for face in faces
-    }
+    by_dim, words, images = _transport(n)
     cells = []
+    below = {}  # word of each face one dimension down -> (face text, label)
     for dim in sorted(by_dim):
-        for face in by_dim[dim]:
-            entry = {
-                "dimension": dim,
-                "face": str(face),
-                "label": labels[str(face)],
-            }
+        here = {}
+        for face, word in zip(by_dim[dim], words[dim]):
+            text, label = str(face), format_word(word)
+            here[word] = (text, label)
+            entry = {"dimension": dim, "face": text, "label": label}
             if dim >= 1:
-                boundary = [(coeff, str(sub)) for coeff, sub in face_boundary(face, letters, images)]
+                boundary = _transported_boundary(word, images, below, dim).sorted_terms()
                 entry["boundary"] = [
-                    {"coefficient": coeff, "face": sub, "label": labels[sub]} for coeff, sub in boundary
+                    {"coefficient": coeff, "face": below[w][0], "label": below[w][1]} for w, coeff in boundary
                 ]
             cells.append(entry)
-    return {"n": n, "f_vector": list(f_vector(n)), "cells": cells}
+        below = here
+    return {"n": n, "f_vector": [len(by_dim[d]) for d in range(n)], "cells": cells}

@@ -17,6 +17,7 @@ Homotopic maps and derivation homotopies share one extension of s.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from math import ceil
 
@@ -271,19 +272,18 @@ class _SummandChecker:
         return self._verdicts[n]
 
 
-_SUMMAND_CACHE = {}
-
-
+@lru_cache(maxsize=64)
 def _pattern_checker(mults):
     """The shared checker of a multiplicity pattern, on generic degree-2
     generators w0, w1, ...; the homology of a summand of a canonical
-    resolution only depends on the pattern."""
-    if mults not in _SUMMAND_CACHE:
-        gens = [Generator(f"w{i}", 0, 2) for i in range(len(mults))]
-        counts = {g.name: c for g, c in zip(gens, mults)}
-        images = bundle_images(gens)
-        _SUMMAND_CACHE[mults] = _SummandChecker(counts, _letter_table(images), images)
-    return _SUMMAND_CACHE[mults]
+    resolution only depends on the pattern.  A `certify` on 4-6
+    generators of degree 2-6 at m = 8 or 10 (`bench/data/certify.json`)
+    meets 17-34 patterns, so 64 checkers keep one run cached and bound
+    what a long-lived process holds."""
+    gens = [Generator(f"w{i}", 0, 2) for i in range(len(mults))]
+    counts = {g.name: c for g, c in zip(gens, mults)}
+    images = bundle_images(gens)
+    return _SummandChecker(counts, _letter_table(images), images)
 
 
 def _resolution_multisets(plain, m):

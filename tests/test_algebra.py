@@ -1,6 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cupone.algebra import (
     FreeDGA,
@@ -10,6 +13,7 @@ from cupone.algebra import (
     extend_derivation,
     word_multiply,
 )
+from cupone.cup1 import Cup1Monomial
 from cupone.errors import DegreeError, DomainError
 
 
@@ -153,3 +157,126 @@ def test_element_formatting():
     assert str(e) == "xy - yx"
     assert str(TensorElement.zero()) == "0"
     assert str(TensorElement.unit(3)) == "3"
+
+
+# ---------------------------------------------------------------------------
+# the reference oracle for extend_derivation's splice
+
+
+def reference_extend_derivation(images, x):
+    """The Leibniz extension as the product prefix·d(letter)·suffix through
+    `word_multiply`, fetching and checking the image at every occurrence;
+    `extend_derivation` splices the image words into place instead."""
+    def image_of(letter):
+        try:
+            image = images[letter]
+        except KeyError:
+            raise DomainError(f"no differential image for letter {letter.label()}") from None
+        deg = image.bidegree()
+        if deg is not None and deg != (letter.res_degree + 1, letter.int_degree):
+            raise DegreeError(f"image of {letter.label()} has bidegree {deg}")
+        return image
+
+    out = TensorElement()
+    for word, coeff in x.terms.items():
+        sign = 1
+        for pos, letter in enumerate(word):
+            image = image_of(letter)
+            if not image.is_zero():
+                prefix = TensorElement({word[:pos]: coeff * sign})
+                suffix = TensorElement({word[pos + 1:]: 1})
+                out = out + word_multiply(word_multiply(prefix, image), suffix)
+            if letter.total_degree % 2:
+                sign = -sign
+    return out
+
+
+PLAIN = [Generator("a", 0, 2), Generator("b", 0, 2), Generator("c", 0, 4), Generator("e", 0, 2)]
+ODD = Generator("u", -1, 4)  # total degree 3: its image lives on plain words of degree 4
+BUNDLES = [Cup1Monomial(combo) for k in (2, 3) for combo in combinations(PLAIN, k)]
+IMPOSTOR = Generator("a", 0, 4)  # the label of a with another bidegree
+COEFFS = st.integers(-3, 3).filter(bool)
+
+
+def _block(factors):
+    return factors[0] if len(factors) == 1 else Cup1Monomial(tuple(factors))
+
+
+def _right_words(letter):
+    """Words of the bidegree (res+1, int) an image of `letter` must have:
+    for a bundle, one split of its factors into two ordered blocks; for u,
+    plain words of internal degree 4; none for a plain letter."""
+    if isinstance(letter, Cup1Monomial):
+        fs = letter.factors
+        out = []
+        for mask in range(1, 2 ** len(fs) - 1):
+            left = [f for i, f in enumerate(fs) if mask >> i & 1]
+            right = [f for i, f in enumerate(fs) if not mask >> i & 1]
+            out.append((_block(left), _block(right)))
+        return out
+    if letter == ODD:
+        a, b, c, e = PLAIN
+        return [(c,), (a, b), (b, a), (e, e), (a, a)]
+    return []
+
+
+@st.composite
+def derivation_inputs(draw):
+    """(images, x, impostor?) over plain letters, bundles and the odd
+    letter u.  Each image is right or zero; in a faulty table it may also
+    be missing, of a wrong bidegree, or inhomogeneous.  With the impostor
+    in the alphabet, a faulty image is only ever missing: a clash and a
+    wrong bidegree in one input may be reported in either order."""
+    impostor, faulty = draw(st.booleans()), draw(st.booleans())
+    alphabet = PLAIN + BUNDLES + [ODD] + ([IMPOSTOR] if impostor else [])
+    kinds = ["right", "zero"] + (["missing"] if faulty else []) + (["wrong", "mixed"] if faulty and not impostor else [])
+    images = {}
+    for letter in alphabet:
+        right = _right_words(letter)
+        kind = draw(st.sampled_from(kinds if right else [k for k in kinds if k not in ("right", "mixed")]))
+        if kind == "missing":
+            continue
+        terms = {}
+        if kind in ("right", "mixed"):
+            for w in draw(st.lists(st.sampled_from(right), min_size=1, max_size=4)):
+                terms[w] = terms.get(w, 0) + draw(COEFFS)
+        if kind in ("wrong", "mixed"):
+            w = (letter,) if letter.res_degree == 0 else (PLAIN[0], letter)
+            terms[w] = draw(st.integers(1, 2))
+        images[letter] = TensorElement(terms)
+    words = st.lists(st.sampled_from(alphabet), min_size=1, max_size=4).map(tuple)
+    x = TensorElement(draw(st.dictionaries(words, COEFFS, min_size=1, max_size=3)))
+    return images, x, impostor
+
+
+def _outcome(fn, images, x):
+    try:
+        return fn(images, x)
+    except DomainError as exc:
+        return exc
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(derivation_inputs())
+def test_splice_matches_the_product_expansion(case):
+    images, x, impostor = case
+    expected = _outcome(reference_extend_derivation, images, x)
+    got = _outcome(extend_derivation, images, x)
+    if isinstance(expected, DomainError):
+        assert type(got) is type(expected)
+    elif isinstance(got, DomainError):
+        # stricter on malformed input only: a clash the products never met
+        assert impostor and type(got) is DomainError and "appears with bidegrees" in str(got)
+    else:
+        assert got.terms == expected.terms
+
+
+def test_splice_sees_a_clash_split_across_terms():
+    a2, a4 = Generator("a", 0, 2), Generator("a", 0, 4)
+    u = Generator("u", -1, 4)
+    images = {a2: TensorElement.zero(), a4: TensorElement.zero(), u: TensorElement.of(a2, a2)}
+    x = TensorElement.of(u) + TensorElement.of(a4)
+    # no product ever holds both letters, so the per-product check passes
+    assert reference_extend_derivation(images, x) == TensorElement.of(a2, a2)
+    with pytest.raises(DomainError, match=r"letter 'a' appears with bidegrees \(0, 4\) and \(0, 2\)"):
+        extend_derivation(images, x)

@@ -1,11 +1,22 @@
+import dataclasses
+import os
+import pickle
 import random
+import subprocess
+import sys
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cupone
 
 from cupone.algebra import Generator, TensorElement, extend_derivation, word_multiply
 from cupone.cup1 import (
     Cup1Monomial,
+    bundle_images,
     cup1_boundary,
     cup1_letters,
     cup1_pair,
@@ -225,3 +236,60 @@ def test_right_hirsch_compatible_with_boundary():
             - word_multiply(v, u).scale(sign_uv)
         )
         assert lhs == rhs
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.lists(st.integers(0, 6), min_size=2, max_size=6))
+def test_boundary_of_random_bundles_property(halves):
+    # closed factors of mixed even degrees 0..12: d² = 0 and 2^n − 2 unit terms
+    letters = [Generator(f"g{i}", 0, 2 * h) for i, h in enumerate(halves)]
+    bundle = Cup1Monomial(tuple(letters))
+    d = cup1_boundary(bundle, closed(letters))
+    assert len(d.terms) == 2 ** len(letters) - 2
+    assert all(abs(c) == 1 for c in d.terms.values())
+    assert extend_derivation(bundle_images(letters), d).is_zero()
+
+
+names = st.sampled_from("abcdef")
+even = st.integers(0, 4).map(lambda h: 2 * h)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(names, even, st.data())
+def test_equal_letters_hash_equal_however_built(name, degree, data):
+    g = Generator(name, 0, degree)
+    other = Generator(data.draw(names.filter(lambda n: n != name)), -1, degree + 2)
+    rebuilt = dataclasses.replace(other, name=name, res_degree=0, int_degree=degree)
+    assert rebuilt == g and hash(rebuilt) == hash(g) and {g: 1}[rebuilt] == 1
+    assert hash(pickle.loads(pickle.dumps(g))) == hash(g)
+
+    factors = data.draw(st.lists(names, min_size=2, max_size=5, unique=True))
+    letters = [Generator(n, 0, degree) for n in factors]
+    _, bundle = normalize_cup1(data.draw(st.permutations(letters)))
+    direct = Cup1Monomial(tuple(sorted(letters, key=lambda l: l.name)))
+    assert bundle == direct and hash(bundle) == hash(direct) and {direct: 1}[bundle] == 1
+    replaced = dataclasses.replace(direct, factors=tuple(dataclasses.replace(f) for f in direct.factors))
+    assert replaced == direct and hash(replaced) == hash(direct)
+    assert replaced.int_degree == direct.int_degree == degree * len(factors)
+
+
+def test_unpickled_letters_rehash_under_another_hash_seed():
+    # a hash carried over from the pickling process would miss a fresh equal key
+    env = {**os.environ, "PYTHONPATH": str(Path(cupone.__file__).resolve().parents[1])}
+    setup = (
+        "import pickle, sys\n"
+        "from cupone.algebra import Generator\n"
+        "from cupone.cup1 import Cup1Monomial\n"
+        "a, b = Generator('alpha', 0, 2), Generator('beta', 0, 4)\n"
+        "letters = [a, Cup1Monomial((a, b))]\n"
+    )
+    dump = setup + "sys.stdout.write(pickle.dumps(letters).hex())"
+    load = setup + (
+        "table = {letter: i for i, letter in enumerate(letters)}\n"
+        "print([table[x] for x in pickle.loads(bytes.fromhex(sys.stdin.read()))])"
+    )
+    blob = subprocess.run([sys.executable, "-c", dump], env={**env, "PYTHONHASHSEED": "1"},
+                          capture_output=True, text=True, check=True, timeout=60).stdout
+    out = subprocess.run([sys.executable, "-c", load], env={**env, "PYTHONHASHSEED": "2"}, input=blob,
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[0, 1]"

@@ -214,3 +214,31 @@ def test_transported_boundary_is_the_ordered_split_support():
                 assert len(terms) == sum(2 ** len(b) - 2 for b in f.blocks)
                 assert all(coeff in (1, -1) for coeff, _sub in terms)
                 assert sorted(str(sub) for _c, sub in terms) == sorted(str(g) for g in ordered_splits(f))
+
+
+def test_boundary_matrices_match_face_boundary():
+    # rows keyed by monomial word give the matrices built face by face
+    from cupone.linalg import IntMatrix
+
+    for n in range(2, 6):
+        by_dim = enumerate_faces(n)
+        letters = default_letters(n)
+        shared = bundle_images(letters)
+        for dim, mat in enumerate(boundary_matrices(n), start=1):
+            columns = [[(str(sub), c) for c, sub in face_boundary(f, letters, shared)] for f in by_dim[dim]]
+            assert mat == IntMatrix.from_columns([str(f) for f in by_dim[dim - 1]], columns)
+
+
+def test_transported_non_face_is_named(monkeypatch):
+    from cupone import permutohedron
+
+    def planted(letters):
+        images = bundle_images(letters)
+        a, b = letters[0], letters[1]
+        images[Cup1Monomial((a, b))] = TensorElement.of(a, a)  # right bidegree, repeats a
+        return images
+
+    monkeypatch.setattr(permutohedron, "bundle_images", planted)
+    for build in (boundary_matrices, complex_description):
+        with pytest.raises(DomainError, match=r"transported word aac is not a face of dimension 0"):
+            build(3)

@@ -112,6 +112,19 @@ def test_certify_direct_path_matches_cached():
     assert rep_a.degrees == rep_b.degrees
 
 
+def test_pattern_checker_recomputes_after_eviction():
+    from cupone.resolution import _pattern_checker
+
+    first = _pattern_checker((2, 2, 1))
+    verdicts = [first.verdict(n) for n in range(6)]
+    for c in range(1, _pattern_checker.cache_info().maxsize + 1):
+        _pattern_checker((c,))  # one generator: no bundles, cheap to build
+    again = _pattern_checker((2, 2, 1))
+    assert again is not first
+    assert [again.verdict(n) for n in range(6)] == verdicts
+    assert _pattern_checker.cache_info().currsize == _pattern_checker.cache_info().maxsize
+
+
 def test_certify_random_presentations():
     rng = random.Random(41)
     for _ in range(6):
