@@ -4,6 +4,7 @@ and the gauge calculus of twisting elements, over the integers."""
 from .algebra import (
     FreeDGA,
     Generator,
+    ImageTable,
     TensorElement,
     check_d_squared,
     extend_derivation,

@@ -8,13 +8,15 @@ derivations extended from letter images.
 
 The letters of one computation must form a universe: no label may name
 two bidegrees.  `word_multiply` checks the letters of both factors on
-every product.  `extend_derivation` builds no products: it splices image
-words into place and checks the letters of its input and of the images
-it used once per call.
+every product.  Differentials read an `ImageTable`, which checks each
+letter's image once, on first use, and the universe of its own letters
+once; `extend_derivation` is then lookups and splices.  Only a table
+whose own letters clash needs the letters of each input checked again.
 """
 
 from __future__ import annotations
 
+from collections.abc import MutableMapping
 from dataclasses import dataclass
 from itertools import chain
 
@@ -124,6 +126,14 @@ class TensorElement:
         self.terms = clean
 
     @classmethod
+    def _wrap(cls, terms):
+        """The element of a term map that holds only nonzero ints, such as
+        one built by `_merge`; the map is taken over, not copied."""
+        element = cls.__new__(cls)
+        element.terms = terms
+        return element
+
+    @classmethod
     def zero(cls):
         return cls()
 
@@ -147,7 +157,7 @@ class TensorElement:
     def __add__(self, other):
         out = dict(self.terms)
         _merge(out, other.terms.items())
-        return TensorElement(out)
+        return TensorElement._wrap(out)
 
     def __sub__(self, other):
         return self + (-other)
@@ -211,18 +221,25 @@ class TensorElement:
         return f"<TensorElement {self}>"
 
 
-def _check_universe(*term_maps):
-    """DomainError if a label names two bidegrees among the letters of the
-    words of `term_maps`; letters are compared in first-seen order."""
+def _universe_clash(letters):
+    """The DomainError for the first label among `letters` that names two
+    bidegrees, letters compared in the given order; None if there is none."""
     named = {}
-    # the distinct letters of every word of every map
-    for letter in dict.fromkeys(chain.from_iterable(chain.from_iterable(term_maps))):
+    for letter in letters:
         key = letter.label()
         prev = named.setdefault(key, letter)
         if prev.bidegree != letter.bidegree:
-            raise DomainError(
-                f"letter {key!r} appears with bidegrees {prev.bidegree} and {letter.bidegree}"
-            )
+            return DomainError(f"letter {key!r} appears with bidegrees {prev.bidegree} and {letter.bidegree}")
+    return None
+
+
+def _check_universe(*term_maps):
+    """DomainError if a label names two bidegrees among the letters of the
+    words of `term_maps`; letters are compared in first-seen order."""
+    # the distinct letters of every word of every map
+    clash = _universe_clash(dict.fromkeys(chain.from_iterable(chain.from_iterable(term_maps))))
+    if clash is not None:
+        raise clash
 
 
 def word_multiply(x, y):
@@ -231,7 +248,7 @@ def word_multiply(x, y):
     out = {}
     for wx, cx in x.terms.items():
         _merge(out, ((wx + wy, cy) for wy, cy in y.terms.items()), cx)
-    return TensorElement(out)
+    return TensorElement._wrap(out)
 
 
 def _letter_image(images, letter):
@@ -250,30 +267,89 @@ def _letter_image(images, letter):
     return image
 
 
+class ImageTable(MutableMapping):
+    """Differential images of letters, a mapping letter -> TensorElement.
+
+    A letter's image is checked on its first use: it must exist and be
+    homogeneous of bidegree (res+1, int) of the letter, or zero.  A check
+    that passed is kept until the letter's entry is set or deleted; one
+    that failed is not kept, so it fails again on the next use.  Whether
+    the table's own letters (its keys and the letters of its image words)
+    form a universe is found once, and again after an edit.  Images are
+    values: an image changed in place is not seen."""
+
+    __slots__ = ("_images", "_checked", "_clash")
+
+    def __init__(self, images=()):
+        self._images = dict(images)
+        self._checked = {}  # letter -> (image terms, whether the letter's total degree is odd)
+        self._clash = None  # whether the table's own letters clash; None until asked
+
+    def __getitem__(self, letter):
+        return self._images[letter]
+
+    def __setitem__(self, letter, image):
+        self._images[letter] = image
+        self._checked.pop(letter, None)
+        self._clash = None
+
+    def __delitem__(self, letter):
+        del self._images[letter]
+        self._checked.pop(letter, None)
+        self._clash = None
+
+    def __iter__(self):
+        return iter(self._images)
+
+    def __len__(self):
+        return len(self._images)
+
+    def __repr__(self):
+        return f"ImageTable({self._images!r})"
+
+    def checked(self, letter):
+        """(image terms, odd total degree?) of `letter`, checked on first use."""
+        entry = self._checked.get(letter)
+        if entry is None:
+            entry = self._checked[letter] = (_letter_image(self._images, letter).terms, letter.total_degree % 2)
+        return entry
+
+    def clashes(self):
+        """Whether a label names two bidegrees among the table's own letters."""
+        if self._clash is None:
+            words = chain.from_iterable(image.terms for image in self._images.values())
+            self._clash = _universe_clash(dict.fromkeys(chain(self._images, chain.from_iterable(words)))) is not None
+        return self._clash
+
+
 def extend_derivation(images, x):
     """Koszul-signed Leibniz extension of letter images to an element.
 
     d(uw) = d(u)·w + (−1)^{|u|} u·d(w) with |u| the total degree, so the
     terms of d(word) put each word of d(letter) in place of one letter of
-    the word.  The image of every letter used must be homogeneous of
-    bidegree (res+1, int) of its letter; each is fetched and checked once.
+    the word.  `images` is an `ImageTable`, or a mapping that is put in
+    one for this call; it checks each image it hands out (see there).
+    Every letter of `x` must be a key and the images used come from the
+    table, so the letters of a call can only clash if the table's own
+    letters do; only then are the letters of `x` and of the images used
+    checked, in first-seen order.
     """
-    used = {}  # letter -> (image terms, whether the letter's total degree is odd)
+    table = images if isinstance(images, ImageTable) else ImageTable(images)
+    checked = table._checked
     out = {}
     for word, coeff in x.terms.items():
         sign = coeff
         for pos, letter in enumerate(word):
-            entry = used.get(letter)
-            if entry is None:
-                entry = used[letter] = (_letter_image(images, letter).terms, letter.total_degree % 2)
-            terms, odd = entry
+            terms, odd = checked.get(letter) or table.checked(letter)
             if terms:
                 head, tail = word[:pos], word[pos + 1:]
                 _merge(out, ((head + w + tail, c) for w, c in terms.items()), sign)
             if odd:
                 sign = -sign
-    _check_universe(x.terms, *(terms for terms, _ in used.values()))
-    return TensorElement(out)
+    if table.clashes():
+        used = dict.fromkeys(chain.from_iterable(x.terms))
+        _check_universe(x.terms, *(checked[letter][0] for letter in used))
+    return TensorElement._wrap(out)
 
 
 class FreeDGA:
@@ -281,7 +357,7 @@ class FreeDGA:
 
     def __init__(self, letters, images):
         self.letters = list(letters)
-        self.images = dict(images)
+        self.images = ImageTable(images)
         missing = [l for l in self.letters if l not in self.images]
         if missing:
             raise DomainError(f"no differential given for {missing[0].label()}")

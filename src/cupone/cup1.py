@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .algebra import Generator, TensorElement, _merge, word_multiply, word_total_degree
+from .algebra import Generator, ImageTable, TensorElement, _merge, word_multiply, word_total_degree
 from .errors import DomainError
 
 
@@ -178,9 +178,11 @@ def cup1_boundary(m, ambient_d):
 
         d(a⌣₁b) = da⌣₁b − (−1)^{|a|} a⌣₁db + (−1)^{|a|} ab − (−1)^{|a|(|b|+1)} ba
 
-    `ambient_d` maps each plain factor to its differential image.  For a
-    plain generator the boundary is just its image.  With closed factors
-    the result is the unshuffle sum of 2^n − 2 signed products.
+    `ambient_d` maps each plain factor to its differential image; it may
+    also hold boundaries of bundles, which are then used for the tails of
+    longer bundles.  For a plain generator the boundary is just its
+    image.  With closed factors the result is the unshuffle sum of
+    2^n − 2 signed products.
     """
     if isinstance(m, Generator):
         try:
@@ -196,7 +198,7 @@ def cup1_boundary(m, ambient_d):
     else:
         tail = Cup1Monomial(m.factors[1:])
     da = cup1_boundary(head, ambient_d)
-    dz = cup1_boundary(tail, ambient_d)
+    dz = ambient_d[tail] if tail in ambient_d else cup1_boundary(tail, ambient_d)
     sa = -1 if head.total_degree % 2 else 1
     sza = -1 if (head.total_degree * (tail.total_degree + 1)) % 2 else 1
 
@@ -208,10 +210,15 @@ def cup1_boundary(m, ambient_d):
 
 
 def closed_images(plain, bundles):
-    """Differential images when every plain generator is closed: zero on
-    `plain` and the unshuffle boundary on each bundle of `bundles`."""
+    """Image table of a differential under which every plain generator is
+    closed: zero on `plain` and the unshuffle boundary on each bundle of
+    `bundles`."""
     zero = {g: TensorElement.zero() for g in plain}
-    return {**zero, **{b: cup1_boundary(b, zero) for b in bundles}}
+    known = dict(zero)
+    # fewer factors first: the recursion then finds each tail's boundary in `known`
+    for b in sorted(bundles, key=lambda b: len(b.factors)):
+        known[b] = cup1_boundary(b, known)
+    return ImageTable({**zero, **{b: known[b] for b in bundles}})
 
 
 def bundle_images(plain):

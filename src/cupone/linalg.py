@@ -503,19 +503,17 @@ def homology(boundaries):
         if mats[k].mul(mats[k + 1]).sparse_rows:
             raise DomainError(f"d∘d is nonzero at degree {k + 2}")
 
-    n_groups = len(mats) + 1
     dims = [mats[0].rows if mats else 0] + [m.cols for m in mats]
-    facts = [invariant_factors(m) for m in mats]
-    ranks = [len(f) for f in facts]
+    facts = [()] + [invariant_factors(m) for m in mats] + [()]
+    # H_k from the rank of d_k and the invariant factors of d_{k+1}
+    return [group_at(dim, len(facts[k]), facts[k + 1]) for k, dim in enumerate(dims)]
 
-    out = []
-    for k in range(n_groups):
-        rank_out = ranks[k - 1] if k >= 1 else 0          # rank of d_k
-        rank_in = ranks[k] if k < len(mats) else 0        # rank of d_{k+1}
-        free = dims[k] - rank_out - rank_in
-        torsion = [d for d in facts[k] if d >= 2] if k < len(mats) else []
-        out.append(FGAbelianGroup.from_divisors([0] * free + torsion))
-    return out
+
+def group_at(dim, rank_out, in_factors):
+    """ker(d_out)/im(d_in) at a free module of rank `dim`, from the rank
+    of the outgoing map and the invariant factors of the incoming one."""
+    free = dim - rank_out - len(in_factors)
+    return FGAbelianGroup.from_divisors([0] * free + [d for d in in_factors if d >= 2])
 
 
 def homology_at(d_out, d_in):

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from string import ascii_lowercase
 
-from .algebra import Generator, TensorElement, extend_derivation, format_word
-from .cup1 import Cup1Monomial, bundle_images, closed_images
+from .algebra import Generator, TensorElement, _word_key, extend_derivation, format_word
+from .cup1 import Cup1Monomial, bundle_factors, bundle_images, closed_images
 from .errors import DomainError, SizeError
 from .linalg import IntMatrix, homology
 
@@ -89,37 +89,46 @@ class Face:
         return cls(n, tuple(blocks))
 
 
+def _ordered_partitions(n):
+    """Faces of P_n by dimension, each a (text, blocks) pair in text order:
+    `blocks` is the ordered partition as bitmasks, bit i − 1 for item i,
+    and `text` is the face's canonical text form.  The ordered partitions
+    of each subset of {1..n} are enumerated once, memoized by its mask."""
+    _check_size(n)
+    tails = {0: [()]}
+
+    def partitions(rest):
+        found = tails.get(rest)
+        if found is None:
+            found = tails[rest] = []
+            block = rest
+            while block:  # every nonempty submask of `rest` may come first
+                found.extend((block,) + tail for tail in partitions(rest ^ block))
+                block = (block - 1) & rest
+        return found
+
+    whole = partitions((1 << n) - 1)
+    tails.clear()  # free the sub-partitions before the face texts, which outlive this call, are made
+    texts = {mask: "{" + ",".join(str(i + 1) for i in range(n) if mask >> i & 1) + "}" for mask in range(1, 1 << n)}
+    by_dim = {}
+    for blocks in whole:
+        by_dim.setdefault(n - len(blocks), []).append(("(" + ",".join(texts[b] for b in blocks) + ")", blocks))
+    for faces in by_dim.values():
+        faces.sort()
+    return by_dim
+
+
 def enumerate_faces(n):
     """All faces of P_n grouped by dimension: {dim: [Face, ...]}."""
-    _check_size(n)
-    items = list(range(1, n + 1))
-    partitions = []
-
-    def walk(remaining, acc):
-        if not remaining:
-            partitions.append(tuple(acc))
-            return
-        # next block = any nonempty subset of what remains
-        for mask in range(1, 2 ** len(remaining)):
-            block = frozenset(remaining[i] for i in range(len(remaining)) if mask >> i & 1)
-            nxt = [v for v in remaining if v not in block]
-            acc.append(block)
-            walk(nxt, acc)
-            acc.pop()
-
-    walk(items, [])
-    by_dim = {}
-    for blocks in partitions:
-        face = Face(n, blocks)
-        by_dim.setdefault(face.dimension, []).append(face)
-    for dim in by_dim:
-        by_dim[dim].sort(key=lambda f: str(f))
-    return by_dim
+    return {
+        dim: [Face(n, tuple(frozenset(i + 1 for i in range(n) if b >> i & 1) for b in blocks)) for _, blocks in faces]
+        for dim, faces in _ordered_partitions(n).items()
+    }
 
 
 def f_vector(n):
     """Face counts by dimension, vertices first."""
-    by_dim = enumerate_faces(n)
+    by_dim = _ordered_partitions(n)
     return tuple(len(by_dim.get(d, ())) for d in range(n))
 
 
@@ -188,12 +197,19 @@ def face_boundary(face, letters=None, images=None):
 
 
 def _transport(n):
-    """Faces of P_n by dimension, their monomial words in the same order,
-    and the closed image table shared by every face."""
-    by_dim = enumerate_faces(n)
+    """Faces of P_n by dimension as (text, monomial word) pairs in text
+    order, and the closed image table shared by every face.  A block
+    becomes the table's letter on the block's members, so the words are
+    built straight from the ordered partitions, with no per-face check."""
     letters = default_letters(n)
-    words = {dim: [next(iter(monomial_of_face(f, letters).terms)) for f in faces] for dim, faces in by_dim.items()}
-    return by_dim, words, bundle_images(letters)
+    images = bundle_images(letters)
+    index = {letter.name: i for i, letter in enumerate(letters)}
+    letter_of = {sum(1 << index[f.name] for f in bundle_factors(letter)): letter for letter in images}
+    faces = {
+        dim: [(text, tuple(letter_of[b] for b in blocks)) for text, blocks in found]
+        for dim, found in _ordered_partitions(n).items()
+    }
+    return faces, images
 
 
 def _transported_boundary(word, images, rows, dim):
@@ -209,12 +225,12 @@ def _transported_boundary(word, images, rows, dim):
 def boundary_matrices(n):
     """Cellular boundary matrices [∂_1, ..., ∂_{n-1}] of P_n, with rows and
     columns keyed by the faces' monomial words."""
-    by_dim, words, images = _transport(n)
+    faces, images = _transport(n)
     mats = []
     for dim in range(1, n):
-        rows = words[dim - 1]
+        rows = [word for _, word in faces[dim - 1]]
         index = set(rows)
-        columns = [_transported_boundary(w, images, index, dim).terms.items() for w in words[dim]]
+        columns = [_transported_boundary(word, images, index, dim).terms.items() for _, word in faces[dim]]
         mats.append(IntMatrix.from_columns(rows, columns))
     return mats
 
@@ -230,20 +246,22 @@ def complex_description(n):
     This is the golden-file structure; for n = 3 it reproduces the
     hexagon with the labels (a⌣₁b)c, c(a⌣₁b), a(b⌣₁c), b(a⌣₁c),
     (a⌣₁c)b, (b⌣₁c)a around the top cell a⌣₁b⌣₁c."""
-    by_dim, words, images = _transport(n)
+    faces, images = _transport(n)
     cells = []
-    below = {}  # word of each face one dimension down -> (face text, label)
-    for dim in sorted(by_dim):
+    below = {}  # word of each face one dimension down -> (face text, label, term order key)
+    for dim in sorted(faces):
         here = {}
-        for face, word in zip(by_dim[dim], words[dim]):
-            text, label = str(face), format_word(word)
-            here[word] = (text, label)
+        for text, word in faces[dim]:
+            label = format_word(word)
+            here[word] = (text, label, _word_key(word))
             entry = {"dimension": dim, "face": text, "label": label}
             if dim >= 1:
-                boundary = _transported_boundary(word, images, below, dim).sorted_terms()
+                # the order of TensorElement.sorted_terms, each face's key computed once
+                boundary = sorted(_transported_boundary(word, images, below, dim).terms.items(),
+                                  key=lambda term: below[term[0]][2])
                 entry["boundary"] = [
                     {"coefficient": coeff, "face": below[w][0], "label": below[w][1]} for w, coeff in boundary
                 ]
             cells.append(entry)
         below = here
-    return {"n": n, "f_vector": [len(by_dim[d]) for d in range(n)], "cells": cells}
+    return {"n": n, "f_vector": [len(faces[d]) for d in range(n)], "cells": cells}

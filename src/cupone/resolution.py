@@ -20,11 +20,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import ceil
+from operator import sub
 
-from .algebra import Generator, TensorElement, _merge, check_d_squared, extend_derivation, word_multiply
+from .algebra import Generator, ImageTable, TensorElement, _merge, check_d_squared, extend_derivation, word_multiply
 from .cup1 import Cup1Monomial, bundle_factors, bundle_images, closed_images, cup1_pair
 from .errors import DegreeError, DomainError, PreconditionError
-from .linalg import IntMatrix, homology_at
+from .linalg import IntMatrix, group_at, invariant_factors
 
 INFINITY = None  # marker for the polynomial (m = ∞) case
 
@@ -118,7 +119,7 @@ class Resolution:
         self.m = m
         self.plain = list(plain)
         self.bundles = list(bundles)
-        self.images = dict(images)
+        self.images = ImageTable(images)
         self.canonical = canonical
         self._letters = {letter.label(): letter for letter in self.plain + self.bundles}
 
@@ -182,41 +183,40 @@ def build_resolution(p, truncation=None):
 # exactness certificates
 
 
-def _stratum_words(counts, k, letters):
-    """Words of exactly k block-letters using the multiset `counts` of
-    plain generators; blocks have distinct members and come from `letters`
-    (name tuple -> letter)."""
-    out = []
+def _stratum_walk(counts, letters):
+    """The strata of the multiset `counts` of plain generator names, as a
+    function k -> the words of exactly k block-letters that use the
+    multiset; blocks have distinct members and come from `letters` (name
+    tuple -> letter).  The walk is memoized on the remaining multiset and
+    the number of blocks left, so each stratum is enumerated once and
+    shares its sub-walks with the others."""
+    names = sorted(counts)
+    # (one count per name taken by the block, letter), by size, then in name order
+    blocks = [
+        (tuple(int(i in combo) for i in range(len(names))), letters[key])
+        for size in range(1, len(names) + 1)
+        for combo in combinations(range(len(names)), size)
+        if (key := tuple(names[i] for i in combo)) in letters
+    ]
+    memo = {}
 
-    def walk(remaining, blocks_left, acc):
-        size = sum(remaining.values())
-        if blocks_left == 0:
-            if size == 0:
-                out.append(tuple(acc))
-            return
-        if size == 0:
-            return
-        avail = sorted(n for n, c in remaining.items() if c)
-        if size > blocks_left * len(avail) or size < blocks_left:
-            return
-        maxmult = max(remaining.values())
-        if maxmult > blocks_left:
-            return
-        for bsize in range(1, len(avail) + 1):
-            for combo in combinations(avail, bsize):
-                key = tuple(combo)
-                letter = letters.get(key)
-                if letter is None:
-                    continue
-                nxt = dict(remaining)
-                for nm in combo:
-                    nxt[nm] -= 1
-                acc.append(letter)
-                walk(nxt, blocks_left - 1, acc)
-                acc.pop()
+    def words(remaining, k):
+        found = memo.get((remaining, k))
+        if found is None:
+            found = memo[(remaining, k)] = []
+            size = sum(remaining)
+            if k == 0:
+                if size == 0:
+                    found.append(())
+            elif k <= size <= k * (len(remaining) - remaining.count(0)) and max(remaining) <= k:
+                for taken, letter in blocks:
+                    rest = tuple(map(sub, remaining, taken))
+                    if min(rest) >= 0:
+                        found.extend((letter,) + tail for tail in words(rest, k - 1))
+        return found
 
-    walk(dict(counts), k, [])
-    return out
+    whole = tuple(counts[name] for name in names)
+    return lambda k: words(whole, k)
 
 
 def _boundary_matrix(src_words, tgt_words, images):
@@ -233,41 +233,59 @@ def _letter_table(letters):
 class _SummandChecker:
     """Homology of the summand on the multiset `counts` of plain generator
     names, over `letters` (name tuple -> letter) with differential
-    `images`; positions on demand, each verdict computed once."""
+    `images`; positions on demand.  Each stratum is enumerated once, each
+    ∂ is built and eliminated once for the two verdicts next to it, and
+    each verdict is computed once."""
 
     def __init__(self, counts, letters, images):
         self.counts = dict(counts)
         self.size = sum(self.counts.values())
-        self.letters = letters
         self.images = images
-        self._strata = {}
+        self._walk = _stratum_walk(self.counts, letters)
+        self._boundaries = {}  # k -> [∂ from stratum k, its invariant factors, verdicts still to serve]
         self._verdicts = {}
 
     def stratum(self, k):
-        if k < 0 or k > self.size:
-            return []
-        if k not in self._strata:
-            self._strata[k] = _stratum_words(self.counts, k, self.letters)
-        return self._strata[k]
+        """Words of k blocks, at resolution degree −(size − k)."""
+        return self._walk(k) if 0 <= k <= self.size else []
+
+    def _boundary(self, k):
+        """∂ from stratum k to stratum k + 1 and its invariant factors.  It
+        serves the verdicts at its two ends and is dropped after both."""
+        entry = self._boundaries.get(k)
+        if entry is None:
+            src, tgt = self.stratum(k), self.stratum(k + 1)
+            if src and tgt:
+                mat = _boundary_matrix(src, tgt, self.images)
+                entry = [mat, invariant_factors(mat), 2]
+            else:
+                entry = [IntMatrix.zeros(len(tgt), len(src)), (), 2]
+            self._boundaries[k] = entry
+        entry[2] -= 1
+        if not entry[2]:
+            del self._boundaries[k]
+        return entry[0], entry[1]
 
     def verdict(self, n):
         """Whether the summand's homology vanishes at resolution degree −n.
         At n = 0 the augmentation, which sums the coefficients on the
         ordering stratum, takes the place of the outgoing differential, so
-        the verdict is exactness ker(ρ) = im(d).  Each verdict is computed
-        once."""
+        the verdict is exactness ker(ρ) = im(d).  The outgoing map composed
+        with the incoming ∂ is checked to vanish."""
         if n not in self._verdicts:
             k = self.size - n
             mid = self.stratum(k)
             ok = True
             if mid:
-                lo, hi = self.stratum(k - 1), self.stratum(k + 1)
                 if n == 0:
-                    d_out = IntMatrix([[1] * len(mid)])
+                    d_out, out_factors = IntMatrix([[1] * len(mid)]), (1,)
                 else:
-                    d_out = _boundary_matrix(mid, hi, self.images) if hi else IntMatrix.zeros(0, len(mid))
-                d_in = _boundary_matrix(lo, mid, self.images) if lo else None
-                ok = homology_at(d_out, d_in).is_trivial
+                    d_out, out_factors = self._boundary(k)
+                d_in, in_factors = self._boundary(k - 1)
+                if d_out.mul(d_in).sparse_rows:
+                    composite = "ρ∘d" if n == 0 else "d∘d"
+                    raise DomainError(f"{composite} is nonzero on the summand {self.counts} at resolution degree {-n}")
+                ok = group_at(len(mid), len(out_factors), in_factors).is_trivial
             self._verdicts[n] = ok
         return self._verdicts[n]
 
@@ -280,10 +298,17 @@ def _pattern_checker(mults):
     generators of degree 2-6 at m = 8 or 10 (`bench/data/certify.json`)
     meets 17-34 patterns, so 64 checkers keep one run cached and bound
     what a long-lived process holds."""
-    gens = [Generator(f"w{i}", 0, 2) for i in range(len(mults))]
-    counts = {g.name: c for g, c in zip(gens, mults)}
-    images = bundle_images(gens)
-    return _SummandChecker(counts, _letter_table(images), images)
+    letters, images = _generic_table(len(mults))
+    return _SummandChecker({f"w{i}": c for i, c in enumerate(mults)}, letters, images)
+
+
+@lru_cache(maxsize=8)
+def _generic_table(size):
+    """Letters (name tuple -> letter) and closed image table of `size`
+    generic generators w0, w1, ...: one table, built and checked once,
+    serves every pattern on that many generators."""
+    images = bundle_images([Generator(f"w{i}", 0, 2) for i in range(size)])
+    return _letter_table(images), images
 
 
 def _resolution_multisets(plain, m):
@@ -408,33 +433,41 @@ def certify_resolution(r):
 # ---------------------------------------------------------------------------
 # induced maps RH(f) and derivation homotopies
 
+# Words whose images one ResolutionMap keeps.  The identity map's chain-map
+# check and homotopy extension on 6 generators of degree 2 at m = 10 meet
+# 665 distinct words (211 on 5 generators), so 1024 keeps such a run whole.
+WORD_CACHE_SIZE = 1024
+
 
 class ResolutionMap:
-    """A multiplicative map between resolutions, given by letter images."""
+    """A multiplicative map between resolutions, given by letter images.
+
+    The images of the words it has met are kept in an LRU cache of
+    `WORD_CACHE_SIZE` entries, so a long-lived map holds a bounded amount."""
 
     def __init__(self, source, target, images):
         self.source = source
         self.target = target
         self.images = dict(images)
-        self._word_cache = {}
+        self._word_cache = lru_cache(maxsize=WORD_CACHE_SIZE)(self._word_image)
 
     @classmethod
     def identity(cls, r):
         return cls(r, r, {letter: TensorElement.of(letter) for letter in r.letters})
 
+    def _word_image(self, word):
+        img = TensorElement.unit()
+        for letter in word:
+            try:
+                img = word_multiply(img, self.images[letter])
+            except KeyError:
+                raise DomainError(f"map has no image for {letter.label()}") from None
+        return img
+
     def apply(self, element):
         out = {}
         for word, coeff in element.terms.items():
-            img = self._word_cache.get(word)
-            if img is None:
-                img = TensorElement.unit()
-                for letter in word:
-                    try:
-                        img = word_multiply(img, self.images[letter])
-                    except KeyError:
-                        raise DomainError(f"map has no image for {letter.label()}") from None
-                self._word_cache[word] = img
-            _merge(out, img.terms.items(), coeff)
+            _merge(out, self._word_cache(word).terms.items(), coeff)
         return TensorElement(out)
 
     __call__ = apply

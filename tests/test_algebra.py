@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cupone.algebra import (
     FreeDGA,
     Generator,
+    ImageTable,
     TensorElement,
     check_d_squared,
     extend_derivation,
@@ -280,3 +281,62 @@ def test_splice_sees_a_clash_split_across_terms():
     assert reference_extend_derivation(images, x) == TensorElement.of(a2, a2)
     with pytest.raises(DomainError, match=r"letter 'a' appears with bidegrees \(0, 4\) and \(0, 2\)"):
         extend_derivation(images, x)
+
+
+# ---------------------------------------------------------------------------
+# the image table: each image checked once, edits checked again
+
+
+def _raised(fn, *args):
+    with pytest.raises((DomainError, DegreeError)) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def test_a_bad_image_raises_the_same_error_on_every_call():
+    x, z = Generator("x", 0, 2), Generator("z", -1, 4)
+    for images in ({x: TensorElement.zero(), z: TensorElement.of(x)},  # wrong bidegree
+                   {x: TensorElement.zero(), z: TensorElement.of(x, x) + TensorElement.of(x)},  # mixed
+                   {x: TensorElement.zero()}):  # missing
+        table = ImageTable(images)
+        element = TensorElement.of(x, z)
+        first = _raised(extend_derivation, table, element)
+        assert [_raised(extend_derivation, table, element) for _ in range(3)] == [first] * 3
+        assert _raised(extend_derivation, dict(images), element) == first  # a plain dict is put in a table
+    assert first == (DomainError, "no differential image for letter z")
+
+
+def test_an_image_never_used_raises_nothing():
+    x, y, z = Generator("x", 0, 2), Generator("y", 0, 2), Generator("z", -1, 4)
+    table = ImageTable({x: TensorElement.zero(), y: TensorElement.zero(), z: TensorElement.of(y)})
+    for _ in range(2):
+        assert extend_derivation(table, TensorElement.of(x, y, x)).is_zero()
+
+
+def test_an_edit_after_first_use_is_checked_again():
+    x, y, z = Generator("x", 0, 2), Generator("y", 0, 2), Generator("z", -1, 4)
+    table = ImageTable({x: TensorElement.zero(), y: TensorElement.zero(), z: TensorElement.of(x, y)})
+    element = TensorElement.of(z, x)
+    assert extend_derivation(table, element) == TensorElement.of(x, y, x)
+    table[z] = TensorElement.of(y)
+    with pytest.raises(DegreeError, match=r"image of z has bidegree \(0, 2\), expected \(0, 4\)"):
+        extend_derivation(table, element)
+    table[z] = TensorElement.of(y, x)
+    assert extend_derivation(table, element) == TensorElement.of(y, x, x)
+    del table[x]
+    with pytest.raises(DomainError, match="no differential image for letter x"):
+        extend_derivation(table, element)
+
+
+def test_the_universe_is_checked_once_per_table_and_after_an_edit():
+    a2, a4, u = Generator("a", 0, 2), Generator("a", 0, 4), Generator("u", -1, 4)
+    table = ImageTable({a2: TensorElement.zero(), u: TensorElement.of(a2, a2)})
+    assert not table.clashes()
+    assert extend_derivation(table, TensorElement.of(u)) == TensorElement.of(a2, a2)
+    table[a4] = TensorElement.zero()  # the label a now names two bidegrees
+    assert table.clashes()
+    assert extend_derivation(table, TensorElement.of(u)) == TensorElement.of(a2, a2)
+    with pytest.raises(DomainError, match=r"letter 'a' appears with bidegrees \(0, 4\) and \(0, 2\)"):
+        extend_derivation(table, TensorElement.of(u) + TensorElement.of(a4))
+    del table[a4]
+    assert not table.clashes()

@@ -242,3 +242,29 @@ def test_transported_non_face_is_named(monkeypatch):
     for build in (boundary_matrices, complex_description):
         with pytest.raises(DomainError, match=r"transported word aac is not a face of dimension 0"):
             build(3)
+
+
+def test_enumerated_faces_total_the_fubini_numbers():
+    assert [sum(map(len, enumerate_faces(n).values())) for n in range(1, 6)] == [1, 3, 13, 75, 541]
+
+
+def test_all_ones_summand_is_the_permutohedron():
+    # the resolution's summand on n distinct generators is P_n's complex,
+    # built by the other enumerator: the stratum of k blocks holds the
+    # faces of dimension n − k, and the summand's ∂ out of it is ∂_{n−k}
+    from cupone.resolution import _boundary_matrix, _pattern_checker
+
+    def nonzeros(m):
+        return sum(len(row) for row in m.sparse_rows.values())
+
+    for n in range(2, 6):
+        checker = _pattern_checker((1,) * n)
+        strata = [checker.stratum(n - dim) for dim in range(n)]
+        assert tuple(map(len, strata)) == f_vector(n)
+        for dim, mat in enumerate(boundary_matrices(n), start=1):
+            summand = _boundary_matrix(strata[dim], strata[dim - 1], checker.images)
+            assert (summand.rows, summand.cols, nonzeros(summand)) == (mat.rows, mat.cols, nonzeros(mat))
+        groups = cellular_homology(n)
+        assert [str(g) for g in groups] == ["Z"] + ["0"] * (n - 1)
+        # at resolution degree 0 the augmentation makes the verdict reduced homology
+        assert [checker.verdict(dim) for dim in range(n)] == [True] + [g.is_trivial for g in groups[1:]]

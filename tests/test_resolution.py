@@ -1,15 +1,18 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cupone.algebra import TensorElement
-from cupone.cup1 import Cup1Monomial
+from cupone.algebra import Generator, TensorElement
+from cupone.cup1 import Cup1Monomial, bundle_factors, bundle_images
 from cupone.errors import DomainError, PreconditionError
 from cupone.linalg import IntMatrix, solve
 from cupone.resolution import (
     INFINITY,
+    WORD_CACHE_SIZE,
     CgaPresentation,
     Resolution,
     ResolutionMap,
@@ -123,6 +126,100 @@ def test_pattern_checker_recomputes_after_eviction():
     assert again is not first
     assert [again.verdict(n) for n in range(6)] == verdicts
     assert _pattern_checker.cache_info().currsize == _pattern_checker.cache_info().maxsize
+
+
+def test_summand_checker_checks_each_composite_it_uses():
+    from cupone.resolution import _SummandChecker, _letter_table
+
+    a, b, c = (Generator(n, 0, 2) for n in "abc")
+    ab, abc = Cup1Monomial((a, b)), Cup1Monomial((a, b, c))
+    counts = {"a": 1, "b": 1, "c": 1}
+    images = bundle_images([a, b, c])
+    images[abc] = images[abc] - TensorElement.of(ab, c)  # right bidegree, but d(d(abc)) != 0
+    checker = _SummandChecker(counts, _letter_table(images), images)
+    assert checker.verdict(0)
+    with pytest.raises(DomainError, match=r"d∘d is nonzero on the summand .* at resolution degree -1"):
+        checker.verdict(1)
+    images = bundle_images([a, b])
+    images[ab] = TensorElement.of(a, b) + TensorElement.of(b, a)  # d(ab) does not augment to 0
+    checker = _SummandChecker({"a": 1, "b": 1}, _letter_table(images), images)
+    with pytest.raises(DomainError, match=r"ρ∘d is nonzero on the summand .* at resolution degree 0"):
+        checker.verdict(0)
+
+
+def test_word_cache_is_bounded_and_recomputes_after_eviction():
+    r = build_resolution(CgaPresentation.of({"x": 2, "y": 2}, 6))
+    x, y = r.letter("x"), r.letter("y")
+    rh = build_rh_map({"x": TensorElement.of(x) + TensorElement.of(y), "y": TensorElement.of(x)}, r, r)
+    words = [w for k in range(1, 7) for w in product(r.letters, repeat=k)]
+    assert len(words) > WORD_CACHE_SIZE
+    probe = TensorElement({words[-1]: 1})
+    before = rh(probe)
+    for word in words[:-1]:
+        rh(TensorElement({word: 2}))
+    info = rh._word_cache.cache_info()
+    assert info.maxsize == WORD_CACHE_SIZE and info.currsize == WORD_CACHE_SIZE
+    assert rh(probe) == before
+    assert rh._word_cache.cache_info().misses == info.misses + 1  # evicted, so built again
+
+
+def _words_by_assignment(counts, k, letters):
+    """Brute-force stratum: put the copies of each name into distinct
+    blocks of k in every way (a bitmask of blocks per name) and keep the
+    assignments whose blocks are all nonempty letters of `letters`
+    (name tuple -> letter)."""
+    names = sorted(counts)
+    masks = [[sum(1 << b for b in where) for where in combinations(range(k), counts[n])] for n in names]
+    out = []
+    for choice in product(*masks):
+        union = 0
+        for mask in choice:
+            union |= mask
+        if union != (1 << k) - 1:
+            continue  # an empty block
+        blocks = [tuple(n for n, mask in zip(names, choice) if mask >> b & 1) for b in range(k)]
+        if all(block in letters for block in blocks):
+            out.append(tuple(letters[block] for block in blocks))
+    return out
+
+
+def _names(letter):
+    return tuple(f.name for f in bundle_factors(letter))
+
+
+@st.composite
+def stratum_inputs(draw):
+    """A multiset of total size <= 6 over <= 4 names, and a letter table
+    that may lack some bundles, as a truncated resolution does."""
+    names = ["w0", "w1", "w2", "w3"][:draw(st.integers(1, 4))]
+    counts, spare = {}, 6 - len(names)
+    for n in names:
+        counts[n] = 1 + draw(st.integers(0, spare))
+        spare -= counts[n] - 1
+    letters = {_names(letter): letter for letter in bundle_images([Generator(n, 0, 2) for n in names])}
+    bundles = sorted(key for key in letters if len(key) > 1)
+    dropped = draw(st.sets(st.sampled_from(bundles))) if bundles else set()
+    return counts, {key: letter for key, letter in letters.items() if key not in dropped}
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(stratum_inputs())
+def test_stratum_walk_matches_brute_force(case):
+    from cupone.resolution import _stratum_walk
+
+    counts, letters = case
+    walk = _stratum_walk(counts, letters)
+    size = sum(counts.values())
+    assert walk(size + 1) == []
+    for k in range(size + 1):
+        got = walk(k)
+        assert len(set(got)) == len(got)
+        assert set(got) == set(_words_by_assignment(counts, k, letters))
+        for word in got:
+            blocks = [_names(letter) for letter in word]
+            assert all(len(set(b)) == len(b) for b in blocks)
+            used = {n: sum(b.count(n) for b in blocks) for n in counts}
+            assert used == counts and len(word) == k
 
 
 def test_certify_random_presentations():
