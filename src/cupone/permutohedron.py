@@ -1,11 +1,11 @@
 """The permutohedron P_n as a regular cell complex of ordered partitions.
 
 Faces are ordered partitions of {1..n}; a face with k blocks has
-dimension n − k.  The cellular boundary is DEFINED by transporting the
-resolution differential through the face <-> monomial bijection: a block
-becomes a cup-one bundle on the corresponding letters and block order
-becomes product order.  The transported boundary is then independently
-certified by ∂∘∂ = 0 and the contractibility homology.
+dimension n − k.  A block is the cup-one bundle on its letters and block
+order is product order, so P_n is the resolution summand on n distinct
+generators: its faces are that summand's strata in text order, and its
+boundary is DEFINED as the summand's transported boundary, certified
+independently by ∂∘∂ = 0 and the contractibility homology.
 """
 
 from __future__ import annotations
@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from string import ascii_lowercase
 
-from .algebra import Generator, TensorElement, _word_key, extend_derivation, format_word
-from .cup1 import Cup1Monomial, bundle_factors, bundle_images, closed_images
+from .algebra import Generator, TensorElement, _word_key, format_word
+from .cup1 import Cup1Monomial, bundle_factors, bundle_images
 from .errors import DomainError, SizeError
 from .linalg import IntMatrix, homology
+from .resolution import _cell_boundary, _letter_table, _stratum_walk
 
 MAX_N = 7
 
@@ -41,12 +42,12 @@ class Face:
         union = set()
         for b in blocks:
             if not b:
-                raise DomainError("empty block in an ordered partition")
+                raise DomainError(f"face {self}: empty block in an ordered partition")
             if union & b:
-                raise DomainError("blocks of an ordered partition must be disjoint")
+                raise DomainError(f"face {self}: blocks of an ordered partition must be disjoint")
             union |= b
         if union != set(range(1, self.n + 1)):
-            raise DomainError(f"blocks must partition {{1..{self.n}}}")
+            raise DomainError(f"face {self}: blocks must partition {{1..{self.n}}}")
 
     @property
     def dimension(self):
@@ -74,9 +75,12 @@ class Face:
                 if current is None:
                     raise DomainError(f"cannot parse face {text!r}: unbalanced braces")
                 try:
-                    blocks.append(frozenset(int(v) for v in current.split(",") if v.strip()))
+                    items = [int(v) for v in current.split(",") if v.strip()]
                 except ValueError:
                     raise DomainError(f"cannot parse face {text!r}: block items must be integers") from None
+                if len(set(items)) < len(items):
+                    raise DomainError(f"cannot parse face {text!r}: an item repeats in a block")
+                blocks.append(frozenset(items))
                 current = None
             elif current is not None:
                 current += ch
@@ -89,47 +93,29 @@ class Face:
         return cls(n, tuple(blocks))
 
 
-def _ordered_partitions(n):
-    """Faces of P_n by dimension, each a (text, blocks) pair in text order:
-    `blocks` is the ordered partition as bitmasks, bit i − 1 for item i,
-    and `text` is the face's canonical text form.  The ordered partitions
-    of each subset of {1..n} are enumerated once, memoized by its mask."""
+def _strata(n):
+    """Faces of P_n as lists of (text, monomial word) pairs in text order,
+    indexed by dimension, and their shared image table: the faces of
+    dimension d are the words of n − d blocks of the summand on n letters."""
     _check_size(n)
-    tails = {0: [()]}
-
-    def partitions(rest):
-        found = tails.get(rest)
-        if found is None:
-            found = tails[rest] = []
-            block = rest
-            while block:  # every nonempty submask of `rest` may come first
-                found.extend((block,) + tail for tail in partitions(rest ^ block))
-                block = (block - 1) & rest
-        return found
-
-    whole = partitions((1 << n) - 1)
-    tails.clear()  # free the sub-partitions before the face texts, which outlive this call, are made
-    texts = {mask: "{" + ",".join(str(i + 1) for i in range(n) if mask >> i & 1) + "}" for mask in range(1, 1 << n)}
-    by_dim = {}
-    for blocks in whole:
-        by_dim.setdefault(n - len(blocks), []).append(("(" + ",".join(texts[b] for b in blocks) + ")", blocks))
-    for faces in by_dim.values():
-        faces.sort()
-    return by_dim
+    letters = default_letters(n)
+    images = bundle_images(letters)
+    walk = _stratum_walk(dict.fromkeys((letter.name for letter in letters), 1), _letter_table(images))
+    index = {letter.name: str(i + 1) for i, letter in enumerate(letters)}
+    texts = {letter: "{" + ",".join(index[f.name] for f in bundle_factors(letter)) + "}" for letter in images}
+    faces = [sorted(("(" + ",".join(map(texts.get, word)) + ")", word) for word in walk(k)) for k in range(n, 0, -1)]
+    return faces, images
 
 
 def enumerate_faces(n):
     """All faces of P_n grouped by dimension: {dim: [Face, ...]}."""
-    return {
-        dim: [Face(n, tuple(frozenset(i + 1 for i in range(n) if b >> i & 1) for b in blocks)) for _, blocks in faces]
-        for dim, faces in _ordered_partitions(n).items()
-    }
+    letters = default_letters(n)
+    return {dim: [face_of_monomial(word, letters) for _, word in found] for dim, found in enumerate(_strata(n)[0])}
 
 
 def f_vector(n):
     """Face counts by dimension, vertices first."""
-    by_dim = _ordered_partitions(n)
-    return tuple(len(by_dim.get(d, ())) for d in range(n))
+    return tuple(len(found) for found in _strata(n)[0])
 
 
 def default_letters(n):
@@ -177,61 +163,34 @@ def face_of_monomial(word, letters):
     return Face(len(letters), tuple(blocks))
 
 
-def face_boundary(face, letters=None, images=None):
-    """Signed boundary faces, by transport of the unshuffle differential.
-
-    `images` is a table of closed letter and bundle images covering the
-    face's monomial, such as `bundle_images(letters)` shared by every face;
-    without it the images of this face's own bundles are built."""
+def face_boundary(face):
+    """Signed boundary faces of one face, read through the routine and the
+    image table of boundary_matrices, without enumerating P_n: a word of
+    the boundary must have one block more and use each letter once."""
     if face.dimension < 1:
-        raise DomainError("vertices have no boundary")
-    letters = default_letters(face.n) if letters is None else letters
-    word = monomial_of_face(face, letters)
-    if images is None:
-        images = closed_images(letters, [l for l in next(iter(word.terms)) if isinstance(l, Cup1Monomial)])
-    dw = extend_derivation(images, word)
-    out = []
-    for w, coeff in dw.sorted_terms():
-        out.append((coeff, face_of_monomial(w, letters)))
-    return out
+        raise DomainError(f"face {face}: vertices have no boundary")
+    letters = default_letters(face.n)
+    word = next(iter(monomial_of_face(face, letters).terms))
+    names = [letter.name for letter in letters]
 
+    def facet(w):
+        if len(w) != len(word) + 1 or sorted(f.name for letter in w for f in bundle_factors(letter)) != names:
+            raise KeyError(w)
+        return w
 
-def _transport(n):
-    """Faces of P_n by dimension as (text, monomial word) pairs in text
-    order, and the closed image table shared by every face.  A block
-    becomes the table's letter on the block's members, so the words are
-    built straight from the ordered partitions, with no per-face check."""
-    letters = default_letters(n)
-    images = bundle_images(letters)
-    index = {letter.name: i for i, letter in enumerate(letters)}
-    letter_of = {sum(1 << index[f.name] for f in bundle_factors(letter)): letter for letter in images}
-    faces = {
-        dim: [(text, tuple(letter_of[b] for b in blocks)) for text, blocks in found]
-        for dim, found in _ordered_partitions(n).items()
-    }
-    return faces, images
-
-
-def _transported_boundary(word, images, rows, dim):
-    """d(word) of a dim-face; every word of it must be a key of `rows`,
-    the words of the (dim − 1)-faces."""
-    boundary = extend_derivation(images, TensorElement({word: 1}))
-    for w in boundary.terms:
-        if w not in rows:
-            raise DomainError(f"transported word {format_word(w)} is not a face of dimension {dim - 1}")
-    return boundary
+    boundary = sorted(_cell_boundary(bundle_images(letters), word, facet), key=lambda term: _word_key(term[0]))
+    return [(coeff, face_of_monomial(w, letters)) for w, coeff in boundary]
 
 
 def boundary_matrices(n):
     """Cellular boundary matrices [∂_1, ..., ∂_{n-1}] of P_n, with rows and
-    columns keyed by the faces' monomial words."""
-    faces, images = _transport(n)
+    columns in the text order of the faces."""
+    faces, images = _strata(n)
     mats = []
     for dim in range(1, n):
-        rows = [word for _, word in faces[dim - 1]]
-        index = set(rows)
-        columns = [_transported_boundary(word, images, index, dim).terms.items() for _, word in faces[dim]]
-        mats.append(IntMatrix.from_columns(rows, columns))
+        row_of = {word: i for i, (_, word) in enumerate(faces[dim - 1])}.__getitem__
+        columns = [_cell_boundary(images, word, row_of) for _, word in faces[dim]]
+        mats.append(IntMatrix.from_columns(range(len(faces[dim - 1])), columns))
     return mats
 
 
@@ -246,10 +205,10 @@ def complex_description(n):
     This is the golden-file structure; for n = 3 it reproduces the
     hexagon with the labels (a⌣₁b)c, c(a⌣₁b), a(b⌣₁c), b(a⌣₁c),
     (a⌣₁c)b, (b⌣₁c)a around the top cell a⌣₁b⌣₁c."""
-    faces, images = _transport(n)
+    faces, images = _strata(n)
     cells = []
     below = {}  # word of each face one dimension down -> (face text, label, term order key)
-    for dim in sorted(faces):
+    for dim in range(n):
         here = {}
         for text, word in faces[dim]:
             label = format_word(word)
@@ -257,10 +216,9 @@ def complex_description(n):
             entry = {"dimension": dim, "face": text, "label": label}
             if dim >= 1:
                 # the order of TensorElement.sorted_terms, each face's key computed once
-                boundary = sorted(_transported_boundary(word, images, below, dim).terms.items(),
-                                  key=lambda term: below[term[0]][2])
+                boundary = sorted(_cell_boundary(images, word, below.__getitem__), key=lambda term: term[0][2])
                 entry["boundary"] = [
-                    {"coefficient": coeff, "face": below[w][0], "label": below[w][1]} for w, coeff in boundary
+                    {"coefficient": coeff, "face": face[0], "label": face[1]} for face, coeff in boundary
                 ]
             cells.append(entry)
         below = here

@@ -5,13 +5,14 @@ The resolution of a presentation with plain generators of even degree has
 one extra generator per cup-one bundle of distinct plain generators with
 total degree in [1, m]; the differential is the unshuffle boundary and
 the augmentation sends a degree-zero word to its commutative monomial.
-Exactness certificates decompose the tensor-algebra strata into
-d-invariant summands indexed by the generator multiset of a word, all
-checked by one summand checker.  For a resolution from build_resolution
-the homology of a summand only depends on the multiplicity pattern, so
-the checker runs on generic generators and its verdicts are memoized
-across presentations; any other resolution is checked on its own letters.
-Homotopic maps and derivation homotopies share one extension of s.
+The tensor algebra splits into d-invariant summands, one per multiset of
+plain generators: complexes of ordered partitions, with one stratum walk
+and one boundary builder, shared with the permutohedron P_n (the summand
+on n distinct generators).  A summand's homology only depends on the
+multiplicity pattern, so for a resolution from build_resolution the
+checker runs on generic generators and is memoized across presentations;
+any other resolution is checked on its own letters.  Homotopic maps and
+derivation homotopies share one extension of s.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from itertools import combinations
 from math import ceil
 from operator import sub
 
-from .algebra import Generator, ImageTable, TensorElement, _merge, check_d_squared, extend_derivation, word_multiply
+from .algebra import (
+    Generator, ImageTable, TensorElement, _merge, check_d_squared, extend_derivation, format_word, word_multiply,
+)
 from .cup1 import Cup1Monomial, bundle_factors, bundle_images, closed_images, cup1_pair
 from .errors import DegreeError, DomainError, PreconditionError
 from .linalg import IntMatrix, group_at, invariant_factors
@@ -219,10 +222,16 @@ def _stratum_walk(counts, letters):
     return lambda k: words(whole, k)
 
 
-def _boundary_matrix(src_words, tgt_words, images):
-    return IntMatrix.from_columns(
-        tgt_words, [extend_derivation(images, TensorElement({word: 1})).terms.items() for word in src_words]
-    )
+def _cell_boundary(images, word, cell_of):
+    """∂ of the cell `word` of an ordered-partition complex: (cell_of(w),
+    coefficient) per word w of d(word) through `images`.  A w that is not
+    a cell one block longer, where cell_of raises KeyError, is named."""
+    terms = extend_derivation(images, TensorElement({word: 1})).terms
+    try:
+        return [(cell_of(w), coeff) for w, coeff in terms.items()]
+    except KeyError as missing:
+        dim = -sum(letter.res_degree for letter in word) - 1
+        raise DomainError(f"transported word {format_word(missing.args[0])} is not a face of dimension {dim}") from None
 
 
 def _letter_table(letters):
@@ -241,13 +250,9 @@ class _SummandChecker:
         self.counts = dict(counts)
         self.size = sum(self.counts.values())
         self.images = images
-        self._walk = _stratum_walk(self.counts, letters)
+        self.stratum = _stratum_walk(self.counts, letters)  # k -> words of k blocks, resolution degree k − size
         self._boundaries = {}  # k -> [∂ from stratum k, its invariant factors, verdicts still to serve]
         self._verdicts = {}
-
-    def stratum(self, k):
-        """Words of k blocks, at resolution degree −(size − k)."""
-        return self._walk(k) if 0 <= k <= self.size else []
 
     def _boundary(self, k):
         """∂ from stratum k to stratum k + 1 and its invariant factors.  It
@@ -255,12 +260,9 @@ class _SummandChecker:
         entry = self._boundaries.get(k)
         if entry is None:
             src, tgt = self.stratum(k), self.stratum(k + 1)
-            if src and tgt:
-                mat = _boundary_matrix(src, tgt, self.images)
-                entry = [mat, invariant_factors(mat), 2]
-            else:
-                entry = [IntMatrix.zeros(len(tgt), len(src)), (), 2]
-            self._boundaries[k] = entry
+            row_of = {w: i for i, w in enumerate(tgt)}.__getitem__
+            mat = IntMatrix.from_columns(range(len(tgt)), [_cell_boundary(self.images, w, row_of) for w in src])
+            entry = self._boundaries[k] = [mat, invariant_factors(mat), 2]
         entry[2] -= 1
         if not entry[2]:
             del self._boundaries[k]

@@ -204,6 +204,11 @@ OUT_OF_DOMAIN_DOC = {
     (["--command", "d-x", "--space", "circle", "--homology", "Z", "--truncation", "1"], "truncation"),
     (["--command", "boundary", "--face", "({1}junk,{2})"], "'j' outside a block"),
     (["--command", "boundary", "--face", "({1},{2}})"], "unbalanced braces"),
+    (["--command", "boundary", "--face", "({1,2,2},{3})"], "face '({1,2,2},{3})': an item repeats in a block"),
+    (["--command", "boundary", "--face", "({1},{2},{3})"], "face ({1},{2},{3}): vertices have no boundary"),
+    (["--command", "boundary", "--face", "({1},{3})"], "face ({1},{3}): blocks must partition {1..2}"),
+    (["--command", "boundary", "--face", "({1,2},{2,3})"], "face ({1,2},{2,3}): blocks of an ordered partition must be disjoint"),
+    (["--command", "boundary", "--face", "({},{1})"], "face ({},{1}): empty block in an ordered partition"),
 ])
 def test_out_of_domain_input_exits_2_without_traceback(tmp_path, capsys, argv, message):
     path = tmp_path / "doc.json"
@@ -227,3 +232,35 @@ def test_unknown_dga_label_exits_2_naming_the_table_entry(tmp_path, capsys, dga,
     captured = capsys.readouterr()
     assert message in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+# SHA-256 of the stdout of each run, recorded before P_n and the resolution
+# summands shared one enumerator and one boundary builder; `{doc}` is a
+# workspace holding the presentation T3.
+PINNED_STDOUT = [
+    ("--command permutohedron --n 4 --format text", "d002986fa3cf3274bed3ac00609ee207328f753c5d742579fc0c53af0480e3b0"),
+    ("--command permutohedron --n 4 --format machine", "bfd72b225cb321836ce307966008c923173956c7dab4077340e3eac1010c75ee"),
+    ("--command permutohedron --n 5 --format text", "6f3e2222aaaabe97a2cfb30e9b4c6e040d68907053bdfe1800e1a3571b188ccc"),
+    ("--command permutohedron --n 5 --format machine", "26b5fec12071a9735b0d7945c362ee3441161b293fdfe5a4462ad4d5ccb42fad"),
+    ("--command permutohedron --n 6 --format text", "6dc4095604033b12e15571340384f322fd4f9e7b520f2ced3cf110af7c536faa"),
+    ("--command permutohedron --n 6 --format machine", "5961214cea9fbeffbe5d6ffda4be9b50db3b8ce857a1dcd598bdf8bfc934d8ab"),
+    ("--command boundary --face ({1,2},{3})", "d0626cc78d5f639527a4dbe5b4631f051e5d6317bf791239a954903bb442baef"),
+    ("--command boundary --face ({2,4},{1,3})", "49271a62e2d7c2423483b756a19d639ef10c1fb84207ba552d38bd8ccc88241c"),
+    ("--command boundary --face ({1,3,5},{2},{4,6})", "56bfed48f947313c998d0b6591b342ad90f43ede1df095ece29c86ef202e14f0"),
+    ("--input {doc} --command certify --cga T3 --format text", "e37153954510ec3709f81857f455a8bd3d32dd8bd6feacbc317735d0bbc4e7fe"),
+    ("--input {doc} --command certify --cga T3 --format machine", "726081986cdc4f064cb376c5ff1039879db759952dd231652321bcc8f535d7e1"),
+    ("--input {doc} --command resolve --cga T3 --format text", "2db9c00dc8846981caff22f3a855579ba713ee3fcac68825d125bc5c680222a4"),
+    ("--input {doc} --command resolve --cga T3 --format machine", "b5519244d9e9462c1caf311c416a55f99efa364610bdc228f47d4f624460b26e"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_STDOUT)
+def test_cli_stdout_is_byte_identical_to_the_pinned_runs(tmp_path, capsys, argv, digest):
+    import hashlib
+
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"cgas": {"T3": {"generators": {"x": 2, "y": 2, "z": 4}, "m": 8}}}), encoding="utf-8")
+    assert main([arg.replace("{doc}", str(path)) for arg in argv.split()]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == digest

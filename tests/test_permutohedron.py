@@ -1,7 +1,7 @@
 import pytest
 
 from cupone.algebra import Generator, TensorElement
-from cupone.cup1 import Cup1Monomial, bundle_images, cup1_boundary
+from cupone.cup1 import Cup1Monomial, bundle_factors, bundle_images, cup1_boundary
 from cupone.errors import DomainError, SizeError
 from cupone.permutohedron import (
     Face,
@@ -111,7 +111,7 @@ def test_top_cell_boundary_matches_hexagon():
     zero = {g: TensorElement.zero() for g in letters}
     direct = cup1_boundary(Cup1Monomial((a, b, c)), zero)
     transported = TensorElement.zero()
-    for coeff, face in face_boundary(Face(3, ({1, 2, 3},)), letters):
+    for coeff, face in face_boundary(Face(3, ({1, 2, 3},))):
         transported = transported + monomial_of_face(face, letters).scale(coeff)
     assert transported == direct
 
@@ -133,7 +133,7 @@ def test_remark_compatibility_all_faces():
                 if f.dimension == 0:
                     continue
                 lhs = TensorElement.zero()
-                for coeff, sub in face_boundary(f, letters):
+                for coeff, sub in face_boundary(f):
                     lhs = lhs + monomial_of_face(sub, letters).scale(coeff)
                 rhs = extend_derivation(images, monomial_of_face(f, letters))
                 assert lhs == rhs
@@ -180,52 +180,49 @@ def test_complex_description_fig1_labels():
     assert desc["f_vector"] == [6, 6, 1]
 
 
-def test_shared_image_table_matches_each_face_own_images():
-    for n in range(2, 6):
-        letters = default_letters(n)
-        shared = bundle_images(letters)
-        for faces in enumerate_faces(n).values():
-            for f in faces:
-                if f.dimension >= 1:
-                    assert face_boundary(f, letters, shared) == face_boundary(f, letters)
-
-
 def ordered_splits(face):
-    """Faces obtained by splitting one block B of `face` into two ordered
-    nonempty pieces, in place: the facets of an ordered-partition cell."""
-    out = []
+    """{face text: coefficient} of the faces obtained by splitting one
+    block B_p of `face` into two ordered nonempty pieces (I, J) in place:
+    the facets of an ordered-partition cell, each with the sign
+    −(−1)^(Σ_{q<p} (|B_q| + 1) + |I| + inv(I, J)), where inv(I, J) counts
+    the pairs a ∈ I, b ∈ J with b < a."""
+    out = {}
+    before = 0  # Σ_{q<p} (|B_q| + 1)
     for p, block in enumerate(face.blocks):
         items = sorted(block)
         for mask in range(1, 2 ** len(items) - 1):
-            first = frozenset(v for i, v in enumerate(items) if mask >> i & 1)
-            out.append(Face(face.n, face.blocks[:p] + (first, block - first) + face.blocks[p + 1:]))
+            first = [v for i, v in enumerate(items) if mask >> i & 1]
+            second = [v for i, v in enumerate(items) if not mask >> i & 1]
+            inversions = sum(b < a for a in first for b in second)
+            split = face.blocks[:p] + (frozenset(first), frozenset(second)) + face.blocks[p + 1:]
+            out[str(Face(face.n, split))] = -(-1) ** (before + len(first) + inversions)
+        before += len(block) + 1
     return out
 
 
 def test_transported_boundary_is_the_ordered_split_support():
+    # every column of P_n's ∂, support and signs, against the closed formula
     for n in range(2, 7):
-        letters = default_letters(n)
-        shared = bundle_images(letters)
-        for faces in enumerate_faces(n).values():
-            for f in faces:
-                if f.dimension == 0:
-                    continue
-                terms = face_boundary(f, letters, shared)
-                assert len(terms) == sum(2 ** len(b) - 2 for b in f.blocks)
-                assert all(coeff in (1, -1) for coeff, _sub in terms)
-                assert sorted(str(sub) for _c, sub in terms) == sorted(str(g) for g in ordered_splits(f))
+        by_dim = enumerate_faces(n)
+        for dim, mat in enumerate(boundary_matrices(n), start=1):
+            rows = [str(f) for f in by_dim[dim - 1]]
+            columns = [{} for _ in range(mat.cols)]
+            for i, row in mat.sparse_rows.items():
+                for j, coeff in row.items():
+                    columns[j][rows[i]] = coeff
+            for face, column in zip(by_dim[dim], columns):
+                assert len(column) == sum(2 ** len(b) - 2 for b in face.blocks)
+                assert column == ordered_splits(face)
 
 
 def test_boundary_matrices_match_face_boundary():
-    # rows keyed by monomial word give the matrices built face by face
+    # the matrices equal the columns read one face at a time, rows and columns in face text order
     from cupone.linalg import IntMatrix
 
     for n in range(2, 6):
         by_dim = enumerate_faces(n)
-        letters = default_letters(n)
-        shared = bundle_images(letters)
         for dim, mat in enumerate(boundary_matrices(n), start=1):
-            columns = [[(str(sub), c) for c, sub in face_boundary(f, letters, shared)] for f in by_dim[dim]]
+            columns = [[(str(sub), c) for c, sub in face_boundary(f)] for f in by_dim[dim]]
             assert mat == IntMatrix.from_columns([str(f) for f in by_dim[dim - 1]], columns)
 
 
@@ -249,21 +246,34 @@ def test_enumerated_faces_total_the_fubini_numbers():
 
 
 def test_all_ones_summand_is_the_permutohedron():
-    # the resolution's summand on n distinct generators is P_n's complex,
-    # built by the other enumerator: the stratum of k blocks holds the
-    # faces of dimension n − k, and the summand's ∂ out of it is ∂_{n−k}
-    from cupone.resolution import _boundary_matrix, _pattern_checker
+    # the resolution's summand on n distinct generic generators w0, w1, ...
+    # is P_n's complex: after renaming w_i to the i-th face letter, the
+    # stratum of k blocks holds the faces of dimension n − k, and the
+    # summand's ∂ out of it equals ∂_{n−k} entry for entry
+    from cupone.resolution import _pattern_checker
 
-    def nonzeros(m):
-        return sum(len(row) for row in m.sparse_rows.values())
+    def entries(mat, rows, cols):
+        return {(rows[i], cols[j]): v for i, row in mat.sparse_rows.items() for j, v in row.items()}
 
     for n in range(2, 6):
+        letters = default_letters(n)
         checker = _pattern_checker((1,) * n)
-        strata = [checker.stratum(n - dim) for dim in range(n)]
+
+        def renamed(word):
+            out = []
+            for letter in word:
+                factors = tuple(letters[int(f.name[1:])] for f in bundle_factors(letter))
+                out.append(factors[0] if len(factors) == 1 else Cup1Monomial(factors))
+            return tuple(out)
+
+        strata = [[renamed(w) for w in checker.stratum(n - dim)] for dim in range(n)]
+        faces = [[next(iter(monomial_of_face(f, letters).terms)) for f in by_dim]
+                 for _, by_dim in sorted(enumerate_faces(n).items())]
+        assert [set(s) for s in strata] == [set(f) for f in faces]
         assert tuple(map(len, strata)) == f_vector(n)
         for dim, mat in enumerate(boundary_matrices(n), start=1):
-            summand = _boundary_matrix(strata[dim], strata[dim - 1], checker.images)
-            assert (summand.rows, summand.cols, nonzeros(summand)) == (mat.rows, mat.cols, nonzeros(mat))
+            summand, _factors = checker._boundary(n - dim)
+            assert entries(summand, strata[dim - 1], strata[dim]) == entries(mat, faces[dim - 1], faces[dim])
         groups = cellular_homology(n)
         assert [str(g) for g in groups] == ["Z"] + ["0"] * (n - 1)
         # at resolution degree 0 the augmentation makes the verdict reduced homology

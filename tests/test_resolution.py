@@ -147,6 +147,17 @@ def test_summand_checker_checks_each_composite_it_uses():
         checker.verdict(0)
 
 
+def test_summand_names_a_transported_word_outside_its_multiset():
+    from cupone.resolution import _SummandChecker, _letter_table
+
+    a, b = Generator("a", 0, 2), Generator("b", 0, 2)
+    images = bundle_images([a, b])
+    images[Cup1Monomial((a, b))] = TensorElement.of(a, a)  # right bidegree, outside the multiset {a, b}
+    checker = _SummandChecker({"a": 1, "b": 1}, _letter_table(images), images)
+    with pytest.raises(DomainError, match=r"transported word aa is not a face of dimension 0"):
+        checker.verdict(1)
+
+
 def test_word_cache_is_bounded_and_recomputes_after_eviction():
     r = build_resolution(CgaPresentation.of({"x": 2, "y": 2}, 6))
     x, y = r.letter("x"), r.letter("y")
