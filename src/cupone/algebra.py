@@ -17,14 +17,13 @@ whose own letters clash needs the letters of each input checked again.
 from __future__ import annotations
 
 from collections.abc import MutableMapping
-from dataclasses import dataclass
 from itertools import chain
 
 from .errors import DegreeError, DomainError
+from .record import Record, _set
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(Record):
     """A bigraded algebra generator.
 
     `res_degree` is the (non-positive) resolution degree, `int_degree`
@@ -35,15 +34,18 @@ class Generator:
     res_degree: int = 0
     int_degree: int = 0
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name, res_degree=0, int_degree=0):
+        if not name:
             raise DomainError("generator needs a name")
-        if self.res_degree > 0:
-            raise DomainError(f"generator {self.name}: resolution degree must be <= 0")
-        if self.int_degree < 0:
-            raise DomainError(f"generator {self.name}: internal degree must be >= 0")
+        if res_degree > 0:
+            raise DomainError(f"generator {name}: resolution degree must be <= 0")
+        if int_degree < 0:
+            raise DomainError(f"generator {name}: internal degree must be >= 0")
         # letters key every term map, so the hash is computed once
-        object.__setattr__(self, "_hash", hash((self.name, self.res_degree, self.int_degree)))
+        _set(self, "name", name)
+        _set(self, "res_degree", res_degree)
+        _set(self, "int_degree", int_degree)
+        _set(self, "_hash", hash((name, res_degree, int_degree)))
 
     def __hash__(self):
         return self._hash
@@ -366,8 +368,7 @@ class FreeDGA:
         return extend_derivation(self.images, element)
 
 
-@dataclass(frozen=True)
-class DSquaredReport:
+class DSquaredReport(Record):
     ok: bool
     checked: int
     witness_letter: object = None

@@ -44,6 +44,16 @@ class InputError(Exception):
 
 
 _GROUP_TOKEN = re.compile(r"^(Z(\^(\d+))?|Z/(\d+)|0)$")
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _integer(value, where, key=False):
+    """A JSON integer; a JSON object key is a string, so a `key` is a decimal string."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if key and isinstance(value, str) and _DECIMAL.fullmatch(value):
+        return int(value)
+    raise InputError(f"{where} {value!r} is not an integer")
 
 
 def parse_group(text):
@@ -89,18 +99,18 @@ def _element_from_pairs(dga, pairs, where):
             raise InputError(f"{where}: element entries must be [coefficient, label] pairs")
         if not isinstance(label, str):
             raise InputError(f"{where}: dga element words must be basis labels")
-        coeffs[label] = coeffs.get(label, 0) + int(coeff)
+        coeffs[label] = coeffs.get(label, 0) + _integer(coeff, f"{where}: coefficient")
     try:
         return dga.element(coeffs)
     except DomainError as exc:
         raise InputError(f"{where}: {exc}") from None
 
 
-def _label_table(pairs):
+def _label_table(pairs, where):
     """{label: coefficient} from [[coefficient, label], ...], adding repeats."""
     table = {}
     for coeff, label in pairs:
-        table[str(label)] = table.get(str(label), 0) + int(coeff)
+        table[str(label)] = table.get(str(label), 0) + _integer(coeff, f"{where}: coefficient")
     return table
 
 
@@ -111,10 +121,11 @@ def _load_dga(name, spec):
             label, r, t = entry
             if label in bidegrees:
                 raise InputError(f"dgas.{name}: duplicate basis label {label!r}")
-            bidegrees[str(label)] = (int(r), int(t))
-        diff = {str(label): _label_table(pairs) for label, pairs in sorted(spec.get("differential", {}).items())}
-        products = {(str(l1), str(l2)): _label_table(pairs) for l1, l2, pairs in spec.get("products", [])}
-        unit = _label_table(spec.get("unit", []))
+            where = f"dgas.{name}: basis label {label!r}: degree"
+            bidegrees[str(label)] = (_integer(r, where), _integer(t, where))
+        diff = {l: _label_table(p, f"dgas.{name}: d({l})") for l, p in sorted(spec.get("differential", {}).items())}
+        products = {(str(a), str(b)): _label_table(p, f"dgas.{name}: {a}·{b}") for a, b, p in spec.get("products", [])}
+        unit = _label_table(spec.get("unit", []), f"dgas.{name}: unit")
         return BigradedDGA(name, bidegrees, diff, products, unit)
     except (DomainError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"dgas.{name}: {exc}") from None
@@ -146,9 +157,9 @@ def parse_input(text, source_name="<input>"):
     w = Workspace()
     for name, spec in sorted(doc.get("cgas", {}).items()):
         try:
-            gens = {str(k): int(v) for k, v in spec["generators"].items()}
+            gens = {str(k): _integer(v, f"cgas.{name}: generator {k} degree") for k, v in spec["generators"].items()}
             m = spec.get("m", "infinity")
-            m = INFINITY if m in ("infinity", "inf", None) else int(m)
+            m = INFINITY if m in ("infinity", "inf", None) else _integer(m, f"cgas.{name}: m")
             p = CgaPresentation.of(gens, m)
         except (DomainError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"cgas.{name}: {exc}") from None
@@ -167,9 +178,10 @@ def parse_input(text, source_name="<input>"):
             if dga is None:
                 raise InputError(f"{section}.{name}: unknown dga {spec.get('dga')!r}")
             try:
-                truncation = int(spec["truncation"])
+                truncation = _integer(spec["truncation"], f"{section}.{name}: truncation")
                 components = {
-                    int(r): _element_from_pairs(dga, pairs, f"{section}.{name}.components[{r}]")
+                    _integer(r, f"{section}.{name}: component level", key=True):
+                        _element_from_pairs(dga, pairs, f"{section}.{name}.components[{r}]")
                     for r, pairs in spec.get("components", {}).items()
                 }
                 store[name] = cls(dga, truncation, components)
@@ -187,13 +199,14 @@ def parse_input(text, source_name="<input>"):
 
     for name, spec in sorted(doc.get("hypotheses", {}).items()):
         try:
-            m = int(spec["m"])
-            cohomology = {int(k): parse_group(v) for k, v in spec.get("cohomology", {}).items()}
+            m = _integer(spec["m"], f"hypotheses.{name}: m")
+            cohomology = {_integer(k, f"hypotheses.{name}: cohomology degree", key=True): parse_group(v)
+                          for k, v in spec.get("cohomology", {}).items()}
             hurewicz = {}
             for k, hom_name in spec.get("hurewicz", {}).items():
                 if hom_name not in w.homs:
                     raise InputError(f"hypotheses.{name}: unknown hom {hom_name!r}")
-                hurewicz[int(k)] = w.homs[hom_name]
+                hurewicz[_integer(k, f"hypotheses.{name}: hurewicz degree", key=True)] = w.homs[hom_name]
             w.hypotheses[name] = HypothesisInstance(m, cohomology, hurewicz)
         except (DomainError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"hypotheses.{name}: {exc}") from None
@@ -219,10 +232,7 @@ def _cga_element(resolution, pairs, where):
             coeff, word = item
         except (TypeError, ValueError):
             raise InputError(f"{where}: entries must be [coefficient, word] pairs")
-        try:
-            coeff = int(coeff)
-        except (TypeError, ValueError):
-            raise InputError(f"{where}: coefficient {coeff!r} is not an integer") from None
+        coeff = _integer(coeff, f"{where}: coefficient")
         letters = []
         sign = 1
         for token in word:

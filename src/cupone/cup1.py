@@ -11,22 +11,20 @@ compatible with the boundary formula below (see cup1_boundary).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import Generator, ImageTable, TensorElement, _merge, word_multiply, word_total_degree
 from .errors import DomainError
+from .record import Record, _set
 
 
-@dataclass(frozen=True)
-class Cup1Monomial:
+class Cup1Monomial(Record):
     """A canonical bundle of >= 2 distinct plain generators."""
 
     factors: tuple
 
-    def __post_init__(self):
-        factors = tuple(self.factors)
-        object.__setattr__(self, "factors", factors)
+    def __init__(self, factors):
+        factors = tuple(factors)
         if len(factors) < 2:
             raise DomainError("a bundle needs at least two factors; one factor is the plain generator")
         for f in factors:
@@ -36,8 +34,9 @@ class Cup1Monomial:
         if sorted(names) != names or len(set(names)) != len(names):
             raise DomainError(f"bundle factors {names} are not in canonical order; use normalize_cup1")
         # bundles key every term map and image table, so these are computed once
-        object.__setattr__(self, "int_degree", sum(f.int_degree for f in factors))
-        object.__setattr__(self, "_hash", hash((factors,)))
+        _set(self, "factors", factors)
+        _set(self, "int_degree", sum(f.int_degree for f in factors))
+        _set(self, "_hash", hash((factors,)))
 
     def __hash__(self):
         return self._hash

@@ -15,11 +15,11 @@ Z/2
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import DomainError
 from .linalg import FGAbelianGroup, IntMatrix, cokernel_group, kernel_basis, solve
+from .record import Record
 
 Z = FGAbelianGroup(1)
 TRIVIAL = FGAbelianGroup(0)
@@ -36,8 +36,7 @@ def _relation_matrix(group):
     return IntMatrix.from_columns(range(len(orders)), [[(i, d)] for i, d in enumerate(orders) if d])
 
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(Record):
     """A homomorphism between f.g. abelian groups, as a matrix on generators."""
 
     source: FGAbelianGroup
@@ -124,8 +123,7 @@ def is_injective(h):
     return True
 
 
-@dataclass(frozen=True)
-class HypothesisInstance:
+class HypothesisInstance(Record):
     """Data for the inclusion-plus-Tor condition through degree m − 1.
 
     `cohomology` maps a degree k to H^k(X); `hurewicz` maps a degree i
@@ -141,8 +139,7 @@ class HypothesisInstance:
             raise DomainError("m must be >= 1")
 
 
-@dataclass(frozen=True)
-class DegreeVerdict:
+class DegreeVerdict(Record):
     degree: int
     skipped: bool
     injective: bool = True
@@ -154,8 +151,7 @@ class DegreeVerdict:
         return self.skipped or (self.injective and self.tor_group.is_trivial)
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(Record):
     ok: bool
     verdicts: tuple
     condition: str = (

@@ -15,10 +15,10 @@ on dense arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import DomainError
+from .record import Record, _set
 
 
 class IntMatrix:
@@ -420,8 +420,7 @@ def kernel_basis(matrix):
     return basis
 
 
-@dataclass(frozen=True)
-class FGAbelianGroup:
+class FGAbelianGroup(Record):
     """A finitely generated abelian group Z^rank + Z/d1 + ... in canonical
     invariant-factor form (d1 | d2 | ..., every d >= 2).
 
@@ -434,16 +433,17 @@ class FGAbelianGroup:
     rank: int
     torsion: tuple = ()
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __init__(self, rank, torsion=()):
+        if rank < 0:
             raise DomainError("negative rank")
-        chain = tuple(self.torsion)
+        chain = tuple(torsion)
         if any(d < 2 for d in chain):
             raise DomainError("invariant factors must be >= 2")
         for a, b in zip(chain, chain[1:]):
             if b % a != 0:
                 raise DomainError(f"torsion {chain} is not a divisibility chain")
-        object.__setattr__(self, "torsion", chain)
+        _set(self, "rank", rank)
+        _set(self, "torsion", chain)
 
     @classmethod
     def from_divisors(cls, divisors):

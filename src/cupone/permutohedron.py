@@ -10,13 +10,13 @@ independently by ∂∘∂ = 0 and the contractibility homology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from string import ascii_lowercase
 
 from .algebra import Generator, TensorElement, _word_key, format_word
 from .cup1 import Cup1Monomial, bundle_factors, bundle_images
 from .errors import DomainError, SizeError
 from .linalg import IntMatrix, homology
+from .record import Record
 from .resolution import _cell_boundary, _letter_table, _stratum_walk
 
 MAX_N = 7
@@ -27,8 +27,7 @@ def _check_size(n):
         raise SizeError(f"n must be between 1 and {MAX_N}")
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(Record):
     """An ordered partition of {1..n}: blocks are disjoint nonempty
     frozensets whose union is {1..n}."""
 

@@ -17,7 +17,6 @@ derivation homotopies share one extension of s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import ceil
@@ -29,12 +28,12 @@ from .algebra import (
 from .cup1 import Cup1Monomial, bundle_factors, bundle_images, closed_images, cup1_pair
 from .errors import DegreeError, DomainError, PreconditionError
 from .linalg import IntMatrix, group_at, invariant_factors
+from .record import Record
 
 INFINITY = None  # marker for the polynomial (m = ∞) case
 
 
-@dataclass(frozen=True)
-class CgaPresentation:
+class CgaPresentation(Record):
     """A relation-free cga presentation: even generators, range bound m.
 
     `m` is a positive integer or None for the polynomial (m = ∞) case.
@@ -82,8 +81,7 @@ class CgaPresentation:
         return out
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     ok: bool
     violations: tuple = ()
 
@@ -343,8 +341,7 @@ def _resolution_multisets(plain, m):
     return out
 
 
-@dataclass(frozen=True)
-class DegreeCertificate:
+class DegreeCertificate(Record):
     total_degree: int
     negative_positions: int
     negative_ok: bool
@@ -355,8 +352,7 @@ class DegreeCertificate:
         return self.negative_ok and self.exact_at_zero
 
 
-@dataclass(frozen=True)
-class CertifyReport:
+class CertifyReport(Record):
     ok: bool
     m: int
     rho_d_zero: bool
@@ -593,12 +589,12 @@ def derivation_homotopic_map(alpha, s0):
     return beta
 
 
-@dataclass(frozen=True)
-class HomotopyReport:
+class HomotopyReport(Record):
     ok: bool
     homotopy_law_failures: tuple
     product_law_failures: tuple
-    s_images: dict = field(compare=False, default=None)
+    s_images: dict = None
+    _uncompared = ("s_images",)
 
     def __str__(self):
         if self.ok:

@@ -12,8 +12,6 @@ linear extension and bidegree check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .algebra import _merge
 from .dga import (
     DgaElement,
@@ -27,6 +25,7 @@ from .dga import (
 )
 from .errors import DegreeError, DomainError, SizeError
 from .linalg import kernel_basis, solve
+from .record import Record
 
 
 class _LevelElement:
@@ -151,12 +150,12 @@ class GaugeElement(_LevelElement):
         return f"<gauge N={self.truncation}: 1 + {self.perturbation()}>"
 
 
-@dataclass(frozen=True)
-class TwistingReport:
+class TwistingReport(Record):
     ok: bool
     truncation: int
     failed_level: int = 0
-    residual: object = field(compare=False, default=None)
+    residual: object = None
+    _uncompared = ("residual",)
 
     def __str__(self):
         if self.ok:
@@ -207,14 +206,14 @@ def orbit_relation_holds(a, b, p):
 # the orbit problem
 
 
-@dataclass(frozen=True)
-class OrbitVerdict:
+class OrbitVerdict(Record):
     status: str  # "witness" | "refuted" | "inconclusive"
     witness: object = None
     refutation_level: int = 0
-    obstruction: object = field(compare=False, default=None)
+    obstruction: object = None
     depth_reached: int = 0
     nodes_used: int = 0
+    _uncompared = ("obstruction",)
 
     def __str__(self):
         if self.status == "witness":
@@ -350,8 +349,7 @@ def push_gauge(phi, p):
 # derivation homotopies between dga maps
 
 
-@dataclass(frozen=True)
-class OrbitHomotopyReport:
+class OrbitHomotopyReport(Record):
     ok: bool
     failed_law: str = ""
     failed_at: str = ""

@@ -194,7 +194,17 @@ OUT_OF_DOMAIN_DOC = {
 }
 
 
-@pytest.mark.parametrize("argv, message", [
+def _cga_text(generators, m):
+    """A workspace holding one presentation `c`, written as JSON text so
+    that literals such as 1e400 and NaN reach the parser as written."""
+    return '{"cgas": {"c": {"generators": %s, "m": %s}}}' % (generators, m)
+
+
+CERTIFY_C = ["--command", "certify", "--cga", "c"]
+
+
+# (argv, message) run on OUT_OF_DOMAIN_DOC
+OUT_OF_DOMAIN_ARGV = [
     (["--command", "boundary", "--face", "({a},{1})"], "({a},{1})"),
     (["--command", "boundary", "--face", "({1,2,3,4,5,6,7,8})"], "between 1 and 7"),
     (["--command", "rh-map", "--map", "bad"], "cga_maps.bad.images.x"),
@@ -209,10 +219,22 @@ OUT_OF_DOMAIN_DOC = {
     (["--command", "boundary", "--face", "({1},{3})"], "face ({1},{3}): blocks must partition {1..2}"),
     (["--command", "boundary", "--face", "({1,2},{2,3})"], "face ({1,2},{2,3}): blocks of an ordered partition must be disjoint"),
     (["--command", "boundary", "--face", "({},{1})"], "face ({},{1}): empty block in an ordered partition"),
+]
+
+
+@pytest.mark.parametrize("doc, argv, message", [
+    *[(OUT_OF_DOMAIN_DOC, argv, message) for argv, message in OUT_OF_DOMAIN_ARGV],
+    # integer fields take JSON integers only: no float, bool or string value
+    (_cga_text('{"x": 2}', "1e400"), CERTIFY_C, "cgas.c: m inf is not an integer"),
+    (_cga_text('{"x": 2}', "4.5"), CERTIFY_C, "cgas.c: m 4.5 is not an integer"),
+    (_cga_text('{"x": 2}', "true"), CERTIFY_C, "cgas.c: m True is not an integer"),
+    (_cga_text('{"x": 2.0}', "4"), CERTIFY_C, "cgas.c: generator x degree 2.0 is not an integer"),
+    (_cga_text('{"x": 2}', "NaN"), CERTIFY_C, "cgas.c: m nan is not an integer"),
+    (_cga_text('{"x": 2}', '"4"'), CERTIFY_C, "cgas.c: m '4' is not an integer"),
 ])
-def test_out_of_domain_input_exits_2_without_traceback(tmp_path, capsys, argv, message):
+def test_out_of_domain_input_exits_2_without_traceback(tmp_path, capsys, doc, argv, message):
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(OUT_OF_DOMAIN_DOC), encoding="utf-8")
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
     assert main(["--input", str(path), *argv]) == 2
     captured = capsys.readouterr()
     assert message in captured.err

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cupone.dga import BigradedDGA, DgaMap, free_truncated_dga, simplicial_cochain_dga, tensor_dga, two_stage_hom_dga
 from cupone.errors import DomainError
@@ -99,6 +101,28 @@ def test_gauge_group_action_randomized():
         assert is_twisting(b).ok
         assert orbit_relation_holds(a, b, p)
         assert gauge_act(gauge_act(a, p), q) == gauge_act(a, p.multiply(q))
+
+
+@st.composite
+def gauges(draw, N=4):
+    """p = 1 + p′ on the 84-element dga, every p^r coefficient in {±1, ±2}."""
+    F = diagonal_free_dga()
+    coefficient = st.sampled_from((-2, -1, 1, 2))
+    return GaugeElement(F, N, {r: {l: draw(coefficient) for l in F.basis_of(r, -r)} for r in range(1, N)})
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(gauges(), gauges(), gauges())
+def test_gauge_multiply_is_associative(p, q, s):
+    assert p.multiply(q).multiply(s) == p.multiply(q.multiply(s))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(gauges())
+def test_gauge_one_is_a_two_sided_unit_and_inverses_are_two_sided(p):
+    F, one = p.dga, GaugeElement.one(p.dga, p.truncation)
+    assert one.multiply(p) == p == p.multiply(one)
+    assert p.as_element() * p.inverse_element() == F.unit == p.inverse_element() * p.as_element()
 
 
 def test_gauge_additivity_identity():
