@@ -147,6 +147,8 @@ def parse_input(text, source_name="<input>"):
         doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as exc:
         raise InputError(f"{source_name}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer literal beyond Python's digit limit
+        raise InputError(f"{source_name}: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError("document must be a JSON object")
     known = {"cgas", "dgas", "twistings", "gauges", "homs", "hypotheses", "cga_maps", "spaces"}
@@ -192,7 +194,8 @@ def parse_input(text, source_name="<input>"):
         try:
             src = parse_group(spec["source"])
             tgt = parse_group(spec["target"])
-            h = GroupHom(src, tgt, IntMatrix(spec["matrix"]))
+            where = f"homs.{name}: matrix entry"
+            h = GroupHom(src, tgt, IntMatrix([[_integer(v, where) for v in row] for row in spec["matrix"]]))
         except (DomainError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"homs.{name}: {exc}") from None
         w.homs[name] = h
@@ -218,7 +221,8 @@ def parse_input(text, source_name="<input>"):
 
     for name, spec in sorted(doc.get("spaces", {}).items()):
         try:
-            w.spaces[name] = SimplicialComplex(spec["simplices"])
+            where = f"spaces.{name}: vertex"
+            w.spaces[name] = SimplicialComplex([[_integer(v, where) for v in s] for s in spec["simplices"]])
         except (DomainError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"spaces.{name}: {exc}") from None
     return w

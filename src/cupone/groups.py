@@ -3,9 +3,11 @@ hypothesis checkers.
 
 Groups live in invariant-factor canonical form (see linalg); homs are
 integer matrices on the chosen generators, free generators first.  Tor
-follows the cyclic rule Tor(Z/a, Z/b) = Z/gcd(a,b) extended additively;
-cokernels and kernels are computed by Smith normal form on group
-presentations.
+follows the cyclic rule Tor(Z/a, Z/b) = Z/gcd(a,b) extended additively.
+Cokernels and kernels come from the one sparse elimination of `linalg`
+run on [hom matrix | target relations]: its invariant factors give the
+cokernel, and its kernel lattice, tested against the source relations
+with `solve`, decides injectivity.
 
 >>> print(tor(FGAbelianGroup.from_divisors([4]), FGAbelianGroup.from_divisors([6])))
 Z/2
@@ -30,10 +32,16 @@ def _generator_orders(group):
     return [0] * group.rank + list(group.torsion)
 
 
-def _relation_matrix(group):
-    """Columns generate the relation lattice of the chosen presentation."""
-    orders = _generator_orders(group)
-    return IntMatrix.from_columns(range(len(orders)), [[(i, d)] for i, d in enumerate(orders) if d])
+def _relation_columns(group):
+    """Columns generating the relation lattice of the chosen presentation."""
+    return [[(i, d)] for i, d in enumerate(_generator_orders(group)) if d]
+
+
+def _with_target_relations(h):
+    """[M | R]: the hom's columns, then the target's relation columns."""
+    by_column = h.matrix.transpose().sparse_rows
+    columns = [by_column.get(j, {}).items() for j in range(h.matrix.cols)]
+    return IntMatrix.from_columns(range(h.matrix.rows), columns + _relation_columns(h.target))
 
 
 class GroupHom(Record):
@@ -94,28 +102,21 @@ def tor(a, b):
 
 
 def cokernel(h):
-    """target / im(h) in canonical form: SNF of [matrix | target relations]."""
-    rel = _relation_matrix(h.target)
-    rows = [list(h.matrix.entries[i]) + list(rel.entries[i]) for i in range(h.matrix.rows)]
-    return cokernel_group(IntMatrix(rows, cols=h.matrix.cols + rel.cols))
+    """target / im(h) in canonical form: the cokernel of [matrix | target relations]."""
+    return cokernel_group(_with_target_relations(h))
 
 
 def is_injective(h):
     """Kernel triviality, via lattices on the chosen presentations.
 
     x = Σ ξ_i g_i dies in the target iff Mξ lies in the target relation
-    lattice; x is zero in the source iff ξ lies in the source relation
-    lattice.  The hom is injective iff the first lattice projects into
-    the second.
+    lattice, i.e. (ξ, η) is in the kernel of [M | R] for some η; x is
+    zero in the source iff ξ lies in the source relation lattice.  The
+    hom is injective iff the first lattice projects into the second.
     """
-    rel_t = _relation_matrix(h.target)
-    rel_s = _relation_matrix(h.source)
     n_src = h.matrix.cols
-    combined = IntMatrix(
-        [list(h.matrix.entries[i]) + [-v for v in rel_t.entries[i]] for i in range(h.matrix.rows)],
-        cols=n_src + rel_t.cols,
-    )
-    for vec in kernel_basis(combined):
+    rel_s = IntMatrix.from_columns(range(n_src), _relation_columns(h.source))
+    for vec in kernel_basis(_with_target_relations(h)):
         xi = vec[:n_src]
         if any(xi):
             if solve(rel_s, xi) is None:

@@ -7,16 +7,28 @@ Python's arbitrary-precision integers; nothing here ever rounds.
 
 Matrices are stored sparsely, as rows of nonzero entries: boundary maps
 are built column by column with `IntMatrix.from_columns`, multiplied and
-checked for ∂∘∂ = 0 on the sparse rows, and reduced by the sparse
-elimination of `invariant_factors` without a dense copy.  Only the Smith
-normal form with transforms (behind `solve` and `kernel_basis`) works
-on dense arrays.
+checked for ∂∘∂ = 0 on the sparse rows.  One sparse gcd elimination
+reduces every matrix.  `invariant_factors` reads only its pivots;
+`solve`, `kernel_basis` and `smith_normal_form` also have it record its
+row and column operations as sparse unimodular U and V, with U·M·V
+nonzero exactly at the pivots.  Only `IntMatrix.det` keeps a dense table
+(Bareiss), so that determinants stay an oracle independent of the
+elimination.
+
+>>> m = IntMatrix([[2, 4], [6, 8]])
+>>> invariant_factors(m)
+(2, 4)
+>>> solve(m, (2, 6)), solve(m, (1, 0))
+((1, 0), None)
+>>> kernel_basis(IntMatrix([[1, 2, 3]]))
+[(-2, 1, 0), (-3, 0, 1)]
 """
 
 from __future__ import annotations
 
 from math import gcd
 
+from .algebra import _merge
 from .errors import DomainError
 from .record import Record, _set
 
@@ -175,162 +187,44 @@ class IntMatrix:
         return sign * a[n - 1][n - 1]
 
 
-def _min_abs_pivot(a, start_row, start_col, nrows, ncols):
-    """Position of a nonzero entry of minimal |value| in the trailing block."""
-    best = None
-    best_val = None
-    for i in range(start_row, nrows):
-        row = a[i]
-        for j in range(start_col, ncols):
-            v = row[j]
-            if v:
-                av = abs(v)
-                if best is None or av < best_val:
-                    best, best_val = (i, j), av
-                    if av == 1:
-                        return best
-    return best
+def _eliminate(m, transforms=False):
+    """Sparse gcd elimination of M by unimodular row and column operations.
 
-
-def smith_normal_form(matrix):
-    """Return (D, U, V) with D = U·M·V, U and V unimodular, D diagonal with
-    a divisibility chain d1 | d2 | ... and nonnegative diagonal.
-
-    Pivots are chosen by minimal absolute value to limit entry growth.
+    Returns (pivots, U, V): `pivots` lists (row, column, value), at most one
+    per row and per column; with `transforms`, U is a dict of sparse rows
+    and V a dict of sparse columns, unimodular, with U·M·V nonzero exactly
+    at the pivots.  Without them U and V are None and only the working rows
+    are copied.  Pivots have minimal |value|, preferring sparse rows, to
+    limit entry growth; a nonzero remainder in the pivot column makes a
+    smaller pivot and restarts the step.
     """
-    m = matrix if isinstance(matrix, IntMatrix) else IntMatrix(matrix)
-    nr, nc = m.rows, m.cols
-    a = [list(r) for r in m.entries]
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def row_op(i, k, q):  # row_i -= q * row_k
-        ai, ak = a[i], a[k]
-        ui, uk = u[i], u[k]
-        for j in range(nc):
-            ai[j] -= q * ak[j]
-        for j in range(nr):
-            ui[j] -= q * uk[j]
-
-    def col_op(j, k, q):  # col_j -= q * col_k
-        for row in a:
-            row[j] -= q * row[k]
-        for row in v:
-            row[j] -= q * row[k]
-
-    def swap_rows(i, k):
-        a[i], a[k] = a[k], a[i]
-        u[i], u[k] = u[k], u[i]
-
-    def swap_cols(j, k):
-        for row in a:
-            row[j], row[k] = row[k], row[j]
-        for row in v:
-            row[j], row[k] = row[k], row[j]
-
-    t = 0
-    while True:
-        pos = _min_abs_pivot(a, t, t, nr, nc)
-        if pos is None:
-            break
-        pi, pj = pos
-        if pi != t:
-            swap_rows(pi, t)
-        if pj != t:
-            swap_cols(pj, t)
-        while True:
-            # reduce the pivot column, then the pivot row
-            p = a[t][t]
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    q = a[i][t] // p
-                    row_op(i, t, q)
-                    if a[i][t]:  # remainder smaller than |p|: better pivot
-                        swap_rows(i, t)
-                        break
-            else:
-                p = a[t][t]
-                for j in range(t + 1, nc):
-                    if a[t][j]:
-                        q = a[t][j] // p
-                        col_op(j, t, q)
-                        if a[t][j]:
-                            swap_cols(j, t)
-                            break
-                else:
-                    break
-                continue
-            continue
-        t += 1
-
-    rank = t
-    # enforce the divisibility chain d_i | d_{i+1}
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank - 1):
-            di, dj = a[i][i], a[i + 1][i + 1]
-            if di and dj % di != 0:
-                changed = True
-                # fold d_{i+1} into position i and re-split as gcd/lcm
-                col_op(i, i + 1, -1)  # col_i += col_{i+1}
-                while True:
-                    p = a[i][i]
-                    q = a[i + 1][i] // p
-                    row_op(i + 1, i, q)
-                    if a[i + 1][i] == 0:
-                        break
-                    swap_rows(i + 1, i)
-                # clear the (i, i+1) entry created by the row ops
-                p = a[i][i]
-                if a[i][i + 1]:
-                    col_op(i + 1, i, a[i][i + 1] // p)
-
-    for i in range(rank):
-        if a[i][i] < 0:
-            for j in range(nc):
-                a[i][j] = -a[i][j]
-            for j in range(nr):
-                u[i][j] = -u[i][j]
-
-    return IntMatrix(a, cols=nc), IntMatrix(u, cols=nr), IntMatrix(v, cols=nc)
-
-
-def _chain_from_diagonal(diag):
-    """Invariant factors of diag(d1..dk): gcd/lcm passes until d_i | d_{i+1}.
-    Units divide everything, so they skip the passes and lead the chain."""
-    vals = [abs(d) for d in diag if d != 0]
-    units = [1] * sum(1 for d in vals if d == 1)
-    vals = [d for d in vals if d != 1]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(vals) - 1):
-            for j in range(i + 1, len(vals)):
-                if vals[j] % vals[i] != 0:
-                    g = gcd(vals[i], vals[j])
-                    vals[i], vals[j] = g, vals[i] // g * vals[j]
-                    changed = True
-        vals.sort()
-    return units + vals
-
-
-def invariant_factors(matrix):
-    """Nonzero invariant factors of an integer matrix (no transforms).
-
-    Uses a sparse gcd-elimination; the result equals the nonzero diagonal
-    of the Smith normal form.
-    """
-    m = matrix if isinstance(matrix, IntMatrix) else IntMatrix(matrix)
     rows = {i: dict(row) for i, row in m.sparse_rows.items()}
     cols = {}
     for i, row in rows.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
+    u = {i: {i: 1} for i in range(m.rows)} if transforms else None
+    v = {j: {j: 1} for j in range(m.cols)} if transforms else None
+
+    def add_row(dst, src, mult):
+        rdst = rows.get(dst)
+        if rdst is None:
+            rdst = rows[dst] = {}
+        for j, val in rows[src].items():
+            new = rdst.get(j, 0) + mult * val
+            if new:
+                rdst[j] = new
+                cols.setdefault(j, set()).add(dst)
+            else:
+                rdst.pop(j, None)
+                cols[j].discard(dst)
+        if not rdst:
+            del rows[dst]
+        if u is not None:
+            _merge(u[dst], u[src].items(), mult)
 
     pivots = []
     while rows:
-        # pivot of minimal |value|, preferring sparse rows
         pi, pj, pv = None, None, None
         for i, row in rows.items():
             for j, val in row.items():
@@ -339,85 +233,130 @@ def invariant_factors(matrix):
             if abs(pv) == 1:
                 break
 
-        def add_row(dst, src, mult):
-            rdst = rows.get(dst)
-            if rdst is None:
-                rdst = rows[dst] = {}
-            for j, val in rows[src].items():
-                new = rdst.get(j, 0) + mult * val
-                if new:
-                    rdst[j] = new
-                    cols.setdefault(j, set()).add(dst)
-                else:
-                    rdst.pop(j, None)
-                    cols[j].discard(dst)
-            if not rdst:
-                del rows[dst]
-
-        # clear the pivot column
+        # clear the pivot column by row operations
         stuck = False
         for i in list(cols.get(pj, ())):
             if i == pi:
                 continue
-            val = rows[i][pj]
-            q = val // pv
+            q = rows[i][pj] // pv
             if q:
                 add_row(i, pi, -q)
             if i in rows and rows[i].get(pj):
-                # remainder nonzero: swap roles and restart with smaller pivot
                 stuck = True
                 break
         if stuck:
             continue
-        # clear the pivot row by column operations (bookkeeping only on rows)
+        # clear the pivot row by column operations col_j -= q·col_pj, which
+        # touch no other row now that the pivot column is zero elsewhere
         prow = rows.pop(pi)
         for j in prow:
             cols[j].discard(pi)
-        bad = [j for j, val in prow.items() if j != pj and val % pv != 0]
-        if bad:
-            # put the row back reduced mod pivot and keep going
+        if v is not None:
+            for j, val in prow.items():
+                if j != pj and val // pv:
+                    _merge(v[j], v[pj].items(), -(val // pv))
+        if any(val % pv for val in prow.values()):
+            # remainders are left in the row: keep going with smaller pivots
             rows[pi] = {j: (val % pv if j != pj else val) for j, val in prow.items() if (val % pv if j != pj else val)}
-            # the mod-reduction is a unimodular column operation (subtract
-            # multiples of the pivot column); pivot column is zero elsewhere
             for j in rows[pi]:
                 cols.setdefault(j, set()).add(pi)
             continue
-        pivots.append(pv)
+        pivots.append((pi, pj, pv))
+    return pivots, u, v
 
-    return tuple(_chain_from_diagonal(pivots))
+
+def smith_normal_form(matrix):
+    """Return (D, U, V) with D = U·M·V, U and V unimodular, D diagonal with
+    a divisibility chain d1 | d2 | ... and nonnegative diagonal.
+
+    The pivots of `_eliminate` are moved onto the diagonal and made
+    positive; each pair diag(a, b) off the chain becomes diag(g, ab/g) by
+    the rows [[s, t], [−b/g, a/g]] and the columns [[1, −tb/g], [1, sa/g]],
+    where sa + tb = g = gcd(a, b).
+    """
+    m = matrix if isinstance(matrix, IntMatrix) else IntMatrix(matrix)
+    pivots, u, v = _eliminate(m, transforms=True)
+    rows = [r for r, _, _ in pivots]
+    cols = [c for _, c, _ in pivots]
+    rows += sorted(set(range(m.rows)) - set(rows))
+    cols += sorted(set(range(m.cols)) - set(cols))
+    u = [u[r] for r in rows]
+    v = [v[c] for c in cols]
+    diag = []
+    for k, (_, _, d) in enumerate(pivots):
+        if d < 0:
+            u[k] = {j: -x for j, x in u[k].items()}
+        diag.append(abs(d))
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            a, b = diag[i], diag[j]
+            if b % a:
+                g = gcd(a, b)
+                s = pow(a // g, -1, b // g)
+                t = (g - s * a) // b
+                new = []  # rows i, j of U, then columns i, j of V, each p·x + q·y
+                for x, p, y, q in ((u[i], s, u[j], t), (u[i], -b // g, u[j], a // g),
+                                   (v[i], 1, v[j], 1), (v[i], -t * b // g, v[j], s * a // g)):
+                    out = {}
+                    _merge(out, x.items(), p)
+                    _merge(out, y.items(), q)
+                    new.append(out)
+                u[i], u[j], v[i], v[j] = new
+                diag[i], diag[j] = g, a // g * b
+    d = IntMatrix._of_sparse(m.rows, m.cols, {k: {k: x} for k, x in enumerate(diag)})
+    v_by_rows = IntMatrix._of_sparse(m.cols, m.cols, dict(enumerate(v))).transpose()
+    return d, IntMatrix._of_sparse(m.rows, m.rows, dict(enumerate(u))), v_by_rows
+
+
+def _chain_from_diagonal(diag):
+    """Invariant factors of diag(d1..dk): one gcd/lcm pass makes each d_i
+    divide every later entry.  Units divide everything, so they skip the
+    pass and lead the chain."""
+    vals = [abs(d) for d in diag if d != 0]
+    units = [1] * sum(1 for d in vals if d == 1)
+    vals = [d for d in vals if d != 1]
+    for i in range(len(vals) - 1):
+        for j in range(i + 1, len(vals)):
+            if vals[j] % vals[i] != 0:
+                g = gcd(vals[i], vals[j])
+                vals[i], vals[j] = g, vals[i] // g * vals[j]
+    return units + vals
+
+
+def invariant_factors(matrix):
+    """Nonzero invariant factors of an integer matrix: the chain of the
+    pivots of the sparse elimination, without transforms."""
+    m = matrix if isinstance(matrix, IntMatrix) else IntMatrix(matrix)
+    pivots, _, _ = _eliminate(m)
+    return tuple(_chain_from_diagonal([d for _, _, d in pivots]))
 
 
 def solve(matrix, rhs):
-    """One integer solution x of M·x = rhs, or None when none exists."""
+    """One integer solution x of M·x = rhs, or None when none exists.
+
+    With D = U·M·V, M·x = rhs iff D·y = U·rhs for x = V·y."""
     m = matrix if isinstance(matrix, IntMatrix) else IntMatrix(matrix)
     if len(rhs) != m.rows:
         raise DomainError("right-hand side length mismatch")
-    d, u, v = smith_normal_form(m)
-    c = u.mul_vector(tuple(rhs))
-    y = [0] * m.cols
-    for i in range(m.rows):
-        di = d[i, i] if i < min(d.rows, d.cols) else 0
-        if di == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % di != 0:
-                return None
-            if i < m.cols:
-                y[i] = c[i] // di
-    return v.mul_vector(tuple(y))
+    pivots, u, v = _eliminate(m, transforms=True)
+    c = [sum(x * rhs[j] for j, x in u[i].items()) for i in range(m.rows)]
+    x = [0] * m.cols
+    for r, col, d in pivots:
+        if c[r] % d:
+            return None
+        y, c[r] = c[r] // d, 0
+        for k, val in v[col].items():
+            x[k] += y * val
+    return None if any(c) else tuple(x)
 
 
 def kernel_basis(matrix):
-    """Basis of the lattice {x : M·x = 0}, as a list of integer tuples."""
+    """Basis of the lattice {x : M·x = 0}, as a list of integer tuples:
+    the columns of V at the non-pivot columns, in column order."""
     m = matrix if isinstance(matrix, IntMatrix) else IntMatrix(matrix)
-    d, _u, v = smith_normal_form(m)
-    basis = []
-    for j in range(m.cols):
-        dj = d[j, j] if j < min(d.rows, d.cols) else 0
-        if dj == 0:
-            basis.append(v.column(j))
-    return basis
+    pivots, _, v = _eliminate(m, transforms=True)
+    pivot_cols = {c for _, c, _ in pivots}
+    return [tuple(v[j].get(k, 0) for k in range(m.cols)) for j in range(m.cols) if j not in pivot_cols]
 
 
 class FGAbelianGroup(Record):

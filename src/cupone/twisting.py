@@ -249,11 +249,12 @@ def _offsets(dim, limit):
 def gauge_equivalent(a, b, budget=200):
     """Search for p′ with b = a∗p, degreewise by perturbation level.
 
-    At each level k the unknown p^{k−1} enters linearly through ∇, so a
-    particular solution and the kernel lattice come from Smith normal
-    form.  Unsolvability at level 2 refutes (the class of b²−a² in
-    H^{2,−1}(A,∇) is a gauge invariant); deeper failures backtrack over
-    kernel cosets until the node budget runs out."""
+    At each level k the unknown p^{k−1} enters linearly through ∇: each
+    level's matrix and kernel lattice are computed once, and each search
+    node solves that matrix for a particular solution.  Unsolvability at
+    level 2 refutes (the class of b²−a² in H^{2,−1}(A,∇) is a gauge
+    invariant); deeper failures backtrack over kernel cosets until the
+    node budget runs out."""
     if a.dga is not b.dga or a.truncation != b.truncation:
         raise DomainError("twisting elements live in different dgas or truncations")
     for name, t in (("a", a), ("b", b)):
@@ -263,10 +264,10 @@ def gauge_equivalent(a, b, budget=200):
     dga = a.dga
     N = a.truncation
 
-    strata = {
-        k: (dga.basis_of(k - 1, 1 - k), dga.basis_of(k, 1 - k), dga.differential_matrix(k - 1, 1 - k))
-        for k in range(2, N + 1)
-    }
+    strata = {}
+    for k in range(2, N + 1):
+        mat = dga.differential_matrix(k - 1, 1 - k)
+        strata[k] = (dga.basis_of(k - 1, 1 - k), dga.basis_of(k, 1 - k), mat, kernel_basis(mat))
 
     nodes = {"used": 0}
 
@@ -277,7 +278,7 @@ def gauge_equivalent(a, b, budget=200):
             i = k - j
             if i >= 2 and j in chosen:
                 out = out - a.component(i) * chosen[j] + chosen[j] * b.component(i)
-        src, tgt, _mat = strata[k]
+        tgt = strata[k][1]
         vec = [out.coeffs.get(l, 0) for l in tgt]
         leftover = set(out.coeffs) - set(tgt)
         if leftover:
@@ -290,7 +291,7 @@ def gauge_equivalent(a, b, budget=200):
             if gauge_act(a, p) == b:
                 return OrbitVerdict("witness", p, nodes_used=nodes["used"])
             return None
-        src, tgt, mat = strata[k]
+        src, tgt, mat, kernel = strata[k]
         vec = rhs_at(k, chosen)
         nodes["used"] += 1
         particular = solve(mat, vec)
@@ -300,7 +301,6 @@ def gauge_equivalent(a, b, budget=200):
                 return OrbitVerdict("refuted", refutation_level=2, obstruction=obstruction,
                                     nodes_used=nodes["used"])
             return None
-        kernel = kernel_basis(mat)
         for offset in _offsets(len(kernel), budget):
             if nodes["used"] >= budget:
                 return OrbitVerdict("inconclusive", depth_reached=k, nodes_used=nodes["used"])

@@ -231,6 +231,14 @@ OUT_OF_DOMAIN_ARGV = [
     (_cga_text('{"x": 2.0}', "4"), CERTIFY_C, "cgas.c: generator x degree 2.0 is not an integer"),
     (_cga_text('{"x": 2}', "NaN"), CERTIFY_C, "cgas.c: m nan is not an integer"),
     (_cga_text('{"x": 2}', '"4"'), CERTIFY_C, "cgas.c: m '4' is not an integer"),
+    # an integer literal over Python's 4,300-digit limit is bad input, named by document
+    pytest.param(_cga_text('{"x": 2}', "9" * 5000), CERTIFY_C, "doc.json: Exceeds the limit (4300 digits)",
+                 id="integer-over-4300-digits"),
+    ({"homs": {"h": {"source": "Z", "target": "Z", "matrix": [[2.5]]}},
+      "hypotheses": {"i": {"m": 2, "hurewicz": {"1": "h"}}}},
+     ["--command", "hypotheses", "--instance", "i"], "homs.h: matrix entry 2.5 is not an integer"),
+    ({"spaces": {"s": {"simplices": [[0.5, 1], [1, 2]]}}},
+     ["--command", "d-x", "--space", "s", "--homology", "Z"], "spaces.s: vertex 0.5 is not an integer"),
 ])
 def test_out_of_domain_input_exits_2_without_traceback(tmp_path, capsys, doc, argv, message):
     path = tmp_path / "doc.json"

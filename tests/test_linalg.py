@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cupone.errors import DomainError
 from cupone.linalg import (
@@ -83,6 +85,70 @@ def test_sparse_invariant_factors_agree_with_dense():
         d, _, _ = smith_normal_form(m)
         dense = tuple(x for x in (d[i, i] for i in range(min(rows, cols))) if x)
         assert invariant_factors(m) == dense
+
+
+# -- oracles that do not run the elimination: determinantal divisors -----------
+
+
+def minor_rank(m):
+    """Largest k with a nonzero k x k minor."""
+    return max((k for k in range(1, min(m.rows, m.cols) + 1) if minor_gcd(m, k)), default=0)
+
+
+def random_matrix(rng, rows, cols, zero_share):
+    return IntMatrix([[0 if rng.random() < zero_share else rng.randint(-6, 6) for _ in range(cols)]
+                      for _ in range(rows)])
+
+
+@pytest.mark.parametrize("zero_share", [0.0, 0.7])
+def test_invariant_factors_against_minor_gcd(zero_share):
+    # d_1···d_k is the gcd of the k x k minors, and the rank is the largest k
+    # with a nonzero one
+    rng = random.Random(31)
+    for _ in range(60):
+        m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), zero_share)
+        factors = invariant_factors(m)
+        assert len(factors) == minor_rank(m)
+        prod = 1
+        for k, d in enumerate(factors, start=1):
+            prod *= d
+            assert prod == minor_gcd(m, k)
+
+
+MATRICES = st.integers(1, 4).flatmap(lambda rows: st.integers(1, 4).flatmap(lambda cols: st.lists(
+    st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 4, 6]), min_size=cols, max_size=cols),
+    min_size=rows, max_size=rows))).map(IntMatrix)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(MATRICES)
+def test_kernel_basis_is_a_saturated_kernel_basis(m):
+    basis = kernel_basis(m)
+    assert len(basis) == m.cols - minor_rank(m)
+    for vec in basis:
+        assert m.mul_vector(vec) == (0,) * m.rows
+    if basis:
+        # saturated: the gcd of the maximal minors of the basis columns is 1
+        k = IntMatrix([list(row) for row in zip(*basis)])
+        assert minor_gcd(k, len(basis)) == 1
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(MATRICES, st.data())
+def test_solve_against_the_column_lattice(m, data):
+    x0 = data.draw(st.lists(st.integers(-4, 4), min_size=m.cols, max_size=m.cols))
+    x = solve(m, m.mul_vector(tuple(x0)))
+    assert x is not None and m.mul_vector(x) == m.mul_vector(tuple(x0))
+    # b lies in the column lattice iff appending it keeps the rank r and the
+    # gcd of the r x r minors
+    b = data.draw(st.lists(st.integers(-6, 6), min_size=m.rows, max_size=m.rows))
+    augmented = IntMatrix([list(row) + [v] for row, v in zip(m.entries, b)])
+    r = minor_rank(m)
+    inside = minor_rank(augmented) == r and (r == 0 or minor_gcd(augmented, r) == minor_gcd(m, r))
+    x = solve(m, b)
+    assert (x is not None) == inside
+    if x is not None:
+        assert m.mul_vector(x) == tuple(b)
 
 
 def test_solve_and_kernel():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from cupone.dga import BigradedDGA, DgaMap, free_truncated_dga, simplicial_cochain_dga, tensor_dga, two_stage_hom_dga
 from cupone.errors import DomainError
-from cupone.linalg import FGAbelianGroup, solve
+from cupone.linalg import FGAbelianGroup, kernel_basis, solve
 from cupone.twisting import (
     GaugeElement,
     TwistingElement,
@@ -172,6 +173,31 @@ def test_orbit_inconclusive_when_budget_exhausted():
     verdict = gauge_equivalent(a, b, budget=1)
     assert verdict.status == "inconclusive"
     assert verdict.depth_reached >= 2
+
+
+def test_orbit_search_computes_each_level_kernel_once(monkeypatch):
+    """The budget-exhaustion search, one level deeper and with b moved off
+    the orbit at its top level, backtracks over level-3 and level-4
+    cosets; each level's kernel lattice is still computed once."""
+    import cupone.twisting as twisting
+
+    F = diagonal_free_dga()
+    rng = random.Random(14)
+    N = 5
+    a = gauge_act(TwistingElement.zero(F, N), random_gauge(F, N, rng))
+    b = gauge_act(a, random_gauge(F, N, rng))
+    off = TwistingElement(F, N, {**b.components, N: b.component(N) + F.element({"u2·x3": 1})})
+    assert is_twisting(off).ok
+    calls = Counter()
+
+    def counting_kernel_basis(mat):
+        calls[mat] += 1
+        return kernel_basis(mat)
+
+    monkeypatch.setattr(twisting, "kernel_basis", counting_kernel_basis)
+    verdict = gauge_equivalent(a, off, budget=40)
+    assert verdict.status == "inconclusive" and verdict.depth_reached == N - 1
+    assert max(calls.values()) == 1 and len(calls) == N - 1
 
 
 def _two_level_pair():
