@@ -2,9 +2,11 @@
 
 Elements are finite integer combinations of words in bigraded letters
 (plain generators, or cup-one bundles from the cup1 module).  Words are
-plain tuples; elements are sparse term maps with no stored zeros, so
-syntactic equality is equality.  Differentials are Koszul-signed
-derivations extended from letter images.
+plain tuples.  One base, `Combination`, holds a sparse term map with no
+stored zeros, so syntactic equality is equality; it owns the arithmetic,
+the linear extension of key images and the split by degree, for the
+words here and for the basis labels of the dga module.  Differentials
+are Koszul-signed derivations extended from letter images.
 
 The letters of one computation must form a universe: no label may name
 two bidegrees.  `word_multiply` checks the letters of both factors on
@@ -110,14 +112,89 @@ def format_word(word):
     return "".join(parts)
 
 
-class TensorElement:
+class Combination:
+    """A finite integer combination of keys, the base of `TensorElement` and
+    of the dga module's `DgaElement`: `terms` maps each key to a nonzero
+    int, so equal combinations have equal maps.  A kind whose elements lie
+    in several modules names a foreign element in `_foreign`; elements of
+    different modules are unequal and do not add."""
+
+    __slots__ = ("terms",)
+
+    def _like(self, terms):
+        """The element of this kind and module with the term map `terms`,
+        which holds only nonzero ints; the map is taken over, not copied."""
+        element = object.__new__(type(self))
+        element.terms = terms
+        return element
+
+    def _foreign(self, other):
+        """The DomainError for adding `other` to this element if it lies in
+        another module; None if it does not."""
+        return None
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms and self._foreign(other) is None
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __add__(self, other):
+        error = self._foreign(other)
+        if error is not None:
+            raise error
+        out = dict(self.terms)
+        _merge(out, other.terms.items())
+        return self._like(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self.terms.items()})
+
+    def scale(self, k):
+        return self._like({key: k * c for key, c in self.terms.items()} if k else {})
+
+    def __rmul__(self, k):
+        if isinstance(k, int):
+            return self.scale(k)
+        return NotImplemented
+
+    def linear(self, image_of, into=None):
+        """Σ c·image_of(key) over the terms c·key, as an element of the kind
+        and module of `into` (of this element by default); image_of(key)
+        is a term map, or None for zero."""
+        out = {}
+        for key, c in self.terms.items():
+            image = image_of(key)
+            if image:
+                _merge(out, image.items(), c)
+        return (self if into is None else into)._like(out)
+
+    def by_degree(self, degree_of):
+        """Map degree -> the part of the element in that degree, in degree
+        order; degree_of(key) is the degree of a key."""
+        parts = {}
+        for key, c in self.terms.items():
+            parts.setdefault(degree_of(key), {})[key] = c
+        return {deg: self._like(t) for deg, t in sorted(parts.items())}
+
+    def __repr__(self):
+        return f"<{type(self).__name__} {self}>"
+
+
+class TensorElement(Combination):
     """Integer combination of words in bigraded letters.
 
     The empty word is the unit.  Elements may be inhomogeneous; anything
     needing a Koszul sign works per homogeneous part.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
         clean = {}
@@ -126,14 +203,6 @@ class TensorElement:
                 if coeff:
                     clean[tuple(word)] = int(coeff)
         self.terms = clean
-
-    @classmethod
-    def _wrap(cls, terms):
-        """The element of a term map that holds only nonzero ints, such as
-        one built by `_merge`; the map is taken over, not copied."""
-        element = cls.__new__(cls)
-        element.terms = terms
-        return element
 
     @classmethod
     def zero(cls):
@@ -147,36 +216,6 @@ class TensorElement:
     def of(cls, *letters, coeff=1):
         return cls({tuple(letters): coeff})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, TensorElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        _merge(out, other.terms.items())
-        return TensorElement._wrap(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorElement({w: -c for w, c in self.terms.items()})
-
-    def scale(self, k):
-        if not k:
-            return TensorElement()
-        return TensorElement({w: k * c for w, c in self.terms.items()})
-
-    def __rmul__(self, k):
-        if isinstance(k, int):
-            return self.scale(k)
-        return NotImplemented
-
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
@@ -184,10 +223,7 @@ class TensorElement:
 
     def homogeneous_parts(self):
         """Map bidegree -> homogeneous element."""
-        parts = {}
-        for word, coeff in self.terms.items():
-            parts.setdefault(word_bidegree(word), {})[word] = coeff
-        return {deg: TensorElement(t) for deg, t in sorted(parts.items())}
+        return self.by_degree(word_bidegree)
 
     def bidegree(self):
         """Bidegree of a homogeneous element; None for zero; DegreeError if mixed."""
@@ -219,9 +255,6 @@ class TensorElement:
                 chunks.append(f"+ {text}" if coeff > 0 else f"- {text}")
         return " ".join(chunks)
 
-    def __repr__(self):
-        return f"<TensorElement {self}>"
-
 
 def _universe_clash(letters):
     """The DomainError for the first label among `letters` that names two
@@ -250,7 +283,7 @@ def word_multiply(x, y):
     out = {}
     for wx, cx in x.terms.items():
         _merge(out, ((wx + wy, cy) for wy, cy in y.terms.items()), cx)
-    return TensorElement._wrap(out)
+    return x._like(out)
 
 
 def _letter_image(images, letter):
@@ -351,7 +384,7 @@ def extend_derivation(images, x):
     if table.clashes():
         used = dict.fromkeys(chain.from_iterable(x.terms))
         _check_universe(x.terms, *(checked[letter][0] for letter in used))
-    return TensorElement._wrap(out)
+    return x._like(out)
 
 
 class FreeDGA:

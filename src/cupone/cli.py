@@ -114,21 +114,38 @@ def _label_table(pairs, where):
     return table
 
 
-def _load_dga(name, spec):
-    try:
-        bidegrees = {}
-        for entry in spec.get("basis", []):
-            label, r, t = entry
-            if label in bidegrees:
-                raise InputError(f"dgas.{name}: duplicate basis label {label!r}")
-            where = f"dgas.{name}: basis label {label!r}: degree"
-            bidegrees[str(label)] = (_integer(r, where), _integer(t, where))
-        diff = {l: _label_table(p, f"dgas.{name}: d({l})") for l, p in sorted(spec.get("differential", {}).items())}
-        products = {(str(a), str(b)): _label_table(p, f"dgas.{name}: {a}·{b}") for a, b, p in spec.get("products", [])}
-        unit = _label_table(spec.get("unit", []), f"dgas.{name}: unit")
-        return BigradedDGA(name, bidegrees, diff, products, unit)
-    except (DomainError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"dgas.{name}: {exc}") from None
+def _load_dga(where, spec):
+    bidegrees = {}
+    for entry in spec.get("basis", []):
+        label, r, t = entry
+        if label in bidegrees:
+            raise InputError(f"{where}: duplicate basis label {label!r}")
+        degree = f"{where}: basis label {label!r}: degree"
+        bidegrees[str(label)] = (_integer(r, degree), _integer(t, degree))
+    diff = {l: _label_table(p, f"{where}: d({l})") for l, p in sorted(spec.get("differential", {}).items())}
+    products = {(str(a), str(b)): _label_table(p, f"{where}: {a}·{b}") for a, b, p in spec.get("products", [])}
+    unit = _label_table(spec.get("unit", []), f"{where}: unit")
+    return BigradedDGA(where.removeprefix("dgas."), bidegrees, diff, products, unit)
+
+
+def _load_section(doc, section, load):
+    """{name: load(where, spec)} over the entries of one section, in name
+    order, with `where` the path "section.name".  The section and each
+    entry must be JSON objects; a domain error of an entry is bad input
+    named by its path."""
+    entries = doc.get(section, {})
+    if not isinstance(entries, dict):
+        raise InputError(f"{section} must be a JSON object")
+    loaded = {}
+    for name, spec in sorted(entries.items()):
+        where = f"{section}.{name}"
+        if not isinstance(spec, dict):
+            raise InputError(f"{where} must be a JSON object")
+        try:
+            loaded[name] = load(where, spec)
+        except (DomainError, KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"{where}: {exc}") from None
+    return loaded
 
 
 def _reject_duplicate_keys(pairs):
@@ -151,80 +168,66 @@ def parse_input(text, source_name="<input>"):
         raise InputError(f"{source_name}: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError("document must be a JSON object")
-    known = {"cgas", "dgas", "twistings", "gauges", "homs", "hypotheses", "cga_maps", "spaces"}
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise InputError(f"unknown top-level section {unknown[0]!r}")
-
     w = Workspace()
-    for name, spec in sorted(doc.get("cgas", {}).items()):
-        try:
-            gens = {str(k): _integer(v, f"cgas.{name}: generator {k} degree") for k, v in spec["generators"].items()}
-            m = spec.get("m", "infinity")
-            m = INFINITY if m in ("infinity", "inf", None) else _integer(m, f"cgas.{name}: m")
-            p = CgaPresentation.of(gens, m)
-        except (DomainError, KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"cgas.{name}: {exc}") from None
+
+    def cga(where, spec):
+        gens = {str(k): _integer(v, f"{where}: generator {k} degree") for k, v in spec["generators"].items()}
+        m = spec.get("m", "infinity")
+        m = INFINITY if m in ("infinity", "inf", None) else _integer(m, f"{where}: m")
+        p = CgaPresentation.of(gens, m)
         report = validate_presentation(p)
         if not report.ok:
-            raise InputError(f"cgas.{name}: {report}")
-        w.cgas[name] = p
+            raise InputError(f"{where}: {report}")
+        return p
 
-    for name, spec in sorted(doc.get("dgas", {}).items()):
-        w.dgas[name] = _load_dga(name, spec)
-
-    for section, store, cls in (("twistings", w.twistings, TwistingElement),
-                                ("gauges", w.gauges, GaugeElement)):
-        for name, spec in sorted(doc.get(section, {}).items()):
+    def level_element(cls):
+        def load(where, spec):
             dga = w.dgas.get(spec.get("dga"))
             if dga is None:
-                raise InputError(f"{section}.{name}: unknown dga {spec.get('dga')!r}")
-            try:
-                truncation = _integer(spec["truncation"], f"{section}.{name}: truncation")
-                components = {
-                    _integer(r, f"{section}.{name}: component level", key=True):
-                        _element_from_pairs(dga, pairs, f"{section}.{name}.components[{r}]")
-                    for r, pairs in spec.get("components", {}).items()
-                }
-                store[name] = cls(dga, truncation, components)
-            except (DomainError, KeyError, TypeError, ValueError) as exc:
-                raise InputError(f"{section}.{name}: {exc}") from None
+                raise InputError(f"{where}: unknown dga {spec.get('dga')!r}")
+            truncation = _integer(spec["truncation"], f"{where}: truncation")
+            components = {
+                _integer(r, f"{where}: component level", key=True):
+                    _element_from_pairs(dga, pairs, f"{where}.components[{r}]")
+                for r, pairs in spec.get("components", {}).items()
+            }
+            return cls(dga, truncation, components)
+        return load
 
-    for name, spec in sorted(doc.get("homs", {}).items()):
-        try:
-            src = parse_group(spec["source"])
-            tgt = parse_group(spec["target"])
-            where = f"homs.{name}: matrix entry"
-            h = GroupHom(src, tgt, IntMatrix([[_integer(v, where) for v in row] for row in spec["matrix"]]))
-        except (DomainError, KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"homs.{name}: {exc}") from None
-        w.homs[name] = h
+    def hom(where, spec):
+        src = parse_group(spec["source"])
+        tgt = parse_group(spec["target"])
+        entry = f"{where}: matrix entry"
+        return GroupHom(src, tgt, IntMatrix([[_integer(v, entry) for v in row] for row in spec["matrix"]]))
 
-    for name, spec in sorted(doc.get("hypotheses", {}).items()):
-        try:
-            m = _integer(spec["m"], f"hypotheses.{name}: m")
-            cohomology = {_integer(k, f"hypotheses.{name}: cohomology degree", key=True): parse_group(v)
-                          for k, v in spec.get("cohomology", {}).items()}
-            hurewicz = {}
-            for k, hom_name in spec.get("hurewicz", {}).items():
-                if hom_name not in w.homs:
-                    raise InputError(f"hypotheses.{name}: unknown hom {hom_name!r}")
-                hurewicz[_integer(k, f"hypotheses.{name}: hurewicz degree", key=True)] = w.homs[hom_name]
-            w.hypotheses[name] = HypothesisInstance(m, cohomology, hurewicz)
-        except (DomainError, KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"hypotheses.{name}: {exc}") from None
+    def hypothesis(where, spec):
+        m = _integer(spec["m"], f"{where}: m")
+        cohomology = {_integer(k, f"{where}: cohomology degree", key=True): parse_group(v)
+                      for k, v in spec.get("cohomology", {}).items()}
+        hurewicz = {}
+        for k, hom_name in spec.get("hurewicz", {}).items():
+            if hom_name not in w.homs:
+                raise InputError(f"{where}: unknown hom {hom_name!r}")
+            hurewicz[_integer(k, f"{where}: hurewicz degree", key=True)] = w.homs[hom_name]
+        return HypothesisInstance(m, cohomology, hurewicz)
 
-    for name, spec in sorted(doc.get("cga_maps", {}).items()):
+    def cga_map(where, spec):
         if spec.get("source") not in w.cgas or spec.get("target") not in w.cgas:
-            raise InputError(f"cga_maps.{name}: unknown source or target cga")
-        w.cga_maps[name] = dict(spec)
+            raise InputError(f"{where}: unknown source or target cga")
+        return dict(spec)
 
-    for name, spec in sorted(doc.get("spaces", {}).items()):
-        try:
-            where = f"spaces.{name}: vertex"
-            w.spaces[name] = SimplicialComplex([[_integer(v, where) for v in s] for s in spec["simplices"]])
-        except (DomainError, KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"spaces.{name}: {exc}") from None
+    def space(where, spec):
+        return SimplicialComplex([[_integer(v, f"{where}: vertex") for v in s] for s in spec["simplices"]])
+
+    # in load order: an entry may name entries of the sections before it
+    sections = {"cgas": cga, "dgas": _load_dga, "twistings": level_element(TwistingElement),
+                "gauges": level_element(GaugeElement), "homs": hom, "hypotheses": hypothesis,
+                "cga_maps": cga_map, "spaces": space}
+    unknown = sorted(set(doc) - set(sections))
+    if unknown:
+        raise InputError(f"unknown top-level section {unknown[0]!r}")
+    for section, load in sections.items():
+        setattr(w, section, _load_section(doc, section, load))
     return w
 
 
@@ -273,7 +276,7 @@ def element_to_pairs(element):
 
 
 def _dga_element_pairs(element):
-    return [[c, l] for l, c in sorted(element.coeffs.items())]
+    return [[c, l] for l, c in sorted(element.terms.items())]
 
 
 # ---------------------------------------------------------------------------

@@ -168,7 +168,7 @@ def cup1_pair(u, v):
     for wv, cv in v.terms.items():
         for wu, cu in u.terms.items():
             _merge(out, _cup1_words(wu, wv).terms.items(), cu * cv)
-    return TensorElement(out)
+    return u._like(out)
 
 
 def cup1_boundary(m, ambient_d):

@@ -4,12 +4,20 @@ A BigradedDGA stores chosen bases per bidegree (r, t), the differential
 of bidegree (1, 0) and the product as structure constants on basis
 labels.  Bidegrees absent from the table are genuinely zero modules;
 constructors populate every component of their natural finite support,
-so dropped products encode honest truncation.  Construction validates
-d² = 0 and the unit laws label by label, and the Leibniz rule and
-associativity over the nonzero structure constants: only the pairs and
-triples where some term of a law can be nonzero are evaluated, in the
-sorted order of the all-basis loops, so the first failure is the same.
-Dga maps and derivation homotopies check their product laws the same way.
+so dropped products encode honest truncation.
+
+Elements are `Combination`s of basis labels (see the algebra module).  A
+label is checked once, where it enters: in the tables, when a dga is
+built, validated or not; in map and homotopy images, which must be
+elements of the target; and in `DgaElement(dga, terms)`.  Results of
+operations are not checked again.
+
+Construction validates d² = 0 and the unit laws label by label, and the
+Leibniz rule and associativity over the nonzero structure constants: only
+the pairs and triples where some term of a law can be nonzero are
+evaluated, in the sorted order of the all-basis loops, so the first
+failure is the same.  Dga maps and derivation homotopies check their
+product laws the same way.
 
 Constructors: simplicial cochains with the front/back-face cup product,
 the two-stage Hom dga of a graded abelian group, tensor products
@@ -20,7 +28,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .algebra import _merge
+from .algebra import Combination, _merge
 from .errors import DegreeError, DomainError, SizeError
 from .linalg import IntMatrix
 
@@ -32,96 +40,57 @@ from .linalg import IntMatrix
 MAX_VALIDATED_BASIS = 256
 
 
-class DgaElement:
+class DgaElement(Combination):
     """Sparse element of a BigradedDGA: label -> integer coefficient."""
 
-    __slots__ = ("dga", "coeffs")
+    __slots__ = ("dga",)
 
-    def __init__(self, dga, coeffs=None):
+    def __init__(self, dga, terms=None):
         self.dga = dga
-        self.coeffs = {}
-        if coeffs:
-            for label, c in coeffs.items():
+        self.terms = {}
+        if terms:
+            for label, c in terms.items():
                 if c:
                     if label not in dga.bidegrees:
                         raise DomainError(f"unknown basis label {label!r}")
-                    self.coeffs[label] = int(c)
+                    self.terms[label] = int(c)
 
-    def is_zero(self):
-        return not self.coeffs
+    def _like(self, terms):
+        element = object.__new__(DgaElement)
+        element.dga = self.dga
+        element.terms = terms
+        return element
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, DgaElement)
-            and self.dga is other.dga
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other):
-        self._same(other)
-        out = dict(self.coeffs)
-        _merge(out, other.coeffs.items())
-        return DgaElement(self.dga, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return DgaElement(self.dga, {l: -c for l, c in self.coeffs.items()})
-
-    def scale(self, k):
-        return DgaElement(self.dga, {l: k * c for l, c in self.coeffs.items()} if k else {})
-
-    def __rmul__(self, k):
-        if isinstance(k, int):
-            return self.scale(k)
-        return NotImplemented
+    def _foreign(self, other):
+        return None if other.dga is self.dga else DomainError("elements of different dgas")
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
-        self._same(other)
+        error = self._foreign(other)
+        if error is not None:
+            raise error
+        products = self.dga.products
         out = {}
-        for l1, c1 in self.coeffs.items():
-            for l2, c2 in other.coeffs.items():
-                table = self.dga.products.get((l1, l2))
+        for l1, c1 in self.terms.items():
+            for l2, c2 in other.terms.items():
+                table = products.get((l1, l2))
                 if table:
                     _merge(out, table.items(), c1 * c2)
-        return DgaElement(self.dga, out)
+        return self._like(out)
 
     def d(self):
-        out = {}
-        for label, c in self.coeffs.items():
-            table = self.dga.diff.get(label)
-            if table:
-                _merge(out, table.items(), c)
-        return DgaElement(self.dga, out)
-
-    def components_by_bidegree(self):
-        out = {}
-        for label, c in self.coeffs.items():
-            out.setdefault(self.dga.bidegrees[label], {})[label] = c
-        return {deg: DgaElement(self.dga, d) for deg, d in sorted(out.items())}
-
-    def _same(self, other):
-        if self.dga is not other.dga:
-            raise DomainError("elements of different dgas")
+        return self.linear(self.dga.diff.get)
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         chunks = []
-        for label in sorted(self.coeffs):
-            c = self.coeffs[label]
+        for label in sorted(self.terms):
+            c = self.terms[label]
             body = label if abs(c) == 1 else f"{abs(c)}·{label}"
             chunks.append(("+ " if c > 0 else "- ") + body if chunks else (body if c > 0 else f"-{body}"))
         return " ".join(chunks)
-
-    def __repr__(self):
-        return f"<DgaElement {self}>"
 
 
 class BigradedDGA:
@@ -136,13 +105,17 @@ class BigradedDGA:
         self._labels_by_bidegree = {}
         for label, deg in sorted(self.bidegrees.items()):
             self._labels_by_bidegree.setdefault(deg, []).append(label)
+        for label, table in self.diff.items():
+            self._check_labels(f"d({label})", label, *table)
+        for (l1, l2), table in self.products.items():
+            self._check_labels(f"{l1}·{l2}", l1, l2, *table)
         if validate:
             self._validate()
 
     # -- helpers -----------------------------------------------------------
 
-    def element(self, coeffs=None):
-        return DgaElement(self, coeffs)
+    def element(self, terms=None):
+        return DgaElement(self, terms)
 
     def basis_element(self, label, coeff=1):
         return DgaElement(self, {label: coeff})
@@ -173,13 +146,11 @@ class BigradedDGA:
         if n > MAX_VALIDATED_BASIS:
             raise SizeError(f"basis of size {n} exceeds the validation guard")
         for label, table in self.diff.items():
-            self._check_labels(f"d({label})", label, *table)
             r, t = self.bidegrees[label]
             for l2 in table:
                 if self.bidegrees[l2] != (r + 1, t):
                     raise DegreeError(f"d({label}) hits {l2} outside bidegree {(r + 1, t)}")
         for (l1, l2), table in self.products.items():
-            self._check_labels(f"{l1}·{l2}", l1, l2, *table)
             r1, t1 = self.bidegrees[l1]
             r2, t2 = self.bidegrees[l2]
             for l3 in table:
@@ -255,7 +226,7 @@ class DgaMap:
             e = self.source.basis_element(label)
             if self.apply(e.d()) != self.apply(e).d():
                 raise DomainError(f"{self.name} is not a chain map at {label}")
-        tables = {label: img.coeffs for label, img in self.images.items()}
+        tables = {label: img.terms for label, img in self.images.items()}
         pairs = set(_product_support(self.source.products))
         pairs.update(_product_support(self.target.products, tables, tables))
         for l1, l2 in sorted(pairs):
@@ -295,25 +266,23 @@ def _product_support(products, left=None, right=None):
 
 
 def linear_extension(target, images, element):
-    """Linear extension of basis-label images to an element of the source;
-    a label without an image maps to zero."""
-    out = {}
-    for label, c in element.coeffs.items():
-        img = images.get(label)
-        if img is not None:
-            _merge(out, img.coeffs.items(), c)
-    return DgaElement(target, out)
+    """Linear extension of basis-label images, elements of `target`, to an
+    element of the source; a label without an image maps to zero."""
+    return element.linear(lambda label: images[label].terms if label in images else None, target.element())
 
 
 def check_bidegree_shift(source, target, images, shift, name):
-    """Check that the image of every label of bidegree (r, t) lies in
-    bidegree (r, t) + shift; `name` labels the map in the error."""
+    """Check that the image of every label of bidegree (r, t) is an element
+    of `target` in bidegree (r, t) + shift; `name` labels the map in the
+    error."""
     for label, img in images.items():
         if label not in source.bidegrees:
             raise DomainError(f"{name}: {label!r} is not a basis label of the source")
+        if img.dga is not target:
+            raise DomainError(f"{name}({label}) is not an element of the target dga")
         r, t = source.bidegrees[label]
         want = (r + shift[0], t + shift[1])
-        for l2 in img.coeffs:
+        for l2 in img.terms:
             if target.bidegrees[l2] != want:
                 raise DegreeError(f"{name}({label}) must lie in bidegree {want}")
 
@@ -327,10 +296,13 @@ class SimplicialComplex:
 
     def __init__(self, simplices):
         closed = set()
-        for s in simplices:
-            s = tuple(sorted(set(int(v) for v in s)))
+        for vertices in simplices:
+            vertices = [int(v) for v in vertices]
+            s = tuple(sorted(set(vertices)))
             if not s:
                 raise DomainError("empty simplex")
+            if len(s) < len(vertices):
+                raise DomainError(f"simplex {vertices} repeats a vertex")
             for k in range(1, len(s) + 1):
                 for face in combinations(s, k):
                     closed.add(face)

@@ -11,9 +11,7 @@ checked for ∂∘∂ = 0 on the sparse rows.  One sparse gcd elimination
 reduces every matrix.  `invariant_factors` reads only its pivots;
 `solve`, `kernel_basis` and `smith_normal_form` also have it record its
 row and column operations as sparse unimodular U and V, with U·M·V
-nonzero exactly at the pivots.  Only `IntMatrix.det` keeps a dense table
-(Bareiss), so that determinants stay an oracle independent of the
-elimination.
+nonzero exactly at the pivots.
 
 >>> m = IntMatrix([[2, 4], [6, 8]])
 >>> invariant_factors(m)
@@ -72,10 +70,6 @@ class IntMatrix:
     @classmethod
     def zeros(cls, rows, cols):
         return cls._of_sparse(rows, cols, {})
-
-    @classmethod
-    def identity(cls, n):
-        return cls._of_sparse(n, n, {i: {i: 1} for i in range(n)})
 
     @classmethod
     def from_columns(cls, row_keys, columns):
@@ -153,38 +147,6 @@ class IntMatrix:
             raise DomainError("vector length mismatch")
         rows = self.sparse_rows
         return tuple(sum(a * vec[j] for j, a in rows[i].items()) if i in rows else 0 for i in range(self.rows))
-
-    def column(self, j):
-        if not -self.cols <= j < self.cols:
-            raise IndexError(f"column {j} outside a {self.rows}x{self.cols} matrix")
-        j %= self.cols
-        return tuple(self.sparse_rows.get(i, {}).get(j, 0) for i in range(self.rows))
-
-    def det(self):
-        """Determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise DomainError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k]:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
 
 
 def _eliminate(m, transforms=False):

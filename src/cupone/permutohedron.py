@@ -13,7 +13,7 @@ from __future__ import annotations
 from string import ascii_lowercase
 
 from .algebra import Generator, TensorElement, _word_key, format_word
-from .cup1 import Cup1Monomial, bundle_factors, bundle_images
+from .cup1 import Cup1Monomial, bundle_factors, bundle_images, closed_images
 from .errors import DomainError, SizeError
 from .linalg import IntMatrix, homology
 from .record import Record
@@ -163,9 +163,10 @@ def face_of_monomial(word, letters):
 
 
 def face_boundary(face):
-    """Signed boundary faces of one face, read through the routine and the
-    image table of boundary_matrices, without enumerating P_n: a word of
-    the boundary must have one block more and use each letter once."""
+    """Signed boundary faces of one face, read through the routine of
+    boundary_matrices on the images of the face's own letters, without
+    enumerating P_n: a word of the boundary must have one block more and
+    use each letter once."""
     if face.dimension < 1:
         raise DomainError(f"face {face}: vertices have no boundary")
     letters = default_letters(face.n)
@@ -177,7 +178,8 @@ def face_boundary(face):
             raise KeyError(w)
         return w
 
-    boundary = sorted(_cell_boundary(bundle_images(letters), word, facet), key=lambda term: _word_key(term[0]))
+    images = closed_images(letters, [letter for letter in word if isinstance(letter, Cup1Monomial)])
+    boundary = sorted(_cell_boundary(images, word, facet), key=lambda term: _word_key(term[0]))
     return [(coeff, face_of_monomial(w, letters)) for w, coeff in boundary]
 
 

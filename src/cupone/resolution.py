@@ -463,10 +463,7 @@ class ResolutionMap:
         return img
 
     def apply(self, element):
-        out = {}
-        for word, coeff in element.terms.items():
-            _merge(out, self._word_cache(word).terms.items(), coeff)
-        return TensorElement(out)
+        return element.linear(lambda word: self._word_cache(word).terms)
 
     __call__ = apply
 
@@ -487,7 +484,7 @@ def _normalize_cga_element(target, value):
         letters = [target.letter(l.name) for l in word]
         letters.sort(key=lambda l: l.name)
         _merge(out, [(tuple(letters), coeff)])
-    return TensorElement(out)
+    return value._like(out)
 
 
 def build_rh_map(f_on_generators, source, target):
@@ -536,10 +533,7 @@ class _DerivationHomotopy:
         self.s_letter = s_letter
 
     def __call__(self, element):
-        out = {}
-        for word, coeff in element.terms.items():
-            _merge(out, self._s_word(word).terms.items(), coeff)
-        return TensorElement(out)
+        return element.linear(lambda word: self._s_word(word).terms)
 
     def _s_word(self, word):
         if not word:

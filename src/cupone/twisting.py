@@ -48,7 +48,9 @@ class _LevelElement:
                 continue
             if not first <= r <= last:
                 raise DomainError(f"{self.KIND} component at level {r} outside {first}..{last}")
-            for label in comp.coeffs:
+            if comp.dga is not dga:
+                raise DomainError(f"{self.KIND} component at level {r} is not an element of its dga")
+            for label in comp.terms:
                 if dga.bidegrees[label] != (r, self.SHIFT - r):
                     raise DegreeError(f"component {r} must lie in bidegree {(r, self.SHIFT - r)}")
             self.components[r] = comp
@@ -63,7 +65,7 @@ class _LevelElement:
         components inside the level range; anything off it is an error."""
         first, last = cls._levels(truncation)
         components = {}
-        for (r, t), comp in element.components_by_bidegree().items():
+        for (r, t), comp in element.by_degree(element.dga.bidegrees.get).items():
             if t != cls.SHIFT - r:
                 raise DegreeError(f"component at bidegree {(r, t)} is off the {cls.KIND} diagonal")
             if first <= r <= last:
@@ -73,8 +75,8 @@ class _LevelElement:
     def _component_sum(self):
         out = {}
         for comp in self.components.values():
-            _merge(out, comp.coeffs.items())
-        return DgaElement(self.dga, out)
+            _merge(out, comp.terms.items())
+        return self.dga.element()._like(out)
 
     def __eq__(self, other):
         return (
@@ -189,9 +191,8 @@ def gauge_act(a, p):
 
 def _twisting_part(element, truncation):
     """The components of an element on the twisting diagonal at levels 2..N."""
-    return {
-        r: comp for (r, t), comp in element.components_by_bidegree().items() if t == 1 - r and 2 <= r <= truncation
-    }
+    parts = element.by_degree(element.dga.bidegrees.get)
+    return {r: comp for (r, t), comp in parts.items() if t == 1 - r and 2 <= r <= truncation}
 
 
 def orbit_relation_holds(a, b, p):
@@ -279,8 +280,8 @@ def gauge_equivalent(a, b, budget=200):
             if i >= 2 and j in chosen:
                 out = out - a.component(i) * chosen[j] + chosen[j] * b.component(i)
         tgt = strata[k][1]
-        vec = [out.coeffs.get(l, 0) for l in tgt]
-        leftover = set(out.coeffs) - set(tgt)
+        vec = [out.terms.get(l, 0) for l in tgt]
+        leftover = set(out.terms) - set(tgt)
         if leftover:
             raise DomainError(f"right-hand side leaves the stored bidegree window at level {k}")
         return vec
@@ -386,7 +387,7 @@ def homotopy_orbit_check(f, g, s_images, a):
         rhs = s_apply(e.d()) + s_apply(e).d()
         if lhs != rhs:
             return OrbitHomotopyReport(False, "homotopy law f−g = sd+ds", label)
-    f_tables, g_tables, s_tables = ({l: img.coeffs for l, img in m.items()} for m in (f.images, g.images, s_images))
+    f_tables, g_tables, s_tables = ({l: img.terms for l, img in m.items()} for m in (f.images, g.images, s_images))
     pairs = set(_product_support(A.products))
     pairs.update(_product_support(B.products, f_tables, s_tables), _product_support(B.products, s_tables, g_tables))
     for l1, l2 in sorted(pairs):

@@ -1,0 +1,34 @@
+"""Determinants by fraction-free (Bareiss) elimination on a dense table.
+
+The determinantal-divisor oracle of the linear algebra tests: it shares
+no code with the sparse elimination of `cupone.linalg` that it checks.
+"""
+
+from cupone.errors import DomainError
+
+
+def det(m):
+    """Determinant of a square IntMatrix."""
+    if m.rows != m.cols:
+        raise DomainError("determinant of a non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = [list(r) for r in m.entries]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]

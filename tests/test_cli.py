@@ -239,6 +239,13 @@ OUT_OF_DOMAIN_ARGV = [
      ["--command", "hypotheses", "--instance", "i"], "homs.h: matrix entry 2.5 is not an integer"),
     ({"spaces": {"s": {"simplices": [[0.5, 1], [1, 2]]}}},
      ["--command", "d-x", "--space", "s", "--homology", "Z"], "spaces.s: vertex 0.5 is not an integer"),
+    ({"spaces": {"s": {"simplices": [[0, 0], [0, 1]]}}},
+     ["--command", "d-x", "--space", "s", "--homology", "Z"], "spaces.s: simplex [0, 0] repeats a vertex"),
+    # every section, and every entry of one, is a JSON object
+    ({"cgas": []}, CERTIFY_C, "cgas must be a JSON object"),
+    ({"twistings": {"t": 5}}, CERTIFY_C, "twistings.t must be a JSON object"),
+    ({"dgas": {"d": []}}, CERTIFY_C, "dgas.d must be a JSON object"),
+    ({"cga_maps": {"f": 3}}, CERTIFY_C, "cga_maps.f must be a JSON object"),
 ])
 def test_out_of_domain_input_exits_2_without_traceback(tmp_path, capsys, doc, argv, message):
     path = tmp_path / "doc.json"

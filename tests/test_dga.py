@@ -11,6 +11,7 @@ from cupone.dga import (
 )
 from cupone.errors import DomainError
 from cupone.linalg import FGAbelianGroup
+from cupone.twisting import TwistingElement, homotopy_orbit_check
 
 
 def test_validation_catches_broken_leibniz():
@@ -69,7 +70,7 @@ def test_hom_dga_two_stage_ranks():
     assert img.is_zero()
     down = hom.basis_of(-1, 0)[0]
     img = hom.basis_element(down).d()
-    assert sorted(abs(c) for c in img.coeffs.values()) == [2, 2]
+    assert sorted(abs(c) for c in img.terms.values()) == [2, 2]
 
 
 def test_hom_dga_trivial_group():
@@ -139,6 +140,30 @@ def test_dga_map_rejects_an_unknown_source_label():
     F = free_truncated_dga([("x", 1, -1), ("y", 2, -1)], {"x": [(1, ("y",))]}, 3)
     with pytest.raises(DomainError, match="'z' is not a basis label"):
         DgaMap(F, F, {**{l: {l: 1} for l in F.bidegrees}, "z": {"x": 1}})
+
+
+@pytest.mark.parametrize("diff, products, message", [
+    ({"a": {"zz": 1}}, {}, "d(a): 'zz' is not a basis label"),
+    ({}, {("a", "a"): {"zz": 1}}, "a·a: 'zz' is not a basis label"),
+])
+def test_unvalidated_dga_still_rejects_an_unknown_label(diff, products, message):
+    # labels are checked where the tables enter, whatever `validate` says
+    with pytest.raises(DomainError) as info:
+        BigradedDGA("t", {"a": (0, 0)}, diff, products, {"a": 1}, validate=False)
+    assert str(info.value) == message
+
+
+def test_an_image_in_another_dga_is_named():
+    A = free_truncated_dga([("a", 1, -1)], {}, 2)
+    B = free_truncated_dga([("b", 1, -1)], {}, 2)
+    images = {**{l: {l: 1} for l in A.bidegrees}, "a": B.basis_element("b")}
+    with pytest.raises(DomainError, match=r"^φ\(a\) is not an element of the target dga$"):
+        DgaMap(A, A, images)
+    f = DgaMap.identity(A)
+    with pytest.raises(DomainError, match=r"^s\(a·a\) is not an element of the target dga$"):
+        homotopy_orbit_check(f, f, {"a·a": B.basis_element("b")}, TwistingElement.zero(A, 2))
+    with pytest.raises(DomainError, match="^twisting component at level 2 is not an element of its dga$"):
+        TwistingElement(A, 2, {2: B.basis_element("b·b")})
 
 
 def test_simplicial_complex_closure():

@@ -57,11 +57,11 @@ def test_twisting_constructed_through_level_three():
     src = F.basis_of(3, -2)
     tgt = F.basis_of(4, -2)
     ee = F.basis_element("e") * F.basis_element("e")
-    vec = [-ee.coeffs.get(l, 0) for l in tgt]
+    vec = [-ee.terms.get(l, 0) for l in tgt]
     sol = solve(mat, vec)
     assert sol is not None
     a3 = F.element({l: c for l, c in zip(src, sol) if c})
-    a = TwistingElement(F, 3, {2: {"e": 1}, 3: a3.coeffs})
+    a = TwistingElement(F, 3, {2: {"e": 1}, 3: a3.terms})
     assert is_twisting(a).ok
 
 
@@ -275,7 +275,7 @@ def test_comparison_orbit_counts_desk_scale():
     assert len(a_classes) == len(b_classes) == 5
     # φ maps orbits to orbits injectively on this window
     for cls in a_classes:
-        images = {tuple(sorted(push_twisting(phi, e).component(2).coeffs.items())) for e in cls}
+        images = {tuple(sorted(push_twisting(phi, e).component(2).terms.items())) for e in cls}
         assert len(images) == 1
 
 
@@ -339,7 +339,7 @@ def _s_word(F, s_gen, g_images, label):
 
 def _s_elt(F, s_gen, g_images, element, word_of):
     out = F.element()
-    for label, c in element.coeffs.items():
+    for label, c in element.terms.items():
         out = out + _s_word(F, s_gen, g_images, label).scale(c)
     return out
 
