@@ -8,17 +8,20 @@ the linear extension of key images and the split by degree, for the
 words here and for the basis labels of the dga module.  Differentials
 are Koszul-signed derivations extended from letter images.
 
-The letters of one computation must form a universe: no label may name
-two bidegrees.  `word_multiply` checks the letters of both factors on
-every product.  Differentials read an `ImageTable`, which checks each
-letter's image once, on first use, and the universe of its own letters
-once; `extend_derivation` is then lookups and splices.  Only a table
-whose own letters clash needs the letters of each input checked again.
+Letters and images are checked once, where they enter: an `ImageTable`
+checks, when it is built, that each image is zero or homogeneous of the
+bidegree (res+1, int) of its letter, and that no label names two
+bidegrees among its keys and the letters of its image words.
+`extend_derivation` then only reads the table: a letter it differentiates
+must be a key, so it lies in the checked universe.  `word_multiply`
+checks nothing: terms are keyed by letter objects, so a label that names
+two bidegrees never changes a coefficient; it can only make a printed
+label ambiguous.
 """
 
 from __future__ import annotations
 
-from collections.abc import MutableMapping
+from collections.abc import Mapping
 from itertools import chain
 
 from .errors import DegreeError, DomainError
@@ -256,82 +259,50 @@ class TensorElement(Combination):
         return " ".join(chunks)
 
 
-def _universe_clash(letters):
-    """The DomainError for the first label among `letters` that names two
-    bidegrees, letters compared in the given order; None if there is none."""
-    named = {}
-    for letter in letters:
-        key = letter.label()
-        prev = named.setdefault(key, letter)
-        if prev.bidegree != letter.bidegree:
-            return DomainError(f"letter {key!r} appears with bidegrees {prev.bidegree} and {letter.bidegree}")
-    return None
-
-
-def _check_universe(*term_maps):
-    """DomainError if a label names two bidegrees among the letters of the
-    words of `term_maps`; letters are compared in first-seen order."""
-    # the distinct letters of every word of every map
-    clash = _universe_clash(dict.fromkeys(chain.from_iterable(chain.from_iterable(term_maps))))
-    if clash is not None:
-        raise clash
-
-
 def word_multiply(x, y):
-    """Bilinear concatenation product of the free algebra."""
-    _check_universe(x.terms, y.terms)
+    """Bilinear concatenation product of the free algebra.  Terms are keyed
+    by letter objects, so no coefficient depends on labels; the letters
+    are not checked here (see the module docstring)."""
     out = {}
     for wx, cx in x.terms.items():
         _merge(out, ((wx + wy, cy) for wy, cy in y.terms.items()), cx)
     return x._like(out)
 
 
-def _letter_image(images, letter):
-    """The image of `letter`, which must be homogeneous of bidegree
-    (res+1, int) of the letter, or zero."""
-    try:
-        image = images[letter]
-    except KeyError:
-        raise DomainError(f"no differential image for letter {letter.label()}") from None
-    deg = image.bidegree()
-    if deg is not None and deg != (letter.res_degree + 1, letter.int_degree):
-        raise DegreeError(
-            f"image of {letter.label()} has bidegree {deg}, "
-            f"expected {(letter.res_degree + 1, letter.int_degree)}"
-        )
-    return image
+class ImageTable(Mapping):
+    """Differential images of letters, a read-only mapping letter ->
+    TensorElement, checked once, when it is built: each image must be
+    zero or homogeneous of bidegree (res+1, int) of its letter, and no
+    label may name two bidegrees among the keys and the letters of the
+    image words.  Images are values: an image changed in place is not
+    checked again.
 
+    >>> x, z = Generator("x", 0, 2), Generator("z", -1, 4)
+    >>> ImageTable({x: TensorElement.zero(), z: TensorElement.of(x)})
+    Traceback (most recent call last):
+        ...
+    cupone.errors.DegreeError: image of z has bidegree (0, 2), expected (0, 4)
+    """
 
-class ImageTable(MutableMapping):
-    """Differential images of letters, a mapping letter -> TensorElement.
-
-    A letter's image is checked on its first use: it must exist and be
-    homogeneous of bidegree (res+1, int) of the letter, or zero.  A check
-    that passed is kept until the letter's entry is set or deleted; one
-    that failed is not kept, so it fails again on the next use.  Whether
-    the table's own letters (its keys and the letters of its image words)
-    form a universe is found once, and again after an edit.  Images are
-    values: an image changed in place is not seen."""
-
-    __slots__ = ("_images", "_checked", "_clash")
+    __slots__ = ("_images", "_entries")
 
     def __init__(self, images=()):
         self._images = dict(images)
-        self._checked = {}  # letter -> (image terms, whether the letter's total degree is odd)
-        self._clash = None  # whether the table's own letters clash; None until asked
+        self._entries = {}  # letter -> (image terms, whether the letter's total degree is odd)
+        for letter, image in self._images.items():
+            deg, want = image.bidegree(), (letter.res_degree + 1, letter.int_degree)
+            if deg is not None and deg != want:
+                raise DegreeError(f"image of {letter.label()} has bidegree {deg}, expected {want}")
+            self._entries[letter] = (image.terms, letter.total_degree % 2)
+        named = {}
+        words = chain.from_iterable(image.terms for image in self._images.values())
+        for letter in dict.fromkeys(chain(self._images, chain.from_iterable(words))):
+            prev = named.setdefault(letter.label(), letter)
+            if prev.bidegree != letter.bidegree:
+                raise DomainError(f"letter {letter.label()!r} appears with bidegrees {prev.bidegree} and {letter.bidegree}")
 
     def __getitem__(self, letter):
         return self._images[letter]
-
-    def __setitem__(self, letter, image):
-        self._images[letter] = image
-        self._checked.pop(letter, None)
-        self._clash = None
-
-    def __delitem__(self, letter):
-        del self._images[letter]
-        self._checked.pop(letter, None)
-        self._clash = None
 
     def __iter__(self):
         return iter(self._images)
@@ -342,20 +313,6 @@ class ImageTable(MutableMapping):
     def __repr__(self):
         return f"ImageTable({self._images!r})"
 
-    def checked(self, letter):
-        """(image terms, odd total degree?) of `letter`, checked on first use."""
-        entry = self._checked.get(letter)
-        if entry is None:
-            entry = self._checked[letter] = (_letter_image(self._images, letter).terms, letter.total_degree % 2)
-        return entry
-
-    def clashes(self):
-        """Whether a label names two bidegrees among the table's own letters."""
-        if self._clash is None:
-            words = chain.from_iterable(image.terms for image in self._images.values())
-            self._clash = _universe_clash(dict.fromkeys(chain(self._images, chain.from_iterable(words)))) is not None
-        return self._clash
-
 
 def extend_derivation(images, x):
     """Koszul-signed Leibniz extension of letter images to an element.
@@ -363,36 +320,35 @@ def extend_derivation(images, x):
     d(uw) = d(u)·w + (−1)^{|u|} u·d(w) with |u| the total degree, so the
     terms of d(word) put each word of d(letter) in place of one letter of
     the word.  `images` is an `ImageTable`, or a mapping that is put in
-    one for this call; it checks each image it hands out (see there).
-    Every letter of `x` must be a key and the images used come from the
-    table, so the letters of a call can only clash if the table's own
-    letters do; only then are the letters of `x` and of the images used
-    checked, in first-seen order.
+    one, and checked, for this call.  Every letter of `x` must be a key;
+    the images come from the checked table, so the call is lookups and
+    splices.
     """
     table = images if isinstance(images, ImageTable) else ImageTable(images)
-    checked = table._checked
+    entries = table._entries
     out = {}
     for word, coeff in x.terms.items():
         sign = coeff
         for pos, letter in enumerate(word):
-            terms, odd = checked.get(letter) or table.checked(letter)
+            try:
+                terms, odd = entries[letter]
+            except KeyError:
+                raise DomainError(f"no differential image for letter {letter.label()}") from None
             if terms:
                 head, tail = word[:pos], word[pos + 1:]
                 _merge(out, ((head + w + tail, c) for w, c in terms.items()), sign)
             if odd:
                 sign = -sign
-    if table.clashes():
-        used = dict.fromkeys(chain.from_iterable(x.terms))
-        _check_universe(x.terms, *(checked[letter][0] for letter in used))
     return x._like(out)
 
 
 class FreeDGA:
-    """Presentation of a free bigraded dga: letters plus differential images."""
+    """Presentation of a free bigraded dga: letters plus differential
+    images, an `ImageTable` (taken as it is) or a mapping put in one."""
 
     def __init__(self, letters, images):
         self.letters = list(letters)
-        self.images = ImageTable(images)
+        self.images = images if isinstance(images, ImageTable) else ImageTable(images)
         missing = [l for l in self.letters if l not in self.images]
         if missing:
             raise DomainError(f"no differential given for {missing[0].label()}")

@@ -7,6 +7,8 @@ Elements are lists of [coefficient, word] pairs; a word is a list of
 generator names where a cup-one bundle is written {"cup1": ["a","b"]}.
 Reports come out as aligned text or as machine-readable JSON; exit codes
 are 0 computed/pass, 1 checked-and-failed, 3 inconclusive, 2 bad input.
+No input prints a traceback: bad input exits 2 with a message that names
+its path in the document, such as `dgas.d: differential`.
 """
 
 from __future__ import annotations
@@ -90,28 +92,35 @@ class Workspace:
         self.spaces = {}
 
 
-def _element_from_pairs(dga, pairs, where):
-    coeffs = {}
-    for item in pairs:
-        try:
-            coeff, label = item
-        except (TypeError, ValueError):
-            raise InputError(f"{where}: element entries must be [coefficient, label] pairs")
-        if not isinstance(label, str):
-            raise InputError(f"{where}: dga element words must be basis labels")
-        coeffs[label] = coeffs.get(label, 0) + _integer(coeff, f"{where}: coefficient")
-    try:
-        return dga.element(coeffs)
-    except DomainError as exc:
-        raise InputError(f"{where}: {exc}") from None
+def _object(value, name):
+    """`value` if it is a JSON object; bad input named by `name` if not."""
+    if not isinstance(value, dict):
+        raise InputError(f"{name} must be a JSON object")
+    return value
+
+
+def _pairs(pairs, where, shape, kind):
+    """[(coefficient, x), ...] from the JSON list [[coefficient, x], ...],
+    where each x is of type `shape` and is called a `kind` in errors."""
+    if not (isinstance(pairs, list)
+            and all(isinstance(item, list) and len(item) == 2 and isinstance(item[1], shape) for item in pairs)):
+        raise InputError(f"{where}: an element must be a JSON list of [coefficient, {kind}] pairs")
+    return [(_integer(coeff, f"{where}: coefficient"), x) for coeff, x in pairs]
 
 
 def _label_table(pairs, where):
     """{label: coefficient} from [[coefficient, label], ...], adding repeats."""
     table = {}
-    for coeff, label in pairs:
-        table[str(label)] = table.get(str(label), 0) + _integer(coeff, f"{where}: coefficient")
+    for coeff, label in _pairs(pairs, where, str, "label"):
+        table[label] = table.get(label, 0) + coeff
     return table
+
+
+def _element_from_pairs(dga, pairs, where):
+    try:
+        return dga.element(_label_table(pairs, where))
+    except DomainError as exc:
+        raise InputError(f"{where}: {exc}") from None
 
 
 def _load_dga(where, spec):
@@ -122,7 +131,8 @@ def _load_dga(where, spec):
             raise InputError(f"{where}: duplicate basis label {label!r}")
         degree = f"{where}: basis label {label!r}: degree"
         bidegrees[str(label)] = (_integer(r, degree), _integer(t, degree))
-    diff = {l: _label_table(p, f"{where}: d({l})") for l, p in sorted(spec.get("differential", {}).items())}
+    differential = _object(spec.get("differential", {}), f"{where}: differential")
+    diff = {l: _label_table(p, f"{where}: d({l})") for l, p in sorted(differential.items())}
     products = {(str(a), str(b)): _label_table(p, f"{where}: {a}·{b}") for a, b, p in spec.get("products", [])}
     unit = _label_table(spec.get("unit", []), f"{where}: unit")
     return BigradedDGA(where.removeprefix("dgas."), bidegrees, diff, products, unit)
@@ -133,16 +143,11 @@ def _load_section(doc, section, load):
     order, with `where` the path "section.name".  The section and each
     entry must be JSON objects; a domain error of an entry is bad input
     named by its path."""
-    entries = doc.get(section, {})
-    if not isinstance(entries, dict):
-        raise InputError(f"{section} must be a JSON object")
     loaded = {}
-    for name, spec in sorted(entries.items()):
+    for name, spec in sorted(_object(doc.get(section, {}), section).items()):
         where = f"{section}.{name}"
-        if not isinstance(spec, dict):
-            raise InputError(f"{where} must be a JSON object")
         try:
-            loaded[name] = load(where, spec)
+            loaded[name] = load(where, _object(spec, where))
         except (DomainError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"{where}: {exc}") from None
     return loaded
@@ -171,7 +176,8 @@ def parse_input(text, source_name="<input>"):
     w = Workspace()
 
     def cga(where, spec):
-        gens = {str(k): _integer(v, f"{where}: generator {k} degree") for k, v in spec["generators"].items()}
+        generators = _object(spec["generators"], f"{where}: generators")
+        gens = {k: _integer(v, f"{where}: generator {k} degree") for k, v in generators.items()}
         m = spec.get("m", "infinity")
         m = INFINITY if m in ("infinity", "inf", None) else _integer(m, f"{where}: m")
         p = CgaPresentation.of(gens, m)
@@ -189,7 +195,7 @@ def parse_input(text, source_name="<input>"):
             components = {
                 _integer(r, f"{where}: component level", key=True):
                     _element_from_pairs(dga, pairs, f"{where}.components[{r}]")
-                for r, pairs in spec.get("components", {}).items()
+                for r, pairs in _object(spec.get("components", {}), f"{where}: components").items()
             }
             return cls(dga, truncation, components)
         return load
@@ -203,9 +209,9 @@ def parse_input(text, source_name="<input>"):
     def hypothesis(where, spec):
         m = _integer(spec["m"], f"{where}: m")
         cohomology = {_integer(k, f"{where}: cohomology degree", key=True): parse_group(v)
-                      for k, v in spec.get("cohomology", {}).items()}
+                      for k, v in _object(spec.get("cohomology", {}), f"{where}: cohomology").items()}
         hurewicz = {}
-        for k, hom_name in spec.get("hurewicz", {}).items():
+        for k, hom_name in _object(spec.get("hurewicz", {}), f"{where}: hurewicz").items():
             if hom_name not in w.homs:
                 raise InputError(f"{where}: unknown hom {hom_name!r}")
             hurewicz[_integer(k, f"{where}: hurewicz degree", key=True)] = w.homs[hom_name]
@@ -234,20 +240,15 @@ def parse_input(text, source_name="<input>"):
 def _cga_element(resolution, pairs, where):
     """Element of a resolution from [[coeff, word], ...] with cup1 letters."""
     out = {}
-    for item in pairs:
-        try:
-            coeff, word = item
-        except (TypeError, ValueError):
-            raise InputError(f"{where}: entries must be [coefficient, word] pairs")
-        coeff = _integer(coeff, f"{where}: coefficient")
+    for coeff, word in _pairs(pairs, where, list, "word"):
         letters = []
         sign = 1
         for token in word:
+            factors = token.get("cup1") if isinstance(token, dict) and len(token) == 1 else None
             if isinstance(token, str):
                 letters.append(resolution.letter(token))
-            elif isinstance(token, dict) and set(token) == {"cup1"}:
-                factors = [resolution.letter(nm) for nm in token["cup1"]]
-                normalized = normalize_cup1(factors)
+            elif isinstance(factors, list) and all(isinstance(name, str) for name in factors):
+                normalized = normalize_cup1([resolution.letter(name) for name in factors])
                 if normalized is None:
                     sign = 0
                     break
@@ -380,7 +381,7 @@ def cmd_rh_map(w, args):
     target = build_resolution(w.cgas[spec["target"]], truncation=args.truncation)
     images = {
         name: _cga_element(target, pairs, f"cga_maps.{args.map}.images.{name}")
-        for name, pairs in spec.get("images", {}).items()
+        for name, pairs in _object(spec.get("images", {}), f"cga_maps.{args.map}: images").items()
     }
     try:
         rh = build_rh_map(images, source, target)

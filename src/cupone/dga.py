@@ -206,6 +206,8 @@ class DgaMap:
         self._validate()
 
     def apply(self, element):
+        if element.dga is not self.source:
+            raise DomainError(f"{self.name}: the argument is not an element of the source dga")
         return linear_extension(self.target, self.images, element)
 
     __call__ = apply

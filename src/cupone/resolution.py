@@ -23,7 +23,7 @@ from math import ceil
 from operator import sub
 
 from .algebra import (
-    Generator, ImageTable, TensorElement, _merge, check_d_squared, extend_derivation, format_word, word_multiply,
+    FreeDGA, Generator, TensorElement, _merge, check_d_squared, extend_derivation, format_word, word_multiply,
 )
 from .cup1 import Cup1Monomial, bundle_factors, bundle_images, closed_images, cup1_pair
 from .errors import DegreeError, DomainError, PreconditionError
@@ -112,30 +112,24 @@ def validate_presentation(p):
     return ValidationReport(not violations, tuple(violations))
 
 
-class Resolution:
-    """The minimal multiplicative resolution, truncated at total degree m."""
+class Resolution(FreeDGA):
+    """The minimal multiplicative resolution, truncated at total degree m:
+    a free dga on the plain generators and the bundles."""
 
     def __init__(self, presentation, m, plain, bundles, images, canonical=False):
         self.presentation = presentation
         self.m = m
         self.plain = list(plain)
         self.bundles = list(bundles)
-        self.images = ImageTable(images)
         self.canonical = canonical
-        self._letters = {letter.label(): letter for letter in self.plain + self.bundles}
-
-    @property
-    def letters(self):
-        return self.plain + self.bundles
+        super().__init__(self.plain + self.bundles, images)
+        self._letters = {letter.label(): letter for letter in self.letters}
 
     def letter(self, label):
         try:
             return self._letters[label]
         except KeyError:
             raise DomainError(f"no generator {label!r} in the resolution") from None
-
-    def d(self, element):
-        return extend_derivation(self.images, element)
 
     def rho(self, element):
         """Augmentation to the cga: commutative monomial map, bundles to 0."""

@@ -41,7 +41,7 @@ class _LevelElement:
         self.dga = dga
         self.truncation = truncation
         self.components = {}
-        first, last = self._levels(truncation)
+        first, last = self.SHIFT + 1, truncation + self.SHIFT - 1
         for r, comp in components.items():
             comp = comp if isinstance(comp, DgaElement) else dga.element(comp)
             if comp.is_zero():
@@ -54,23 +54,6 @@ class _LevelElement:
                 if dga.bidegrees[label] != (r, self.SHIFT - r):
                     raise DegreeError(f"component {r} must lie in bidegree {(r, self.SHIFT - r)}")
             self.components[r] = comp
-
-    @classmethod
-    def _levels(cls, truncation):
-        return cls.SHIFT + 1, truncation + cls.SHIFT - 1
-
-    @classmethod
-    def _from_element(cls, dga, truncation, element):
-        """Split an element along the diagonal t = SHIFT − r, keeping the
-        components inside the level range; anything off it is an error."""
-        first, last = cls._levels(truncation)
-        components = {}
-        for (r, t), comp in element.by_degree(element.dga.bidegrees.get).items():
-            if t != cls.SHIFT - r:
-                raise DegreeError(f"component at bidegree {(r, t)} is off the {cls.KIND} diagonal")
-            if first <= r <= last:
-                components[r] = comp
-        return cls(dga, truncation, components)
 
     def _component_sum(self):
         out = {}
@@ -96,10 +79,6 @@ class TwistingElement(_LevelElement):
     def zero(cls, dga, truncation):
         return cls(dga, truncation, {})
 
-    @classmethod
-    def from_element(cls, dga, truncation, element):
-        return cls._from_element(dga, truncation, element)
-
     def as_element(self):
         return self._component_sum()
 
@@ -121,7 +100,15 @@ class GaugeElement(_LevelElement):
 
     @classmethod
     def from_perturbation(cls, dga, truncation, element):
-        return cls._from_element(dga, truncation, element)
+        """Split a perturbation along the diagonal t = −r, keeping the
+        components inside the level range; anything off it is an error."""
+        components = {}
+        for (r, t), comp in element.by_degree(element.dga.bidegrees.get).items():
+            if t != -r:
+                raise DegreeError(f"component at bidegree {(r, t)} is off the gauge diagonal")
+            if 1 <= r < truncation:
+                components[r] = comp
+        return cls(dga, truncation, components)
 
     def perturbation(self):
         return self._component_sum()

@@ -49,11 +49,11 @@ def test_multiply_noncommutative_expansion():
     assert word_multiply(left, right) == expected
 
 
-def test_multiply_rejects_clashing_universes():
+def test_a_table_rejects_two_letters_of_one_label():
     x1 = Generator("x", 0, 2)
     x2 = Generator("x", 0, 4)
-    with pytest.raises(DomainError, match="bidegrees"):
-        word_multiply(TensorElement.of(x1), TensorElement.of(x2))
+    with pytest.raises(DomainError, match=r"letter 'x' appears with bidegrees \(0, 2\) and \(0, 4\)"):
+        ImageTable({x1: TensorElement.zero(), x2: TensorElement.zero()})
 
 
 def test_derivation_koszul_sign_odd_generator():
@@ -225,12 +225,10 @@ def _right_words(letter):
 def derivation_inputs(draw):
     """(images, x, impostor?) over plain letters, bundles and the odd
     letter u.  Each image is right or zero; in a faulty table it may also
-    be missing, of a wrong bidegree, or inhomogeneous.  With the impostor
-    in the alphabet, a faulty image is only ever missing: a clash and a
-    wrong bidegree in one input may be reported in either order."""
+    be missing, of a wrong bidegree, or inhomogeneous."""
     impostor, faulty = draw(st.booleans()), draw(st.booleans())
     alphabet = PLAIN + BUNDLES + [ODD] + ([IMPOSTOR] if impostor else [])
-    kinds = ["right", "zero"] + (["missing"] if faulty else []) + (["wrong", "mixed"] if faulty and not impostor else [])
+    kinds = ["right", "zero"] + (["missing", "wrong", "mixed"] if faulty else [])
     images = {}
     for letter in alphabet:
         right = _right_words(letter)
@@ -263,28 +261,33 @@ def test_splice_matches_the_product_expansion(case):
     images, x, impostor = case
     expected = _outcome(reference_extend_derivation, images, x)
     got = _outcome(extend_derivation, images, x)
-    if isinstance(expected, DomainError):
-        assert type(got) is type(expected)
-    elif isinstance(got, DomainError):
-        # stricter on malformed input only: a clash the products never met
-        assert impostor and type(got) is DomainError and "appears with bidegrees" in str(got)
+    table = _outcome(lambda images, _: ImageTable(images), images, x)
+    if isinstance(table, DomainError):
+        # stricter on malformed input only: a wrong or mixed image, or the
+        # impostor beside a, is rejected when the table is built, used or not
+        assert (type(got), str(got)) == (type(table), str(table))
+        assert type(got) is DegreeError or (impostor and "appears with bidegrees" in str(got))
+    elif isinstance(expected, DomainError):
+        assert (type(got), str(got)) == (type(expected), str(expected))
     else:
         assert got.terms == expected.terms
 
 
-def test_splice_sees_a_clash_split_across_terms():
+def test_a_clash_no_product_meets_is_rejected_when_the_table_is_built():
     a2, a4 = Generator("a", 0, 2), Generator("a", 0, 4)
     u = Generator("u", -1, 4)
     images = {a2: TensorElement.zero(), a4: TensorElement.zero(), u: TensorElement.of(a2, a2)}
     x = TensorElement.of(u) + TensorElement.of(a4)
-    # no product ever holds both letters, so the per-product check passes
+    # no product ever holds both letters, so a per-product check would pass
     assert reference_extend_derivation(images, x) == TensorElement.of(a2, a2)
-    with pytest.raises(DomainError, match=r"letter 'a' appears with bidegrees \(0, 4\) and \(0, 2\)"):
-        extend_derivation(images, x)
+    message = r"letter 'a' appears with bidegrees \(0, 2\) and \(0, 4\)"
+    for fn, args in ((ImageTable, (images,)), (extend_derivation, (images, x))):
+        with pytest.raises(DomainError, match=message):
+            fn(*args)
 
 
 # ---------------------------------------------------------------------------
-# the image table: each image checked once, edits checked again
+# the image table: every image and the universe checked once, when it is built
 
 
 def _raised(fn, *args):
@@ -293,50 +296,56 @@ def _raised(fn, *args):
     return type(info.value), str(info.value)
 
 
-def test_a_bad_image_raises_the_same_error_on_every_call():
+def test_a_bad_image_is_rejected_when_the_table_is_built():
     x, z = Generator("x", 0, 2), Generator("z", -1, 4)
-    for images in ({x: TensorElement.zero(), z: TensorElement.of(x)},  # wrong bidegree
-                   {x: TensorElement.zero(), z: TensorElement.of(x, x) + TensorElement.of(x)},  # mixed
-                   {x: TensorElement.zero()}):  # missing
-        table = ImageTable(images)
-        element = TensorElement.of(x, z)
-        first = _raised(extend_derivation, table, element)
-        assert [_raised(extend_derivation, table, element) for _ in range(3)] == [first] * 3
-        assert _raised(extend_derivation, dict(images), element) == first  # a plain dict is put in a table
-    assert first == (DomainError, "no differential image for letter z")
+    element = TensorElement.of(x, z)
+    for images, error in (
+        ({x: TensorElement.zero(), z: TensorElement.of(x)},
+         (DegreeError, "image of z has bidegree (0, 2), expected (0, 4)")),
+        ({x: TensorElement.zero(), z: TensorElement.of(x, x) + TensorElement.of(x)},
+         (DegreeError, "element is not homogeneous: bidegrees [(0, 2), (0, 4)]")),
+    ):
+        assert _raised(ImageTable, images) == error
+        assert _raised(extend_derivation, images, element) == error  # a plain dict is put in a table
+    table = ImageTable({x: TensorElement.zero()})  # z is missing: only a call that meets z fails
+    assert extend_derivation(table, TensorElement.of(x, x)).is_zero()
+    for _ in range(3):
+        assert _raised(extend_derivation, table, element) == (DomainError, "no differential image for letter z")
 
 
-def test_an_image_never_used_raises_nothing():
+def test_an_image_never_used_is_checked_when_the_table_is_built():
     x, y, z = Generator("x", 0, 2), Generator("y", 0, 2), Generator("z", -1, 4)
-    table = ImageTable({x: TensorElement.zero(), y: TensorElement.zero(), z: TensorElement.of(y)})
-    for _ in range(2):
-        assert extend_derivation(table, TensorElement.of(x, y, x)).is_zero()
+    images = {x: TensorElement.zero(), y: TensorElement.zero(), z: TensorElement.of(y)}
+    with pytest.raises(DegreeError, match=r"image of z has bidegree \(0, 2\), expected \(0, 4\)"):
+        ImageTable(images)
+    with pytest.raises(DegreeError, match=r"image of z has bidegree \(0, 2\), expected \(0, 4\)"):
+        extend_derivation(images, TensorElement.of(x, y, x))
 
 
-def test_an_edit_after_first_use_is_checked_again():
+def test_the_table_is_read_only_and_a_new_table_is_checked():
     x, y, z = Generator("x", 0, 2), Generator("y", 0, 2), Generator("z", -1, 4)
     table = ImageTable({x: TensorElement.zero(), y: TensorElement.zero(), z: TensorElement.of(x, y)})
     element = TensorElement.of(z, x)
     assert extend_derivation(table, element) == TensorElement.of(x, y, x)
-    table[z] = TensorElement.of(y)
+    with pytest.raises(TypeError):
+        table[z] = TensorElement.of(y)
+    with pytest.raises(TypeError):
+        del table[x]
+    assert extend_derivation(table, element) == TensorElement.of(x, y, x)
     with pytest.raises(DegreeError, match=r"image of z has bidegree \(0, 2\), expected \(0, 4\)"):
-        extend_derivation(table, element)
-    table[z] = TensorElement.of(y, x)
-    assert extend_derivation(table, element) == TensorElement.of(y, x, x)
-    del table[x]
-    with pytest.raises(DomainError, match="no differential image for letter x"):
-        extend_derivation(table, element)
+        ImageTable({**table, z: TensorElement.of(y)})
+    assert extend_derivation(ImageTable({**table, z: TensorElement.of(y, x)}), element) == TensorElement.of(y, x, x)
 
 
-def test_the_universe_is_checked_once_per_table_and_after_an_edit():
+def test_the_universe_is_checked_over_keys_and_image_words():
     a2, a4, u = Generator("a", 0, 2), Generator("a", 0, 4), Generator("u", -1, 4)
     table = ImageTable({a2: TensorElement.zero(), u: TensorElement.of(a2, a2)})
-    assert not table.clashes()
     assert extend_derivation(table, TensorElement.of(u)) == TensorElement.of(a2, a2)
-    table[a4] = TensorElement.zero()  # the label a now names two bidegrees
-    assert table.clashes()
-    assert extend_derivation(table, TensorElement.of(u)) == TensorElement.of(a2, a2)
-    with pytest.raises(DomainError, match=r"letter 'a' appears with bidegrees \(0, 4\) and \(0, 2\)"):
-        extend_derivation(table, TensorElement.of(u) + TensorElement.of(a4))
-    del table[a4]
-    assert not table.clashes()
+    with pytest.raises(DomainError, match=r"letter 'a' appears with bidegrees \(0, 2\) and \(0, 4\)"):
+        ImageTable({**table, a4: TensorElement.zero()})  # the label a as a key
+    v = Generator("v", -1, 6)
+    with pytest.raises(DomainError, match=r"letter 'a' appears with bidegrees \(0, 2\) and \(0, 4\)"):
+        ImageTable({**table, v: TensorElement.of(a2, a4)})  # the label a inside an image word
+    # a letter that shares a label with a key but is not one has no image
+    with pytest.raises(DomainError, match="no differential image for letter a"):
+        extend_derivation(table, TensorElement.of(a4))

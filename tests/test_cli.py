@@ -1,8 +1,11 @@
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cupone.cli import InputError, main, parse_group, parse_input, render_machine, run_command
+from cupone.cli import InputError, Workspace, main, parse_group, parse_input, render_machine, run_command
 
 DOC = {
     "cgas": {
@@ -246,6 +249,24 @@ OUT_OF_DOMAIN_ARGV = [
     ({"twistings": {"t": 5}}, CERTIFY_C, "twistings.t must be a JSON object"),
     ({"dgas": {"d": []}}, CERTIFY_C, "dgas.d must be a JSON object"),
     ({"cga_maps": {"f": 3}}, CERTIFY_C, "cga_maps.f must be a JSON object"),
+    # and so is every field read as one
+    ({"dgas": {"d": {"differential": []}}}, CERTIFY_C, "dgas.d: differential must be a JSON object"),
+    ({"cgas": {"c": {"generators": []}}}, CERTIFY_C, "cgas.c: generators must be a JSON object"),
+    ({"dgas": DOC["dgas"], "twistings": {"t": {"dga": "A", "truncation": 2, "components": []}}},
+     CERTIFY_C, "twistings.t: components must be a JSON object"),
+    ({"dgas": DOC["dgas"], "gauges": {"p": {"dga": "A", "truncation": 2, "components": [[3, "u"]]}}},
+     CERTIFY_C, "gauges.p: components must be a JSON object"),
+    ({"hypotheses": {"i": {"m": 2, "cohomology": ["Z"]}}}, CERTIFY_C, "hypotheses.i: cohomology must be a JSON object"),
+    ({"hypotheses": {"i": {"m": 2, "hurewicz": []}}}, CERTIFY_C, "hypotheses.i: hurewicz must be a JSON object"),
+    ({"cgas": DOC["cgas"], "cga_maps": {"f": {"source": "P2", "target": "Q", "images": [["x", [[2, ["u"]]]]]}}},
+     ["--command", "rh-map", "--map", "f"], "cga_maps.f: images must be a JSON object"),
+    # an element is a list of [coefficient, word] or [coefficient, label] pairs
+    ({"cgas": DOC["cgas"], "cga_maps": {"f": {"source": "P2", "target": "Q", "images": {"x": [[2, "u"]]}}}},
+     ["--command", "rh-map", "--map", "f"], "cga_maps.f.images.x: an element must be a JSON list of [coefficient, word] pairs"),
+    ({"cgas": DOC["cgas"], "cga_maps": {"f": {"source": "P2", "target": "Q", "images": {"x": [[2, [{"cup1": "u"}]]]}}}},
+     ["--command", "rh-map", "--map", "f"], "cga_maps.f.images.x: bad word letter {'cup1': 'u'}"),
+    ({"dgas": {"d": {"basis": [["a", 0, 0]], "unit": [[1, 5]]}}}, CERTIFY_C,
+     "dgas.d: unit: an element must be a JSON list of [coefficient, label] pairs"),
 ])
 def test_out_of_domain_input_exits_2_without_traceback(tmp_path, capsys, doc, argv, message):
     path = tmp_path / "doc.json"
@@ -254,6 +275,51 @@ def test_out_of_domain_input_exits_2_without_traceback(tmp_path, capsys, doc, ar
     captured = capsys.readouterr()
     assert message in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+def _document_paths(node, path=()):
+    """The path of every value of a JSON tree, the root's included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield from _document_paths(value, path + (key,))
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_infinity=True, allow_nan=True),
+    st.text(max_size=3), st.just([]), st.just({}), st.lists(st.integers(-2, 2), max_size=2),
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    """DOC, which holds an entry of every section, mutated at one to three
+    values at any level: a value changes its JSON type, its key is dropped,
+    or it is nested in a list where an object or a scalar belongs."""
+    holder = {"doc": copy.deepcopy(DOC)}
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_document_paths(holder))[1:]))
+        parent = holder
+        for key in path[:-1]:
+            parent = parent[key]
+        kind = draw(st.sampled_from(["retype", "drop", "nest"] if len(path) > 1 else ["retype", "nest"]))
+        if kind == "drop":
+            del parent[path[-1]]
+        elif kind == "nest":
+            parent[path[-1]] = [parent[path[-1]]]
+        else:
+            parent[path[-1]] = draw(JSON_VALUES)
+    return json.dumps(holder["doc"])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(mutated_documents())
+def test_parse_input_returns_a_workspace_or_raises_input_error(text):
+    try:
+        workspace = parse_input(text)
+    except InputError:
+        return
+    assert isinstance(workspace, Workspace)
 
 
 @pytest.mark.parametrize("dga, message", [

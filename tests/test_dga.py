@@ -166,6 +166,16 @@ def test_an_image_in_another_dga_is_named():
         TwistingElement(A, 2, {2: B.basis_element("b·b")})
 
 
+def test_a_map_rejects_an_element_of_another_dga():
+    # two copies of one free truncated dga share every label, but not their elements
+    A = free_truncated_dga([("a", 1, -1)], {}, 2)
+    B = free_truncated_dga([("a", 1, -1)], {}, 2)
+    ident = DgaMap.identity(A)
+    assert ident.apply(A.basis_element("a")) == A.basis_element("a")
+    with pytest.raises(DomainError, match="^id: the argument is not an element of the source dga$"):
+        ident.apply(B.basis_element("a"))
+
+
 def test_simplicial_complex_closure():
     X = SimplicialComplex([[0, 1, 2]])
     by_dim = X.by_dim()

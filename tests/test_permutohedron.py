@@ -1,6 +1,6 @@
 import pytest
 
-from cupone.algebra import Generator, TensorElement
+from cupone.algebra import Generator, ImageTable, TensorElement
 from cupone.cup1 import Cup1Monomial, bundle_factors, bundle_images, cup1_boundary
 from cupone.errors import DomainError, SizeError
 from cupone.permutohedron import (
@@ -230,10 +230,9 @@ def test_transported_non_face_is_named(monkeypatch):
     from cupone import permutohedron
 
     def planted(letters):
-        images = bundle_images(letters)
         a, b = letters[0], letters[1]
-        images[Cup1Monomial((a, b))] = TensorElement.of(a, a)  # right bidegree, repeats a
-        return images
+        # right bidegree, repeats a
+        return ImageTable({**bundle_images(letters), Cup1Monomial((a, b)): TensorElement.of(a, a)})
 
     monkeypatch.setattr(permutohedron, "bundle_images", planted)
     for build in (boundary_matrices, complex_description):

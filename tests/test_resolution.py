@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cupone.algebra import Generator, TensorElement
+from cupone.algebra import Generator, ImageTable, TensorElement
 from cupone.cup1 import Cup1Monomial, bundle_factors, bundle_images
 from cupone.errors import DomainError, PreconditionError
 from cupone.linalg import IntMatrix, solve
@@ -135,13 +135,13 @@ def test_summand_checker_checks_each_composite_it_uses():
     ab, abc = Cup1Monomial((a, b)), Cup1Monomial((a, b, c))
     counts = {"a": 1, "b": 1, "c": 1}
     images = bundle_images([a, b, c])
-    images[abc] = images[abc] - TensorElement.of(ab, c)  # right bidegree, but d(d(abc)) != 0
+    images = ImageTable({**images, abc: images[abc] - TensorElement.of(ab, c)})  # right bidegree, but d(d(abc)) != 0
     checker = _SummandChecker(counts, _letter_table(images), images)
     assert checker.verdict(0)
     with pytest.raises(DomainError, match=r"d∘d is nonzero on the summand .* at resolution degree -1"):
         checker.verdict(1)
-    images = bundle_images([a, b])
-    images[ab] = TensorElement.of(a, b) + TensorElement.of(b, a)  # d(ab) does not augment to 0
+    # d(ab) does not augment to 0
+    images = ImageTable({**bundle_images([a, b]), ab: TensorElement.of(a, b) + TensorElement.of(b, a)})
     checker = _SummandChecker({"a": 1, "b": 1}, _letter_table(images), images)
     with pytest.raises(DomainError, match=r"ρ∘d is nonzero on the summand .* at resolution degree 0"):
         checker.verdict(0)
@@ -151,8 +151,8 @@ def test_summand_names_a_transported_word_outside_its_multiset():
     from cupone.resolution import _SummandChecker, _letter_table
 
     a, b = Generator("a", 0, 2), Generator("b", 0, 2)
-    images = bundle_images([a, b])
-    images[Cup1Monomial((a, b))] = TensorElement.of(a, a)  # right bidegree, outside the multiset {a, b}
+    # right bidegree, outside the multiset {a, b}
+    images = ImageTable({**bundle_images([a, b]), Cup1Monomial((a, b)): TensorElement.of(a, a)})
     checker = _SummandChecker({"a": 1, "b": 1}, _letter_table(images), images)
     with pytest.raises(DomainError, match=r"transported word aa is not a face of dimension 0"):
         checker.verdict(1)
