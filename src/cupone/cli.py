@@ -60,7 +60,7 @@ def _integer(value, where, key=False):
 
 def parse_group(text):
     """Parse group literals like "Z", "Z^2 + Z/4", "Z/6", "0"."""
-    divisors = []
+    rank, divisors = 0, []
     for part in str(text).split("+"):
         part = part.strip()
         m = _GROUP_TOKEN.match(part)
@@ -68,14 +68,17 @@ def parse_group(text):
             raise InputError(f"cannot parse group literal {part!r}")
         if part == "0":
             continue
-        if part.startswith("Z/"):
-            d = int(m.group(4))
-            if d < 1:
-                raise InputError(f"bad cyclic order in {part!r}")
-            divisors.append(d)
+        try:
+            count = int(m.group(3) or m.group(4) or 1)
+        except ValueError:  # more digits than Python converts to an int
+            raise InputError("a group literal has more digits than an integer can hold") from None
+        if m.group(4) is None:
+            rank += count
+        elif count < 1:
+            raise InputError(f"bad cyclic order in {part!r}")
         else:
-            divisors.extend([0] * (int(m.group(3)) if m.group(3) else 1))
-    return FGAbelianGroup.from_divisors(divisors)
+            divisors.append(count)
+    return FGAbelianGroup(rank, FGAbelianGroup.from_divisors(divisors).torsion)
 
 
 class Workspace:

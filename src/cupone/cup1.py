@@ -60,6 +60,12 @@ class Cup1Monomial(Record):
     def sort_key(self):
         return (1, tuple(f.name for f in self.factors))
 
+    def split(self):
+        """(a0, z) with self = a0⌣₁z: the first factor, and the rest as a
+        bundle, or as the plain generator when only one factor is left."""
+        head, *rest = self.factors
+        return head, rest[0] if len(rest) == 1 else Cup1Monomial(rest)
+
     def label(self):
         return "⌣₁".join(f.name for f in self.factors)
 
@@ -191,11 +197,7 @@ def cup1_boundary(m, ambient_d):
     if not isinstance(m, Cup1Monomial):
         raise DomainError("cup1_boundary expects a bundle or a plain generator")
 
-    head = m.factors[0]
-    if len(m.factors) == 2:
-        tail = m.factors[1]
-    else:
-        tail = Cup1Monomial(m.factors[1:])
+    head, tail = m.split()
     da = cup1_boundary(head, ambient_d)
     dz = ambient_d[tail] if tail in ambient_d else cup1_boundary(tail, ambient_d)
     sa = -1 if head.total_degree % 2 else 1

@@ -142,9 +142,7 @@ class BigradedDGA:
     # -- validation --------------------------------------------------------
 
     def _validate(self):
-        n = len(self.bidegrees)
-        if n > MAX_VALIDATED_BASIS:
-            raise SizeError(f"basis of size {n} exceeds the validation guard")
+        _check_basis_size(len(self.bidegrees))
         for label, table in self.diff.items():
             r, t = self.bidegrees[label]
             for l2 in table:
@@ -244,6 +242,12 @@ class DgaMap:
         return cls(dga, dga, {l: {l: 1} for l in dga.bidegrees}, name="id")
 
 
+def _check_basis_size(n):
+    """The validation guard, also run by constructors before they build any table."""
+    if n > MAX_VALIDATED_BASIS:
+        raise SizeError(f"basis of size {n} exceeds the validation guard")
+
+
 def _product_support(products, left=None, right=None):
     """Yield the pairs (x, y), with repeats, for which left(x)·right(y) can
     be nonzero under the product table `products`: left(x) hits the left
@@ -305,6 +309,8 @@ class SimplicialComplex:
                 raise DomainError("empty simplex")
             if len(s) < len(vertices):
                 raise DomainError(f"simplex {vertices} repeats a vertex")
+            if 2 ** len(s) - 1 > MAX_VALIDATED_BASIS:
+                raise SizeError(f"a simplex on {len(s)} vertices has more faces than the validation guard allows")
             for k in range(1, len(s) + 1):
                 for face in combinations(s, k):
                     closed.add(face)
@@ -386,6 +392,7 @@ def two_stage_hom_dga(graded_group, name=None):
     sizes = {q: _stage_sizes(g) for q, g in groups.items()}
     orders = {q: list(g.torsion) for q, g in groups.items()}
 
+    _check_basis_size(sum(n0 + n1 for n0, n1 in sizes.values()) ** 2)
     coords = []  # (q, j, b)
     for q, (n0, n1) in sorted(sizes.items()):
         coords.extend((q, 0, b) for b in range(n0))
@@ -450,6 +457,7 @@ def tensor_dga(B, C, name=None):
     for label, (r, t) in B.bidegrees.items():
         if t != 0:
             raise DomainError("the left tensor factor must be a singly graded dga")
+    _check_basis_size(len(B.bidegrees) * len(C.bidegrees))
     bidegrees = {}
     for bl, (i, _z) in B.bidegrees.items():
         for cl, (j, t) in C.bidegrees.items():
@@ -468,24 +476,16 @@ def tensor_dga(B, C, name=None):
                 diff[tensor_label(bl, cl)] = image
 
     products = {}
-    for (bl1, cl1), deg1 in (((b, c), None) for b in B.bidegrees for c in C.bidegrees):
-        for bl2 in B.bidegrees:
-            btable = B.products.get((bl1, bl2))
-            if not btable:
-                continue
-            for cl2 in C.bidegrees:
-                ctable = C.products.get((cl1, cl2))
-                if not ctable:
-                    continue
-                tc = C.total_degree(cl1)
-                tb = B.total_degree(bl2)
-                sign = -1 if (tc * tb) % 2 else 1
-                out = {}
-                for bl3, cb in btable.items():
-                    for cl3, cc in ctable.items():
-                        _merge(out, [(tensor_label(bl3, cl3), sign * cb * cc)])
-                if out:
-                    products[(tensor_label(bl1, cl1), tensor_label(bl2, cl2))] = out
+    for (bl1, bl2), btable in B.products.items():
+        tb = B.total_degree(bl2)
+        for (cl1, cl2), ctable in C.products.items():
+            sign = -1 if (C.total_degree(cl1) * tb) % 2 else 1
+            out = {}
+            for bl3, cb in btable.items():
+                for cl3, cc in ctable.items():
+                    _merge(out, [(tensor_label(bl3, cl3), sign * cb * cc)])
+            if out:
+                products[(tensor_label(bl1, cl1), tensor_label(bl2, cl2))] = out
 
     unit = {}
     for bl, cb in B.unit_coeffs.items():

@@ -12,6 +12,8 @@ linear extension and bidegree check.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .algebra import _merge
 from .dga import (
     DgaElement,
@@ -216,22 +218,10 @@ class OrbitVerdict(Record):
 
 def _offsets(dim, limit):
     """Integer offset tuples of increasing max-norm: (0,..), then norm 1, ..."""
-    if dim == 0:
-        yield ()
-        return
-    radius = 0
-    while radius <= limit:
-        def rec(i, acc, saturated):
-            if i == dim:
-                if saturated:
-                    yield tuple(acc)
-                return
-            for v in range(-radius, radius + 1):
-                acc.append(v)
-                yield from rec(i + 1, acc, saturated or abs(v) == radius)
-                acc.pop()
-        yield from rec(0, [], radius == 0)
-        radius += 1
+    for radius in range(limit + 1):
+        for offset in product(range(-radius, radius + 1), repeat=dim):
+            if max(map(abs, offset), default=0) == radius:
+                yield offset
 
 
 def gauge_equivalent(a, b, budget=200):
@@ -398,14 +388,14 @@ def homotopy_orbit_check(f, g, s_images, a):
 # the simplicial construction D(X; H)
 
 
-def build_DX(complex_, graded_group, max_group_degree=None, name=None):
+# D(X; H) takes H in degrees 0..MAX_GROUP_DEGREE.
+MAX_GROUP_DEGREE = 8
+
+
+def build_DX(complex_, graded_group):
     """The bigraded dga computing D(X; H): simplicial cochains of X with
     coefficients in the two-stage Hom dga of H, as the tensor dga."""
-    if max_group_degree is None:
-        max_group_degree = 8
     groups = list(graded_group)
-    if len(groups) > max_group_degree + 1:
-        raise SizeError(f"graded group goes beyond degree {max_group_degree}")
-    cochains = simplicial_cochain_dga(complex_)
-    hom = two_stage_hom_dga(groups)
-    return tensor_dga(cochains, hom, name=name or "D(X;H)")
+    if len(groups) > MAX_GROUP_DEGREE + 1:
+        raise SizeError(f"graded group goes beyond degree {MAX_GROUP_DEGREE}")
+    return tensor_dga(simplicial_cochain_dga(complex_), two_stage_hom_dga(groups), name="D(X;H)")

@@ -63,8 +63,15 @@ def test_parse_group_literals():
     assert str(parse_group("Z")) == "Z"
     assert str(parse_group("Z^2 + Z/4")) == "Z^2 + Z/4"
     assert parse_group("0").is_trivial
+    assert parse_group("Z^3 + Z^2 + Z/4 + Z/6 + Z^0") == parse_group("Z^5 + Z/2 + Z/12")
     with pytest.raises(InputError):
         parse_group("Q")
+
+
+def test_tor_reads_a_huge_rank_without_expanding_it(capsys):
+    assert main(["--command", "tor", "--a", "Z^1000000000", "--b", "Z/2"]) == 0
+    out = capsys.readouterr().out
+    assert "a=Z^1000000000" in out and "tor: 0" in out
 
 
 def test_syntax_error_has_position():
@@ -244,6 +251,15 @@ OUT_OF_DOMAIN_ARGV = [
      ["--command", "d-x", "--space", "s", "--homology", "Z"], "spaces.s: vertex 0.5 is not an integer"),
     ({"spaces": {"s": {"simplices": [[0, 0], [0, 1]]}}},
      ["--command", "d-x", "--space", "s", "--homology", "Z"], "spaces.s: simplex [0, 0] repeats a vertex"),
+    # size guards act before anything is built
+    ({"spaces": {"pt": {"simplices": [[0]]}}},
+     ["--command", "d-x", "--space", "pt", "--homology", "Z^100"], "basis of size 10000 exceeds the validation guard"),
+    ({"spaces": {"pt": {"simplices": [[0]]}}}, ["--command", "d-x", "--space", "pt", "--homology", "Z^1000000000"],
+     "basis of size 1000000000000000000 exceeds the validation guard"),
+    ({"spaces": {"s": {"simplices": [list(range(30))]}}}, ["--command", "d-x", "--space", "s", "--homology", "Z"],
+     "spaces.s: a simplex on 30 vertices has more faces than the validation guard allows"),
+    ({}, ["--command", "tor", "--a", "Z^" + "9" * 5000, "--b", "Z/2"],
+     "a group literal has more digits than an integer can hold"),
     # every section, and every entry of one, is a JSON object
     ({"cgas": []}, CERTIFY_C, "cgas must be a JSON object"),
     ({"twistings": {"t": 5}}, CERTIFY_C, "twistings.t must be a JSON object"),

@@ -18,6 +18,7 @@ from cupone.dga import (
     BigradedDGA,
     DgaElement,
     DgaMap,
+    SimplicialComplex,
     free_truncated_dga,
     linear_extension,
     simplicial_cochain_dga,
@@ -316,3 +317,28 @@ def test_size_guard_still_applies():
     n = dga_module.MAX_VALIDATED_BASIS + 1
     with pytest.raises(SizeError):
         BigradedDGA("big", {f"e{i}": (0, 0) for i in range(n)}, {}, {}, {"e0": 1})
+
+
+def _refuse(*args):
+    raise AssertionError("a structure constant was built before the size guard")
+
+
+def test_constructors_check_the_basis_size_before_building(monkeypatch):
+    monkeypatch.setattr(dga_module, "_hom_label", _refuse)
+    with pytest.raises(SizeError, match="basis of size 10000 exceeds the validation guard"):
+        two_stage_hom_dga([FGAbelianGroup(100)])
+    with pytest.raises(SizeError, match=f"basis of size {10 ** 18} exceeds"):
+        two_stage_hom_dga([FGAbelianGroup(10 ** 9)])
+    monkeypatch.undo()
+    B = simplicial_cochain_dga(SPHERE)  # 14 simplices
+    C = two_stage_hom_dga([Z, Z2, Z2])  # 25 basis elements
+    monkeypatch.setattr(dga_module, "tensor_label", _refuse)
+    with pytest.raises(SizeError, match="basis of size 350 exceeds the validation guard"):
+        tensor_dga(B, C)
+
+
+def test_a_simplex_with_more_faces_than_the_guard_is_refused_before_closing():
+    assert 2 ** 8 - 1 <= dga_module.MAX_VALIDATED_BASIS < 2 ** 9 - 1
+    assert len(SimplicialComplex([range(8)]).simplices) == 255
+    with pytest.raises(SizeError, match="a simplex on 9 vertices"):
+        SimplicialComplex([[0, 1], range(9)])

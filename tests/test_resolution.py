@@ -365,3 +365,63 @@ def test_extend_homotopy_constructed_instance():
             + word_multiply(s_z, s_a0)
         )
         assert report.s_images[b.label()] == expected
+
+
+def _non_chain_instance():
+    """α = identity except x⌣₁y ↦ 0, which is not a chain map, with
+    s0(w) = 2·x⌣₁y, on {w: 4, x: 2, y: 2} at m = 8."""
+    r = build_resolution(CgaPresentation.of({"w": 4, "x": 2, "y": 2}, 8))
+    xy = r.letter("x⌣₁y")
+    alpha = ResolutionMap(r, r, {**ResolutionMap.identity(r).images, xy: TensorElement.zero()})
+    assert not alpha.verify_chain_map()[0]
+    return r, alpha, {"w": TensorElement.of(xy, coeff=2)}
+
+
+def _forced_beta(r, alpha, s0):
+    from cupone.resolution import _homotopy
+
+    s_plain = {g: s0.get(g.name, TensorElement.zero()) for g in r.plain}
+    return dict(_homotopy(alpha, s_plain)[2])
+
+
+def test_extend_homotopy_product_law_fails_for_a_non_chain_alpha():
+    # β is the forced one, so the law holds on every letter; it cannot
+    # hold on products, since α does not commute with d
+    r, alpha, s0 = _non_chain_instance()
+    beta = ResolutionMap(r, r, _forced_beta(r, alpha, s0))
+    report = extend_homotopy(alpha, beta, s0)
+    assert not report.ok
+    assert report.homotopy_law_failures == ()
+    assert report.product_law_failures == ("w·w⌣₁x⌣₁y", "w·x⌣₁y", "w⌣₁x⌣₁y·w", "x⌣₁y·w")
+
+
+def test_extend_homotopy_names_a_bundle_where_beta_differs_from_the_forced_image():
+    r = build_resolution(CgaPresentation.of({"w": 4, "x": 2, "y": 2}, 8))
+    alpha = ResolutionMap.identity(r)
+    s0 = {"w": TensorElement.of(r.letter("x⌣₁y"), coeff=2)}
+    images = _forced_beta(r, alpha, s0)
+    assert extend_homotopy(alpha, ResolutionMap(r, r, images), s0).ok
+    wx, x, w = r.letter("w⌣₁x"), r.letter("x"), r.letter("w")
+    images[wx] = images[wx] + TensorElement.of(x, w)  # right bidegree, off the forced image
+    report = extend_homotopy(alpha, ResolutionMap(r, r, images), s0)
+    assert not report.ok
+    assert report.homotopy_law_failures == ("w⌣₁x",)
+    assert "sd+ds != α−β at w⌣₁x" in str(report)
+
+
+def test_rh_map_three_factor_bundles_take_the_right_most_fold():
+    from cupone.cup1 import cup1_pair
+
+    r = build_resolution(CgaPresentation.of({"a": 2, "b": 2, "c": 2}, 6))
+    a, b, c = (TensorElement.of(r.letter(name)) for name in "abc")
+    f = {"a": b, "b": a + c, "c": c.scale(2)}
+    rh = build_rh_map(f, r, r)
+    (abc,) = [bundle for bundle in r.bundles if len(bundle.factors) == 3]
+    for bundle in r.bundles:
+        images = [f[g.name] for g in bundle.factors]
+        expected = images[-1]
+        for img in images[-2::-1]:
+            expected = cup1_pair(img, expected)
+        assert rh.images[bundle] == expected
+    assert rh.images[abc] == cup1_pair(b, cup1_pair(a + c, c.scale(2)))
+    assert not rh.images[abc].is_zero()
