@@ -5,8 +5,11 @@ The input is a JSON object tree with sections `cgas`, `dgas`,
 `twistings`, `gauges`, `homs`, `hypotheses`, `cga_maps`, `spaces`.
 Elements are lists of [coefficient, word] pairs; a word is a list of
 generator names where a cup-one bundle is written {"cup1": ["a","b"]}.
-Reports come out as aligned text or as machine-readable JSON; exit codes
-are 0 computed/pass, 1 checked-and-failed, 3 inconclusive, 2 bad input.
+Reports come out as aligned text or as machine-readable JSON: the machine
+output is exactly `json.dumps(report, ensure_ascii=False, sort_keys=True,
+indent=2)` plus a newline, written in pieces rather than built whole.
+Exit codes are 0 computed/pass, 1 checked-and-failed, 3 inconclusive,
+2 bad input.
 No input prints a traceback: bad input exits 2 with a message that names
 its path in the document, such as `dgas.d: differential`.
 """
@@ -17,6 +20,7 @@ import argparse
 import json
 import re
 import sys
+from json.encoder import encode_basestring
 
 from .algebra import TensorElement, _merge
 from .cup1 import Cup1Monomial, normalize_cup1
@@ -296,13 +300,24 @@ def _need(w, store, name, kind):
     return obj
 
 
+def _truncation_acts(truncation, presentations):
+    """Bad input when a --truncation is given and none of `presentations`
+    ({where: presentation}) has m = ∞, the only place it acts."""
+    if truncation is not None and all(p.m is not INFINITY for p in presentations.values()):
+        held = " and ".join(f"{where} has m={p.m}" for where, p in presentations.items())
+        raise InputError(f"--truncation acts only where m = infinity, but {held}")
+
+
 def _resolve_args(w, args):
     p = _need(w, "cgas", args.cga, "cga")
+    where = f"cgas.{args.cga}"
     if args.m is not None:
         p = CgaPresentation(p.generators, args.m)
         report = validate_presentation(p)
         if not report.ok:
-            raise InputError(f"cgas.{args.cga} with m={args.m}: {report}")
+            raise InputError(f"{where} with m={args.m}: {report}")
+        where += " with --m"
+    _truncation_acts(args.truncation, {where: p})
     return build_resolution(p, truncation=args.truncation)
 
 
@@ -380,6 +395,7 @@ def cmd_boundary(w, args):
 
 def cmd_rh_map(w, args):
     spec = _need(w, "cga_maps", args.map, "map")
+    _truncation_acts(args.truncation, {f"cgas.{spec[end]}": w.cgas[spec[end]] for end in ("source", "target")})
     source = build_resolution(w.cgas[spec["source"]], truncation=args.truncation)
     target = build_resolution(w.cgas[spec["target"]], truncation=args.truncation)
     images = {
@@ -446,6 +462,8 @@ def cmd_gauge(w, args):
 def cmd_orbit(w, args):
     a = _need(w, "twistings", args.a, "a")
     b = _need(w, "twistings", args.b, "b")
+    if args.budget < 1:
+        raise InputError(f"--budget must be at least 1, not {args.budget}")
     verdict = gauge_equivalent(a, b, budget=args.budget)
     report = {
         "command": "orbit",
@@ -583,7 +601,7 @@ def _render_table(rows, indent="  "):
     return lines
 
 
-def render_text(report):
+def render_text(report, out):
     lines = [f"command: {report['command']}"]
     params = report.get("parameters", {})
     if params:
@@ -604,11 +622,75 @@ def render_text(report):
             lines.append(f"{key}: {json.dumps(value, ensure_ascii=False, sort_keys=True)}")
         else:
             lines.append(f"{key}: {_render_value(value)}")
-    return "\n".join(lines) + "\n"
+    out.write("\n".join(lines) + "\n")
 
 
-def render_machine(report):
-    return json.dumps(report, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+# Scalars other than a plain str or int (bool, None, float, subclasses) and
+# the TypeError of a value JSON cannot hold come from the C encoder.
+_encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
+_FLUSH_CHARS = 1 << 16
+_JOIN_PIECES = 256
+
+
+def _key(key):
+    """A dict key as a JSON string, converted the way `json` converts it."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+        key = _encode_scalar(key)
+    return encode_basestring(key)
+
+
+def _put_json(node, newline, pending, write):
+    """Append the JSON text of a non-empty dict, list or tuple `node` to
+    `pending`, its closing bracket after `newline` (a newline and the
+    node's own indentation).  Scalars and empty containers join the text
+    around them, so only a non-empty container member makes a call and a
+    piece of its own.  Every _JOIN_PIECES pieces are joined, and written
+    once they reach _FLUSH_CHARS characters."""
+    if isinstance(node, dict):
+        members = [((encode_basestring(k) if type(k) is str else _key(k)) + ": ", v) for k, v in sorted(node.items())]
+        opening, closing = "{", "}"
+    else:
+        members = [("", v) for v in node]
+        opening, closing = "[", "]"
+    inner = newline + "  "
+    lead = opening + inner
+    text = ""
+    for name, v in members:
+        kind = type(v)
+        if kind is str:
+            text += lead + name + encode_basestring(v)
+        elif kind is int:
+            text += lead + name + int.__repr__(v)
+        elif isinstance(v, (dict, list, tuple)) and v:
+            pending.append(text + lead + name)
+            _put_json(v, inner, pending, write)
+            text = ""
+        else:
+            text += lead + name + _encode_scalar(v)
+        lead = "," + inner
+    pending.append(text + newline + closing)
+    if len(pending) >= _JOIN_PIECES:
+        joined = "".join(pending)
+        pending.clear()
+        if len(joined) >= _FLUSH_CHARS:
+            write(joined)
+        else:
+            pending.append(joined)
+
+
+def render_machine(report, out):
+    """Write `json.dumps(report, ensure_ascii=False, sort_keys=True,
+    indent=2)` and a newline to `out`, in writes of about 64 Ki characters,
+    without building the whole document."""
+    pending = []
+    if isinstance(report, (dict, list, tuple)) and report:
+        _put_json(report, "\n", pending, out.write)
+    else:
+        pending.append(_encode_scalar(report))
+    pending.append("\n")
+    out.write("".join(pending))
 
 
 def build_parser():
@@ -659,8 +741,8 @@ def main(argv=None):
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    out = render_machine(report) if args.format == "machine" else render_text(report)
-    sys.stdout.write(out)
+    render = render_machine if args.format == "machine" else render_text
+    render(report, sys.stdout)
     return code
 
 

@@ -366,11 +366,6 @@ class FGAbelianGroup(Record):
             n *= d
         return n
 
-    def direct_sum(self, other):
-        return FGAbelianGroup.from_divisors(
-            [0] * (self.rank + other.rank) + list(self.torsion) + list(other.torsion)
-        )
-
     def __str__(self):
         parts = []
         if self.rank == 1:

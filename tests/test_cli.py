@@ -1,11 +1,22 @@
 import copy
 import json
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cupone.cli import InputError, Workspace, main, parse_group, parse_input, render_machine, run_command
+from cupone.cli import (
+    _FLUSH_CHARS,
+    InputError,
+    Workspace,
+    build_parser,
+    main,
+    parse_group,
+    parse_input,
+    render_machine,
+    run_command,
+)
 
 DOC = {
     "cgas": {
@@ -198,6 +209,7 @@ def test_reports_are_deterministic(doc_path, capsys):
 OUT_OF_DOMAIN_DOC = {
     "cgas": {**DOC["cgas"], "Pinf": {"generators": {"x": 2, "y": 2}, "m": "infinity"}},
     "cga_maps": {
+        **DOC["cga_maps"],
         "bad": {"source": "P2", "target": "Q", "images": {"x": [["two", ["u"]]], "y": [[3, ["u"]]]}},
     },
     "spaces": DOC["spaces"],
@@ -220,6 +232,15 @@ OUT_OF_DOMAIN_ARGV = [
     (["--command", "rh-map", "--map", "bad"], "cga_maps.bad.images.x"),
     (["--command", "resolve", "--cga", "Pinf", "--truncation", "-3"], "truncation"),
     (["--command", "certify", "--cga", "Pinf", "--truncation", "0"], "truncation"),
+    # --truncation acts only where m = ∞
+    (["--command", "certify", "--cga", "P2", "--truncation", "-1"],
+     "--truncation acts only where m = infinity, but cgas.P2 has m=6"),
+    (["--command", "resolve", "--cga", "P2", "--truncation", "4"],
+     "--truncation acts only where m = infinity, but cgas.P2 has m=6"),
+    (["--command", "certify", "--cga", "Pinf", "--m", "4", "--truncation", "3"],
+     "--truncation acts only where m = infinity, but cgas.Pinf with --m has m=4"),
+    (["--command", "rh-map", "--map", "collapse", "--truncation", "-2"],
+     "--truncation acts only where m = infinity, but cgas.P2 has m=6 and cgas.Q has m=6"),
     (["--command", "d-x", "--space", "circle", "--homology", "Z", "--truncation", "0"], "truncation"),
     (["--command", "d-x", "--space", "circle", "--homology", "Z", "--truncation", "1"], "truncation"),
     (["--command", "boundary", "--face", "({1}junk,{2})"], "'j' outside a block"),
@@ -234,6 +255,8 @@ OUT_OF_DOMAIN_ARGV = [
 
 @pytest.mark.parametrize("doc, argv, message", [
     *[(OUT_OF_DOMAIN_DOC, argv, message) for argv, message in OUT_OF_DOMAIN_ARGV],
+    (DOC, ["--command", "orbit", "--a", "a", "--b", "b", "--budget", "0"], "--budget must be at least 1, not 0"),
+    (DOC, ["--command", "orbit", "--a", "a", "--b", "b", "--budget", "-1"], "--budget must be at least 1, not -1"),
     # integer fields take JSON integers only: no float, bool or string value
     (_cga_text('{"x": 2}', "1e400"), CERTIFY_C, "cgas.c: m inf is not an integer"),
     (_cga_text('{"x": 2}', "4.5"), CERTIFY_C, "cgas.c: m 4.5 is not an integer"),
@@ -383,3 +406,57 @@ def test_cli_stdout_is_byte_identical_to_the_pinned_runs(tmp_path, capsys, argv,
     captured = capsys.readouterr()
     assert captured.err == ""
     assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == digest
+
+
+def _dumps(value):
+    return json.dumps(value, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+
+
+def _rendered(value):
+    writes = []
+    render_machine(value, types.SimpleNamespace(write=writes.append))
+    return "".join(writes)
+
+
+REPORT_TEXT = st.text(alphabet=st.one_of(
+    st.characters(), st.sampled_from(["⌣", "₁", '"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "\u2028", "\U0001d54b"]),
+), max_size=6)
+REPORT_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.just(-0.0), REPORT_TEXT,
+    st.integers(-5, 5), st.integers(2**64, 2**200), st.integers(-2**200, -2**64),
+)
+REPORT_KEYS = st.one_of(REPORT_TEXT, st.integers(-2**70, 2**70))
+REPORT_TREES = st.recursive(REPORT_SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=4).map(tuple),
+    st.just([]), st.just({}), st.just([[], {}, [[]]]),
+    # one key type per dict, as `sort_keys` needs
+    st.dictionaries(REPORT_TEXT, children, max_size=4),
+    st.dictionaries(st.integers(-2**70, 2**70), children, max_size=4),
+    st.dictionaries(st.floats(), children, max_size=3),
+), max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(REPORT_TREES)
+def test_render_machine_equals_json_dumps(report):
+    assert _rendered(report) == _dumps(report)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.text(max_size=3), st.integers(), st.dictionaries(REPORT_KEYS, REPORT_SCALARS, max_size=3))
+def test_render_machine_raises_type_error_on_mixed_keys_as_json_does(text_key, int_key, more):
+    report = {"outer": [{**more, text_key: 1, int_key: 2}]}
+    with pytest.raises(TypeError):
+        _dumps(report)
+    with pytest.raises(TypeError):
+        _rendered(report)
+
+
+def test_render_machine_writes_the_p5_report_in_bounded_pieces():
+    report, _ = run_command(Workspace(), build_parser().parse_args(["--command", "permutohedron", "--n", "5"]))
+    writes = []
+    render_machine(report, types.SimpleNamespace(write=writes.append))
+    assert len(writes) > 1
+    assert max(len(text) for text in writes) <= 2 * _FLUSH_CHARS
+    assert "".join(writes) == _dumps(report)
