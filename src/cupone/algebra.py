@@ -98,6 +98,17 @@ def _merge(into, pairs, coeff=1):
             into.pop(key, None)
 
 
+def _linear(terms, image_of):
+    """Σ c·image_of(key) over the (key, c) of the term map `terms`, as a
+    term map without zeros; image_of(key) is a term map, or None for zero."""
+    out = {}
+    for key, c in terms.items():
+        image = image_of(key)
+        if image:
+            _merge(out, image.items(), c)
+    return out
+
+
 def _word_key(word):
     return (len(word), tuple(letter.sort_key() for letter in word))
 
@@ -171,12 +182,7 @@ class Combination:
         """Σ c·image_of(key) over the terms c·key, as an element of the kind
         and module of `into` (of this element by default); image_of(key)
         is a term map, or None for zero."""
-        out = {}
-        for key, c in self.terms.items():
-            image = image_of(key)
-            if image:
-                _merge(out, image.items(), c)
-        return (self if into is None else into)._like(out)
+        return (self if into is None else into)._like(_linear(self.terms, image_of))
 
     def by_degree(self, degree_of):
         """Map degree -> the part of the element in that degree, in degree
@@ -223,10 +229,6 @@ class TensorElement(Combination):
         if isinstance(other, int):
             return self.scale(other)
         return word_multiply(self, other)
-
-    def homogeneous_parts(self):
-        """Map bidegree -> homogeneous element."""
-        return self.by_degree(word_bidegree)
 
     def bidegree(self):
         """Bidegree of a homogeneous element; None for zero; DegreeError if mixed."""

@@ -229,14 +229,3 @@ def bundle_images(plain):
     bundles = [Cup1Monomial(c) for k in range(2, len(plain) + 1) for c in combinations(plain, k)]
     return closed_images(plain, bundles)
 
-
-def unshuffle_splittings(n):
-    """All (i; j) unshuffles of {1..n}: proper nonempty complementary
-    increasing index pairs.  Brute-force enumerator used as the
-    independent oracle for the boundary term count."""
-    out = []
-    for mask in range(1, 2 ** n - 1):
-        left = tuple(i + 1 for i in range(n) if mask >> i & 1)
-        right = tuple(i + 1 for i in range(n) if not mask >> i & 1)
-        out.append((left, right))
-    return out

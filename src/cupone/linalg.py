@@ -300,9 +300,15 @@ def solve(matrix, rhs):
     m = matrix if isinstance(matrix, IntMatrix) else IntMatrix(matrix)
     if len(rhs) != m.rows:
         raise DomainError("right-hand side length mismatch")
-    pivots, u, v = _eliminate(m, transforms=True)
-    c = [sum(x * rhs[j] for j, x in u[i].items()) for i in range(m.rows)]
-    x = [0] * m.cols
+    return _solution(_eliminate(m, transforms=True), rhs)
+
+
+def _solution(elimination, rhs):
+    """`solve` on the result of `_eliminate(M, transforms=True)`, so that
+    one elimination serves many right-hand sides."""
+    pivots, u, v = elimination
+    c = [sum(x * rhs[j] for j, x in u[i].items()) for i in range(len(u))]
+    x = [0] * len(v)
     for r, col, d in pivots:
         if c[r] % d:
             return None
@@ -316,9 +322,14 @@ def kernel_basis(matrix):
     """Basis of the lattice {x : M·x = 0}, as a list of integer tuples:
     the columns of V at the non-pivot columns, in column order."""
     m = matrix if isinstance(matrix, IntMatrix) else IntMatrix(matrix)
-    pivots, _, v = _eliminate(m, transforms=True)
+    return _kernel(_eliminate(m, transforms=True))
+
+
+def _kernel(elimination):
+    """`kernel_basis` on the result of `_eliminate(M, transforms=True)`."""
+    pivots, _, v = elimination
     pivot_cols = {c for _, c, _ in pivots}
-    return [tuple(v[j].get(k, 0) for k in range(m.cols)) for j in range(m.cols) if j not in pivot_cols]
+    return [tuple(v[j].get(k, 0) for k in range(len(v))) for j in range(len(v)) if j not in pivot_cols]
 
 
 class FGAbelianGroup(Record):

@@ -26,7 +26,7 @@ from .dga import (
     two_stage_hom_dga,
 )
 from .errors import DegreeError, DomainError, SizeError
-from .linalg import kernel_basis, solve
+from .linalg import _eliminate, _kernel, _solution
 from .record import Record
 
 
@@ -228,11 +228,11 @@ def gauge_equivalent(a, b, budget=200):
     """Search for p′ with b = a∗p, degreewise by perturbation level.
 
     At each level k the unknown p^{k−1} enters linearly through ∇: each
-    level's matrix and kernel lattice are computed once, and each search
-    node solves that matrix for a particular solution.  Unsolvability at
-    level 2 refutes (the class of b²−a² in H^{2,−1}(A,∇) is a gauge
-    invariant); deeper failures backtrack over kernel cosets until the
-    node budget runs out."""
+    level's matrix is eliminated once, and that elimination gives its
+    kernel lattice and each search node's particular solution.
+    Unsolvability at level 2 refutes (the class of b²−a² in H^{2,−1}(A,∇)
+    is a gauge invariant); deeper failures backtrack over kernel cosets
+    until the node budget runs out."""
     if a.dga is not b.dga or a.truncation != b.truncation:
         raise DomainError("twisting elements live in different dgas or truncations")
     for name, t in (("a", a), ("b", b)):
@@ -244,8 +244,8 @@ def gauge_equivalent(a, b, budget=200):
 
     strata = {}
     for k in range(2, N + 1):
-        mat = dga.differential_matrix(k - 1, 1 - k)
-        strata[k] = (dga.basis_of(k - 1, 1 - k), dga.basis_of(k, 1 - k), mat, kernel_basis(mat))
+        elimination = _eliminate(dga.differential_matrix(k - 1, 1 - k), transforms=True)
+        strata[k] = (dga.basis_of(k - 1, 1 - k), dga.basis_of(k, 1 - k), elimination, _kernel(elimination))
 
     nodes = {"used": 0}
 
@@ -269,10 +269,10 @@ def gauge_equivalent(a, b, budget=200):
             if gauge_act(a, p) == b:
                 return OrbitVerdict("witness", p, nodes_used=nodes["used"])
             return None
-        src, tgt, mat, kernel = strata[k]
+        src, tgt, elimination, kernel = strata[k]
         vec = rhs_at(k, chosen)
         nodes["used"] += 1
-        particular = solve(mat, vec)
+        particular = _solution(elimination, vec)
         if particular is None:
             if k == 2:
                 obstruction = dga.element({l: c for l, c in zip(tgt, vec) if c})

@@ -12,6 +12,7 @@ from cupone.algebra import (
     TensorElement,
     check_d_squared,
     extend_derivation,
+    word_bidegree,
     word_multiply,
 )
 from cupone.cup1 import Cup1Monomial
@@ -118,7 +119,7 @@ def test_homogeneous_parts_and_bidegree():
     mixed = TensorElement.of(g["x"]) + TensorElement.of(g["y"])
     with pytest.raises(DegreeError):
         mixed.bidegree()
-    parts = mixed.homogeneous_parts()
+    parts = mixed.by_degree(word_bidegree)
     assert set(parts) == {(0, 2), (0, 4)}
     assert TensorElement.zero().bidegree() is None
 

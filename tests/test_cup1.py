@@ -21,9 +21,20 @@ from cupone.cup1 import (
     cup1_pair,
     hirsch_expand,
     normalize_cup1,
-    unshuffle_splittings,
 )
 from cupone.errors import DomainError
+
+
+def unshuffle_splittings(n):
+    """All (i; j) unshuffles of {1..n}: proper nonempty complementary
+    increasing index pairs.  The brute-force enumerator that is the
+    independent oracle for the boundary term count."""
+    out = []
+    for mask in range(1, 2 ** n - 1):
+        left = tuple(i + 1 for i in range(n) if mask >> i & 1)
+        right = tuple(i + 1 for i in range(n) if not mask >> i & 1)
+        out.append((left, right))
+    return out
 
 
 def even_gens(names, degree=2):

@@ -4,7 +4,10 @@ all-basis loops.
 `dense_validate`, `dense_multiplicativity_failure` and
 `dense_derivation_failure` are the O(n²)/O(n³) loops that visit every
 basis pair and triple; they are the reference oracle for the support
-based checks in `cupone.dga` and `cupone.twisting`.
+based checks in `cupone.dga` and `cupone.twisting`.  They multiply with
+`dense_mul`, a pair loop over the `(l1, l2)` product table, so they share
+no code with the row-indexed product kernel of `cupone.dga` that they
+check.
 """
 
 from itertools import combinations
@@ -16,7 +19,6 @@ from hypothesis import strategies as st
 from cupone import dga as dga_module
 from cupone.dga import (
     BigradedDGA,
-    DgaElement,
     DgaMap,
     SimplicialComplex,
     free_truncated_dga,
@@ -36,6 +38,18 @@ SPHERE = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
 
 # ---------------------------------------------------------------------------
 # the reference oracle: every basis pair and triple
+
+
+def dense_mul(x, y):
+    """x·y by the pair loop over every term of x and of y, looking each
+    pair up in the `(l1, l2)` product table."""
+    products = x.dga.products
+    out = {}
+    for l1, c1 in x.terms.items():
+        for l2, c2 in y.terms.items():
+            for l3, c3 in products.get((l1, l2), {}).items():
+                out[l3] = out.get(l3, 0) + c1 * c2 * c3
+    return x.dga.element(out)
 
 
 def dense_validate(A):
@@ -60,7 +74,7 @@ def dense_validate(A):
         e = A.basis_element(label)
         if e.d().d() != A.element():
             raise DomainError(f"d² != 0 at {label}")
-        if one * e != e or e * one != e:
+        if dense_mul(one, e) != e or dense_mul(e, one) != e:
             raise DomainError(f"unit law fails at {label}")
     for l1 in labels:
         e1 = A.basis_element(l1)
@@ -68,15 +82,15 @@ def dense_validate(A):
         sign = -1 if A.total_degree(l1) % 2 else 1
         for l2 in labels:
             e2 = A.basis_element(l2)
-            if (e1 * e2).d() != d1 * e2 + (e1 * e2.d()).scale(sign):
+            if dense_mul(e1, e2).d() != dense_mul(d1, e2) + dense_mul(e1, e2.d()).scale(sign):
                 raise DomainError(f"Leibniz fails at {l1}·{l2}")
     for l1 in labels:
         e1 = A.basis_element(l1)
         for l2 in labels:
-            e12 = e1 * A.basis_element(l2)
+            e12 = dense_mul(e1, A.basis_element(l2))
             for l3 in labels:
                 e3 = A.basis_element(l3)
-                if e12 * e3 != e1 * (A.basis_element(l2) * e3):
+                if dense_mul(e12, e3) != dense_mul(e1, dense_mul(A.basis_element(l2), e3)):
                     raise DomainError(f"associativity fails at {l1}·{l2}·{l3}")
 
 
@@ -88,8 +102,8 @@ def dense_multiplicativity_failure(source, target, images):
         for l2 in sorted(source.bidegrees):
             e1 = source.basis_element(l1)
             e2 = source.basis_element(l2)
-            lhs = linear_extension(target, images, e1 * e2)
-            if lhs != linear_extension(target, images, e1) * linear_extension(target, images, e2):
+            lhs = linear_extension(target, images, dense_mul(e1, e2))
+            if lhs != dense_mul(linear_extension(target, images, e1), linear_extension(target, images, e2)):
                 return f"{l1}·{l2}"
     return None
 
@@ -107,7 +121,7 @@ def dense_derivation_failure(f, g, s_images):
         sign = -1 if A.total_degree(l1) % 2 else 1
         for l2 in sorted(A.bidegrees):
             e2 = A.basis_element(l2)
-            if s_apply(e1 * e2) != f(e1).scale(sign) * s_apply(e2) + s_apply(e1) * g(e2):
+            if s_apply(dense_mul(e1, e2)) != dense_mul(f(e1).scale(sign), s_apply(e2)) + dense_mul(s_apply(e1), g(e2)):
                 return f"{l1}·{l2}"
     return None
 
@@ -186,6 +200,28 @@ def planted(draw):
 @given(planted())
 def test_support_validation_agrees_with_the_dense_oracle(A):
     assert outcome(BigradedDGA._validate, A) == outcome(dense_validate, A)
+
+
+@st.composite
+def element_pairs(draw):
+    """Two elements of a planted dga, whose product table may hold a 0.
+
+    Coefficients in -2..2 on a few labels make terms of a product cancel."""
+    A = draw(planted())
+    if draw(st.booleans()):
+        products = {k: dict(t) for k, t in A.products.items()}
+        key = draw(st.sampled_from(sorted(products)))
+        products[key][draw(st.sampled_from(sorted(products[key])))] = 0
+        A = BigradedDGA(A.name, A.bidegrees, A.diff, products, A.unit_coeffs, validate=False)
+    terms = st.dictionaries(st.sampled_from(sorted(A.bidegrees)), st.integers(-2, 2), max_size=6)
+    return A.element(draw(terms)), A.element(draw(terms))
+
+
+@settings(max_examples=200, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(element_pairs())
+def test_product_kernel_agrees_with_the_dense_pair_loop(pair):
+    x, y = pair
+    assert x * y == dense_mul(x, y)
 
 
 @pytest.mark.parametrize("build", [
@@ -293,14 +329,15 @@ def test_unknown_labels_in_tables_are_named(diff, products, message):
 
 
 def test_validation_work_on_the_sphere_is_far_below_cubic(monkeypatch):
+    # validation multiplies term maps with the product kernel, not elements
     calls = [0]
-    mul = DgaElement.__mul__
+    product = dga_module._product
 
-    def counted(self, other):
+    def counted(rows, left, right):
         calls[0] += 1
-        return mul(self, other)
+        return product(rows, left, right)
 
-    monkeypatch.setattr(DgaElement, "__mul__", counted)
+    monkeypatch.setattr(dga_module, "_product", counted)
     D = build_DX(SPHERE, [Z, Z2])
     assert len(D.bidegrees) == 126
     # 1 % of the 3n³ products the all-triples loop makes

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cupone.dga import BigradedDGA, DgaMap, free_truncated_dga, simplicial_cochain_dga, tensor_dga, two_stage_hom_dga
 from cupone.errors import DomainError
-from cupone.linalg import FGAbelianGroup, kernel_basis, solve
+from cupone.linalg import FGAbelianGroup, _eliminate, kernel_basis, solve
 from cupone.twisting import (
     GaugeElement,
     TwistingElement,
@@ -178,7 +178,8 @@ def test_orbit_inconclusive_when_budget_exhausted():
 def test_orbit_search_computes_each_level_kernel_once(monkeypatch):
     """The budget-exhaustion search, one level deeper and with b moved off
     the orbit at its top level, backtracks over level-3 and level-4
-    cosets; each level's kernel lattice is still computed once."""
+    cosets; each level's matrix is still eliminated once, and that one
+    elimination gives its kernel lattice and every particular solution."""
     import cupone.twisting as twisting
 
     F = diagonal_free_dga()
@@ -190,11 +191,11 @@ def test_orbit_search_computes_each_level_kernel_once(monkeypatch):
     assert is_twisting(off).ok
     calls = Counter()
 
-    def counting_kernel_basis(mat):
+    def counting_eliminate(mat, transforms=False):
         calls[mat] += 1
-        return kernel_basis(mat)
+        return _eliminate(mat, transforms)
 
-    monkeypatch.setattr(twisting, "kernel_basis", counting_kernel_basis)
+    monkeypatch.setattr(twisting, "_eliminate", counting_eliminate)
     verdict = gauge_equivalent(a, off, budget=40)
     assert verdict.status == "inconclusive" and verdict.depth_reached == N - 1
     assert max(calls.values()) == 1 and len(calls) == N - 1
