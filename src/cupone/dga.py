@@ -13,9 +13,9 @@ elements of the target; and in `DgaElement(dga, terms)`.  Results of
 operations are not checked again.
 
 Every product runs through one kernel, `_product(rows, left, right)`, on
-plain term maps: a dga indexes its product table by rows once, when it
-is built (`rows[l1][l2]` is the table of l1·l2), so a product visits only
-the left labels that have a row.  `DgaElement.__mul__` calls it, and so
+plain term maps: a dga stores its product table only by rows
+(`rows[l1][l2]` is the table of l1·l2), so a product visits only the
+left labels that have a row.  `DgaElement.__mul__` calls it, and so
 does validation, which works on term maps without building elements.
 
 Construction validates d² = 0 and the unit laws label by label, and the
@@ -99,20 +99,26 @@ class BigradedDGA:
         self.name = name
         self.bidegrees = dict(bidegrees)
         self.diff = {l: dict(t) for l, t in diff.items() if t}
-        self.products = {k: dict(t) for k, t in products.items() if t}
-        self.rows = {}  # l1 -> l2 -> the table of products[(l1, l2)], not a copy
-        for (l1, l2), table in self.products.items():
-            self.rows.setdefault(l1, {})[l2] = table
+        self.rows = {}  # l1 -> l2 -> the table of l1·l2
+        for (l1, l2), table in products.items():
+            if table:
+                self.rows.setdefault(l1, {})[l2] = dict(table)
         self.unit_coeffs = dict(unit)
         self._labels_by_bidegree = {}
         for label, deg in sorted(self.bidegrees.items()):
             self._labels_by_bidegree.setdefault(deg, []).append(label)
         for label, table in self.diff.items():
             self._check_labels(f"d({label})", label, *table)
-        for (l1, l2), table in self.products.items():
-            self._check_labels(f"{l1}·{l2}", l1, l2, *table)
+        for l1, row in self.rows.items():
+            for l2, table in row.items():
+                self._check_labels(f"{l1}·{l2}", l1, l2, *table)
         if validate:
             self._validate()
+
+    @property
+    def products(self):
+        """The product table as (l1, l2) -> the table of l1·l2, read from `rows`."""
+        return {(l1, l2): table for l1, row in self.rows.items() for l2, table in row.items()}
 
     # -- helpers -----------------------------------------------------------
 
@@ -150,13 +156,13 @@ class BigradedDGA:
             for l2 in table:
                 if self.bidegrees[l2] != (r + 1, t):
                     raise DegreeError(f"d({label}) hits {l2} outside bidegree {(r + 1, t)}")
-        for (l1, l2), table in self.products.items():
+        rows, diff = self.rows, self.diff
+        for l1, l2 in _product_support(rows):
             r1, t1 = self.bidegrees[l1]
             r2, t2 = self.bidegrees[l2]
-            for l3 in table:
+            for l3 in rows[l1][l2]:
                 if self.bidegrees[l3] != (r1 + r2, t1 + t2):
                     raise DegreeError(f"{l1}·{l2} hits {l3} outside bidegree {(r1 + r2, t1 + t2)}")
-        rows, diff = self.rows, self.diff
         one = self.unit.terms
         if _linear(one, diff.get):
             raise DomainError("d(1) != 0")
@@ -168,16 +174,17 @@ class BigradedDGA:
                 raise DomainError(f"unit law fails at {label}")
         # Outside these supports both sides of a law are zero, so visiting
         # them in sorted order finds the same first failure as all pairs.
-        pairs = set(_product_support(self.products))
-        pairs.update(_product_support(self.products, diff), _product_support(self.products, None, diff))
+        pairs = set(_product_support(rows))
+        pairs.update(_product_support(rows, diff), _product_support(rows, None, diff))
         for l1, l2 in sorted(pairs):
             sign = -1 if self.total_degree(l1) % 2 else 1
             rhs = _product(rows, diff.get(l1, {}), {l2: 1})
             _merge(rhs, _product(rows, {l1: 1}, diff.get(l2, {})).items(), sign)
             if _linear(rows.get(l1, {}).get(l2, {}), diff.get) != rhs:
                 raise DomainError(f"Leibniz fails at {l1}·{l2}")
-        triples = {(l1, l2, l3) for (l1, l2), l3 in _product_support(self.products, self.products)}
-        triples.update((l1, l2, l3) for l1, (l2, l3) in _product_support(self.products, None, self.products))
+        products = self.products
+        triples = {(l1, l2, l3) for (l1, l2), l3 in _product_support(rows, products)}
+        triples.update((l1, l2, l3) for l1, (l2, l3) in _product_support(rows, None, products))
         for l1, l2, l3 in sorted(triples):
             left = _product(rows, rows.get(l1, {}).get(l2, {}), {l3: 1})
             if left != _product(rows, {l1: 1}, rows.get(l2, {}).get(l3, {})):
@@ -228,8 +235,8 @@ class DgaMap:
             if self.apply(e.d()) != self.apply(e).d():
                 raise DomainError(f"{self.name} is not a chain map at {label}")
         tables = {label: img.terms for label, img in self.images.items()}
-        pairs = set(_product_support(self.source.products))
-        pairs.update(_product_support(self.target.products, tables, tables))
+        pairs = set(_product_support(self.source.rows))
+        pairs.update(_product_support(self.target.rows, tables, tables))
         for l1, l2 in sorted(pairs):
             e1 = self.source.basis_element(l1)
             e2 = self.source.basis_element(l2)
@@ -265,10 +272,10 @@ def _product(rows, left, right):
     return out
 
 
-def _product_support(products, left=None, right=None):
+def _product_support(rows, left=None, right=None):
     """Yield the pairs (x, y), with repeats, for which left(x)·right(y) can
-    be nonzero under the product table `products`: left(x) hits the left
-    label and right(y) the right label of some product key.  `left` and
+    be nonzero under the row index `rows`: left(x) hits the left label
+    and right(y) the right label of some product with a table.  `left` and
     `right` map keys to tables whose keys are the labels they hit; None is
     the identity.  Any bilinear law built from such terms holds trivially
     outside the union of the supports of its terms."""
@@ -282,10 +289,11 @@ def _product_support(products, left=None, right=None):
 
     left_pre = None if left is None else preimages(left)
     right_pre = None if right is None else preimages(right)
-    for m1, m2 in products:
+    for m1, row in rows.items():
         xs = (m1,) if left_pre is None else left_pre.get(m1, ())
-        ys = (m2,) if right_pre is None else right_pre.get(m2, ())
-        yield from ((x, y) for x in xs for y in ys)
+        for m2 in row:
+            ys = (m2,) if right_pre is None else right_pre.get(m2, ())
+            yield from ((x, y) for x in xs for y in ys)
 
 
 def linear_extension(target, images, element):
@@ -335,12 +343,6 @@ class SimplicialComplex:
             raise DomainError("empty complex")
         self.simplices = sorted(closed, key=lambda s: (len(s), s))
 
-    def by_dim(self):
-        out = {}
-        for s in self.simplices:
-            out.setdefault(len(s) - 1, []).append(s)
-        return out
-
     @property
     def dimension(self):
         return max(len(s) for s in self.simplices) - 1
@@ -357,21 +359,13 @@ def simplicial_cochain_dga(complex_, name=None):
     carries the usual alternating vertex-insertion signs and the product
     is (σ* ⌣ τ*)(ρ) = σ*(front ρ)·τ*(back ρ)."""
     X = complex_ if isinstance(complex_, SimplicialComplex) else SimplicialComplex(complex_)
-    by_dim = X.by_dim()
-    vertices = set(v for s in X.simplices for v in s)
     bidegrees = {_simplex_label(s): (len(s) - 1, 0) for s in X.simplices}
 
     diff = {}
-    for s in X.simplices:
-        image = {}
-        dim = len(s)
-        for t in by_dim.get(dim, ()):  # cofaces: one vertex added
-            extra = set(t) - set(s)
-            if len(extra) == 1 and set(s) <= set(t):
-                pos = t.index(next(iter(extra)))
-                image[_simplex_label(t)] = -1 if pos % 2 else 1
-        if image:
-            diff[_simplex_label(s)] = image
+    for t in X.simplices:
+        if len(t) > 1:
+            for pos in range(len(t)):  # the facet without vertex pos
+                diff.setdefault(_simplex_label(t[:pos] + t[pos + 1:]), {})[_simplex_label(t)] = -1 if pos % 2 else 1
 
     products = {}
     for rho in X.simplices:
@@ -381,7 +375,7 @@ def simplicial_cochain_dga(complex_, name=None):
             key = (_simplex_label(front), _simplex_label(back))
             products.setdefault(key, {})[_simplex_label(rho)] = 1
 
-    unit = {_simplex_label((v,)): 1 for v in sorted(vertices)}
+    unit = {_simplex_label(s): 1 for s in X.simplices if len(s) == 1}
     return BigradedDGA(name or "C*(X)", bidegrees, diff, products, unit)
 
 

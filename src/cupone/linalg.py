@@ -390,9 +390,7 @@ class FGAbelianGroup(Record):
 def cokernel_group(matrix):
     """Z^rows / (column lattice of M) as an FGAbelianGroup."""
     m = matrix if isinstance(matrix, IntMatrix) else IntMatrix(matrix)
-    factors = invariant_factors(m)
-    divisors = [d for d in factors if d >= 2] + [0] * (m.rows - len(factors))
-    return FGAbelianGroup.from_divisors(divisors)
+    return group_at(m.rows, 0, invariant_factors(m))
 
 
 def homology(boundaries):

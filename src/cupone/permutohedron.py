@@ -15,9 +15,9 @@ from string import ascii_lowercase
 from .algebra import Generator, TensorElement, _word_key, format_word
 from .cup1 import Cup1Monomial, bundle_factors, bundle_images, closed_images
 from .errors import DomainError, SizeError
-from .linalg import IntMatrix, homology
+from .linalg import homology
 from .record import Record
-from .resolution import _cell_boundary, _letter_table, _stratum_walk
+from .resolution import _cell_boundary, _letter_table, _stratum_boundary, _stratum_walk
 
 MAX_N = 7
 
@@ -187,12 +187,8 @@ def boundary_matrices(n):
     """Cellular boundary matrices [∂_1, ..., ∂_{n-1}] of P_n, with rows and
     columns in the text order of the faces."""
     faces, images = _strata(n)
-    mats = []
-    for dim in range(1, n):
-        row_of = {word: i for i, (_, word) in enumerate(faces[dim - 1])}.__getitem__
-        columns = [_cell_boundary(images, word, row_of) for _, word in faces[dim]]
-        mats.append(IntMatrix.from_columns(range(len(faces[dim - 1])), columns))
-    return mats
+    words = [[word for _, word in found] for found in faces]
+    return [_stratum_boundary(images, words[dim], words[dim - 1]) for dim in range(1, n)]
 
 
 def cellular_homology(n):

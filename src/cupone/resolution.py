@@ -7,11 +7,13 @@ total degree in [1, m]; the differential is the unshuffle boundary and
 the augmentation sends a degree-zero word to its commutative monomial.
 The tensor algebra splits into d-invariant summands, one per multiset of
 plain generators: complexes of ordered partitions, with one stratum walk
-and one boundary builder, shared with the permutohedron P_n (the summand
-on n distinct generators).  A summand's homology only depends on the
-multiplicity pattern, so for a resolution from build_resolution the
-checker runs on generic generators and is memoized across presentations;
-any other resolution is checked on its own letters.
+and one stratum-∂ builder, shared with the permutohedron P_n (the summand
+on n distinct generators).  `certify_resolution` asks each summand for
+one window of positions and gets its verdicts from one walk up the
+strata.  A summand's homology only depends on the multiplicity pattern,
+so for a resolution from build_resolution the walk runs on generic
+generators and its verdicts are memoized across presentations; any
+other resolution is checked on its own letters.
 
 Maps of resolutions extend letter data along one bundle walk, fewest
 factors first, splitting each bundle as a0⌣₁z: RH(f), and derivation
@@ -231,74 +233,54 @@ def _cell_boundary(images, word, cell_of):
         raise DomainError(f"transported word {format_word(missing.args[0])} is not a face of dimension {dim}") from None
 
 
+def _stratum_boundary(images, src, tgt):
+    """∂ from the cells `src` to the cells `tgt` one block longer, with
+    rows and columns in list order."""
+    row_of = {w: i for i, w in enumerate(tgt)}.__getitem__
+    return IntMatrix.from_columns(range(len(tgt)), [_cell_boundary(images, w, row_of) for w in src])
+
+
 def _letter_table(letters):
     """Letters keyed by the name tuple of their plain factors."""
     return {tuple(f.name for f in bundle_factors(letter)): letter for letter in letters}
 
 
-class _SummandChecker:
-    """Homology of the summand on the multiset `counts` of plain generator
-    names, over `letters` (name tuple -> letter) with differential
-    `images`; positions on demand.  Each stratum is enumerated once, each
-    ∂ is built and eliminated once for the two verdicts next to it, and
-    each verdict is computed once."""
-
-    def __init__(self, counts, letters, images):
-        self.counts = dict(counts)
-        self.size = sum(self.counts.values())
-        self.images = images
-        self.stratum = _stratum_walk(self.counts, letters)  # k -> words of k blocks, resolution degree k − size
-        self._boundaries = {}  # k -> [∂ from stratum k, its invariant factors, verdicts still to serve]
-        self._verdicts = {}
-
-    def _boundary(self, k):
-        """∂ from stratum k to stratum k + 1 and its invariant factors.  It
-        serves the verdicts at its two ends and is dropped after both."""
-        entry = self._boundaries.get(k)
-        if entry is None:
-            src, tgt = self.stratum(k), self.stratum(k + 1)
-            row_of = {w: i for i, w in enumerate(tgt)}.__getitem__
-            mat = IntMatrix.from_columns(range(len(tgt)), [_cell_boundary(self.images, w, row_of) for w in src])
-            entry = self._boundaries[k] = [mat, invariant_factors(mat), 2]
-        entry[2] -= 1
-        if not entry[2]:
-            del self._boundaries[k]
-        return entry[0], entry[1]
-
-    def verdict(self, n):
-        """Whether the summand's homology vanishes at resolution degree −n.
-        At n = 0 the augmentation, which sums the coefficients on the
-        ordering stratum, takes the place of the outgoing differential, so
-        the verdict is exactness ker(ρ) = im(d).  The outgoing map composed
-        with the incoming ∂ is checked to vanish."""
-        if n not in self._verdicts:
-            k = self.size - n
-            mid = self.stratum(k)
-            ok = True
-            if mid:
-                if n == 0:
-                    d_out, out_factors = IntMatrix([[1] * len(mid)]), (1,)
-                else:
-                    d_out, out_factors = self._boundary(k)
-                d_in, in_factors = self._boundary(k - 1)
-                if d_out.mul(d_in).sparse_rows:
-                    composite = "ρ∘d" if n == 0 else "d∘d"
-                    raise DomainError(f"{composite} is nonzero on the summand {self.counts} at resolution degree {-n}")
-                ok = group_at(len(mid), len(out_factors), in_factors).is_trivial
-            self._verdicts[n] = ok
-        return self._verdicts[n]
+def _summand_verdicts(counts, letters, images, lo, hi):
+    """Whether the homology of the summand on the multiset `counts` of
+    plain generator names, over `letters` (name tuple -> letter) with
+    differential `images`, vanishes at resolution degree −n, for n = lo..hi
+    in that order.  One walk up the strata holds only the ∂ on each side
+    of the current position; each ∂ is built and eliminated once.  At n = 0
+    the augmentation, which sums the coefficients on the ordering stratum,
+    takes the place of the outgoing ∂, so the verdict is exactness
+    ker(ρ) = im(d).  Each outgoing map composed with the incoming ∂ is
+    checked to vanish."""
+    size = sum(counts.values())
+    stratum = _stratum_walk(counts, letters)  # k -> words of k blocks, resolution degree k − size
+    d_in = _stratum_boundary(images, stratum(size - hi - 1), stratum(size - hi))
+    in_factors = invariant_factors(d_in)
+    verdicts = []
+    for n in range(hi, lo - 1, -1):
+        mid = stratum(size - n)
+        d_out = IntMatrix([[1] * len(mid)]) if n == 0 else _stratum_boundary(images, mid, stratum(size - n + 1))
+        out_factors = (1,) if n == 0 else invariant_factors(d_out)
+        if d_out.mul(d_in).sparse_rows:
+            composite = "ρ∘d" if n == 0 else "d∘d"
+            raise DomainError(f"{composite} is nonzero on the summand {dict(counts)} at resolution degree {-n}")
+        verdicts.append(group_at(len(mid), len(out_factors), in_factors).is_trivial)
+        d_in, in_factors = d_out, out_factors
+    return tuple(reversed(verdicts))
 
 
 @lru_cache(maxsize=64)
-def _pattern_checker(mults):
-    """The shared checker of a multiplicity pattern, on generic degree-2
-    generators w0, w1, ...; the homology of a summand of a canonical
-    resolution only depends on the pattern.  A `certify` on 4-6
-    generators of degree 2-6 at m = 8 or 10 (`bench/data/certify.json`)
-    meets 17-34 patterns, so 64 checkers keep one run cached and bound
-    what a long-lived process holds."""
+def _pattern_verdicts(mults, lo, hi):
+    """The verdicts of `_summand_verdicts` for a multiplicity pattern, on
+    generic degree-2 generators w0, w1, ...; the homology of a summand of
+    a canonical resolution only depends on the pattern.  A `certify` on
+    4-6 generators of degree 2-6 at m = 8 or 10 (`bench/data/certify.json`)
+    asks for 20-34 windows lo..hi, so 64 keep one run cached."""
     letters, images = _generic_table(len(mults))
-    return _SummandChecker({f"w{i}": c for i, c in enumerate(mults)}, letters, images)
+    return _summand_verdicts({f"w{i}": c for i, c in enumerate(mults)}, letters, images, lo, hi)
 
 
 @lru_cache(maxsize=8)
@@ -386,31 +368,27 @@ def certify_resolution(r):
         for j in range(1, r.m + 1) for mono in r.presentation.monomials(j)
     )
 
-    degree_map = {}
-
-    def record(t, neg_ok=None, exact=None):
-        entry = degree_map.setdefault(t, {"neg": 0, "neg_ok": True, "exact": True})
-        if neg_ok is not None:
-            entry["neg"] += 1
-            entry["neg_ok"] = entry["neg_ok"] and neg_ok
-        if exact is not None:
-            entry["exact"] = entry["exact"] and exact
-
+    degree_map = {}  # total degree -> negative positions, all of them exact, exact at zero
     letters = _letter_table(r.letters)
     degrees_by_name = {g.name: g.int_degree for g in r.plain}
     for counts in _resolution_multisets(r.plain, r.m):
         s = sum(counts.values())
         j = sum(degrees_by_name[n] * c for n, c in counts.items())
         n_hi = s - max(max(counts.values()), ceil(s / len(counts)))
-        negative = range(max(1, j - r.m), n_hi + 1)
-        if not negative and j > r.m:
+        lo = max(0, j - r.m)  # positions lo..n_hi lie in range
+        if lo > n_hi:
             continue
-        mults = tuple(sorted(counts.values(), reverse=True))
-        checker = _pattern_checker(mults) if r.canonical else _SummandChecker(counts, letters, r.images)
-        for n in negative:
-            record(j - n, neg_ok=checker.verdict(n))
-        if j <= r.m:
-            record(j, exact=checker.verdict(0))
+        if r.canonical:
+            verdicts = _pattern_verdicts(tuple(sorted(counts.values(), reverse=True)), lo, n_hi)
+        else:
+            verdicts = _summand_verdicts(counts, letters, r.images, lo, n_hi)
+        for n, ok in enumerate(verdicts, lo):
+            entry = degree_map.setdefault(j - n, {"neg": 0, "neg_ok": True, "exact": True})
+            if n:
+                entry["neg"] += 1
+                entry["neg_ok"] = entry["neg_ok"] and ok
+            else:
+                entry["exact"] = entry["exact"] and ok
 
     degrees = tuple(
         DegreeCertificate(t, entry["neg"], entry["neg_ok"], entry["exact"])

@@ -365,8 +365,8 @@ def homotopy_orbit_check(f, g, s_images, a):
         if lhs != rhs:
             return OrbitHomotopyReport(False, "homotopy law f−g = sd+ds", label)
     f_tables, g_tables, s_tables = ({l: img.terms for l, img in m.items()} for m in (f.images, g.images, s_images))
-    pairs = set(_product_support(A.products))
-    pairs.update(_product_support(B.products, f_tables, s_tables), _product_support(B.products, s_tables, g_tables))
+    pairs = set(_product_support(A.rows))
+    pairs.update(_product_support(B.rows, f_tables, s_tables), _product_support(B.rows, s_tables, g_tables))
     for l1, l2 in sorted(pairs):
         e1 = A.basis_element(l1)
         e2 = A.basis_element(l2)

@@ -47,3 +47,15 @@ def test_matrix_counts_read_the_sparse_carrier():
     assert stored == 3
     assert tracer.counts["linalg.matrix_entries"] == 3 * 4
     assert tracer.counts["linalg.matrix_nnz"] == stored
+
+
+def test_dga_size_counts_the_stored_tables():
+    from cupone.dga import simplicial_cochain_dga
+
+    dga = simplicial_cochain_dga([[0, 1, 2], [2, 3]])
+    tracer = load_tracer().Tracer()
+    tracer._dga_size((dga,), None)
+    constants = sum(len(t) for row in dga.rows.values() for t in row.values()) + sum(map(len, dga.diff.values()))
+    assert constants > 0
+    assert tracer.counts["dga.structure_constants"] == constants
+    assert tracer.counts["dga.basis_size"] == len(dga.bidegrees)

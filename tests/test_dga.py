@@ -178,6 +178,5 @@ def test_a_map_rejects_an_element_of_another_dga():
 
 def test_simplicial_complex_closure():
     X = SimplicialComplex([[0, 1, 2]])
-    by_dim = X.by_dim()
-    assert [len(by_dim[d]) for d in sorted(by_dim)] == [3, 3, 1]
+    assert X.simplices == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
     assert X.dimension == 2

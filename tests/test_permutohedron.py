@@ -249,14 +249,15 @@ def test_all_ones_summand_is_the_permutohedron():
     # is P_n's complex: after renaming w_i to the i-th face letter, the
     # stratum of k blocks holds the faces of dimension n − k, and the
     # summand's ∂ out of it equals ∂_{n−k} entry for entry
-    from cupone.resolution import _pattern_checker
+    from cupone.resolution import _generic_table, _pattern_verdicts, _stratum_boundary, _stratum_walk
 
     def entries(mat, rows, cols):
         return {(rows[i], cols[j]): v for i, row in mat.sparse_rows.items() for j, v in row.items()}
 
     for n in range(2, 6):
         letters = default_letters(n)
-        checker = _pattern_checker((1,) * n)
+        generic, images = _generic_table(n)
+        stratum = _stratum_walk({f"w{i}": 1 for i in range(n)}, generic)
 
         def renamed(word):
             out = []
@@ -265,15 +266,15 @@ def test_all_ones_summand_is_the_permutohedron():
                 out.append(factors[0] if len(factors) == 1 else Cup1Monomial(factors))
             return tuple(out)
 
-        strata = [[renamed(w) for w in checker.stratum(n - dim)] for dim in range(n)]
+        strata = [[renamed(w) for w in stratum(n - dim)] for dim in range(n)]
         faces = [[next(iter(monomial_of_face(f, letters).terms)) for f in by_dim]
                  for _, by_dim in sorted(enumerate_faces(n).items())]
         assert [set(s) for s in strata] == [set(f) for f in faces]
         assert tuple(map(len, strata)) == f_vector(n)
         for dim, mat in enumerate(boundary_matrices(n), start=1):
-            summand, _factors = checker._boundary(n - dim)
+            summand = _stratum_boundary(images, stratum(n - dim), stratum(n - dim + 1))
             assert entries(summand, strata[dim - 1], strata[dim]) == entries(mat, faces[dim - 1], faces[dim])
         groups = cellular_homology(n)
         assert [str(g) for g in groups] == ["Z"] + ["0"] * (n - 1)
         # at resolution degree 0 the augmentation makes the verdict reduced homology
-        assert [checker.verdict(dim) for dim in range(n)] == [True] + [g.is_trivial for g in groups[1:]]
+        assert list(_pattern_verdicts((1,) * n, 0, n - 1)) == [True] + [g.is_trivial for g in groups[1:]]

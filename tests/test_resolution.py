@@ -1,6 +1,6 @@
 import random
 from itertools import combinations, product
-from math import comb
+from math import ceil, comb
 
 import pytest
 from hypothesis import given, settings
@@ -9,13 +9,19 @@ from hypothesis import strategies as st
 from cupone.algebra import Generator, ImageTable, TensorElement
 from cupone.cup1 import Cup1Monomial, bundle_factors, bundle_images
 from cupone.errors import DomainError, PreconditionError
-from cupone.linalg import IntMatrix, solve
+from cupone.linalg import IntMatrix, homology_at, solve
 from cupone.resolution import (
     INFINITY,
     WORD_CACHE_SIZE,
     CgaPresentation,
     Resolution,
     ResolutionMap,
+    _generic_table,
+    _letter_table,
+    _pattern_verdicts,
+    _stratum_boundary,
+    _stratum_walk,
+    _summand_verdicts,
     build_resolution,
     build_rh_map,
     certify_resolution,
@@ -115,47 +121,82 @@ def test_certify_direct_path_matches_cached():
     assert rep_a.degrees == rep_b.degrees
 
 
-def test_pattern_checker_recomputes_after_eviction():
-    from cupone.resolution import _pattern_checker
+def test_pattern_verdicts_recompute_after_eviction():
+    first = _pattern_verdicts((2, 2, 1), 0, 5)
+    assert len(first) == 6
+    maxsize = _pattern_verdicts.cache_info().maxsize
+    for c in range(1, maxsize + 1):
+        _pattern_verdicts((c,), 0, 0)  # one generator: no bundles, cheap to walk
+    misses = _pattern_verdicts.cache_info().misses
+    again = _pattern_verdicts((2, 2, 1), 0, 5)
+    assert _pattern_verdicts.cache_info().misses == misses + 1  # evicted, so walked again
+    assert again == first
+    assert _pattern_verdicts.cache_info().currsize == maxsize
 
-    first = _pattern_checker((2, 2, 1))
-    verdicts = [first.verdict(n) for n in range(6)]
-    for c in range(1, _pattern_checker.cache_info().maxsize + 1):
-        _pattern_checker((c,))  # one generator: no bundles, cheap to build
-    again = _pattern_checker((2, 2, 1))
-    assert again is not first
-    assert [again.verdict(n) for n in range(6)] == verdicts
-    assert _pattern_checker.cache_info().currsize == _pattern_checker.cache_info().maxsize
 
-
-def test_summand_checker_checks_each_composite_it_uses():
-    from cupone.resolution import _SummandChecker, _letter_table
-
+def test_summand_verdicts_check_each_composite_they_use():
     a, b, c = (Generator(n, 0, 2) for n in "abc")
     ab, abc = Cup1Monomial((a, b)), Cup1Monomial((a, b, c))
     counts = {"a": 1, "b": 1, "c": 1}
     images = bundle_images([a, b, c])
     images = ImageTable({**images, abc: images[abc] - TensorElement.of(ab, c)})  # right bidegree, but d(d(abc)) != 0
-    checker = _SummandChecker(counts, _letter_table(images), images)
-    assert checker.verdict(0)
+    assert _summand_verdicts(counts, _letter_table(images), images, 0, 0) == (True,)
     with pytest.raises(DomainError, match=r"d∘d is nonzero on the summand .* at resolution degree -1"):
-        checker.verdict(1)
+        _summand_verdicts(counts, _letter_table(images), images, 1, 1)
     # d(ab) does not augment to 0
     images = ImageTable({**bundle_images([a, b]), ab: TensorElement.of(a, b) + TensorElement.of(b, a)})
-    checker = _SummandChecker({"a": 1, "b": 1}, _letter_table(images), images)
     with pytest.raises(DomainError, match=r"ρ∘d is nonzero on the summand .* at resolution degree 0"):
-        checker.verdict(0)
+        _summand_verdicts({"a": 1, "b": 1}, _letter_table(images), images, 0, 0)
 
 
 def test_summand_names_a_transported_word_outside_its_multiset():
-    from cupone.resolution import _SummandChecker, _letter_table
-
     a, b = Generator("a", 0, 2), Generator("b", 0, 2)
     # right bidegree, outside the multiset {a, b}
     images = ImageTable({**bundle_images([a, b]), Cup1Monomial((a, b)): TensorElement.of(a, a)})
-    checker = _SummandChecker({"a": 1, "b": 1}, _letter_table(images), images)
     with pytest.raises(DomainError, match=r"transported word aa is not a face of dimension 0"):
-        checker.verdict(1)
+        _summand_verdicts({"a": 1, "b": 1}, _letter_table(images), images, 1, 1)
+
+
+def _patterns(size, largest=None):
+    """Multiplicity patterns of `size`: partitions, largest part first."""
+    if size == 0:
+        yield ()
+        return
+    for part in range(min(size, largest or size), 0, -1):
+        yield from ((part, *rest) for rest in _patterns(size - part, part))
+
+
+def _position_verdicts(counts, letters, images, top):
+    """Whether the summand's homology vanishes at each position 0..top,
+    through homology_at one position at a time."""
+    size = sum(counts.values())
+    stratum = _stratum_walk(counts, letters)
+    out = []
+    for n in range(top + 1):
+        mid = stratum(size - n)
+        d_out = IntMatrix([[1] * len(mid)]) if n == 0 else _stratum_boundary(images, mid, stratum(size - n + 1))
+        out.append(homology_at(d_out, _stratum_boundary(images, stratum(size - n - 1), mid)).is_trivial)
+    return out
+
+
+def test_summand_verdicts_match_homology_at_on_every_window():
+    # every window lo..n_hi of every pattern of size <= 5; and, without the
+    # bundle on all names, where the summand is a sphere and one position
+    # fails, every window lo..size − 1
+    for size in range(1, 6):
+        for mults in _patterns(size):
+            counts = {f"w{i}": c for i, c in enumerate(mults)}
+            letters, images = _generic_table(len(mults))
+            n_hi = size - max(mults[0], ceil(size / len(mults)))
+            expected = _position_verdicts(counts, letters, images, n_hi)
+            for lo in range(n_hi + 1):
+                assert _pattern_verdicts(mults, lo, n_hi) == tuple(expected[lo:]), (mults, lo)
+            if len(mults) > 1:
+                sphere = {key: letter for key, letter in letters.items() if len(key) < len(mults)}
+                expected = _position_verdicts(counts, sphere, images, size - 1)
+                assert expected.count(False) == 1
+                for lo in range(size):
+                    assert _summand_verdicts(counts, sphere, images, lo, size - 1) == tuple(expected[lo:]), (mults, lo)
 
 
 def test_word_cache_is_bounded_and_recomputes_after_eviction():
@@ -216,8 +257,6 @@ def stratum_inputs(draw):
 @settings(max_examples=80, deadline=None, database=None)
 @given(stratum_inputs())
 def test_stratum_walk_matches_brute_force(case):
-    from cupone.resolution import _stratum_walk
-
     counts, letters = case
     walk = _stratum_walk(counts, letters)
     size = sum(counts.values())
