@@ -316,32 +316,45 @@ class ImageTable(Mapping):
         return f"ImageTable({self._images!r})"
 
 
+def _splice(entries, terms):
+    """The Leibniz extension of letter images to the term map `terms`, as
+    a term map: entries[letter] is (image term map, whether the letter's
+    total degree is odd), for letter objects or integer codes alike, and
+    d(uw) = d(u)·w + (−1)^{|u|} u·d(w) puts each word of d(letter) in place
+    of one letter of a word.  A letter without an entry raises KeyError."""
+    out = {}
+    for word, coeff in terms.items():
+        sign = coeff
+        for pos, letter in enumerate(word):
+            image, odd = entries[letter]
+            if image:
+                head, tail = word[:pos], word[pos + 1:]
+                for w, c in image.items():  # _merge, inlined in the loop every ∂ runs
+                    key = head + w + tail
+                    new = out.get(key, 0) + sign * c
+                    if new:
+                        out[key] = new
+                    else:
+                        del out[key]
+            if odd:
+                sign = -sign
+    return out
+
+
 def extend_derivation(images, x):
     """Koszul-signed Leibniz extension of letter images to an element.
 
-    d(uw) = d(u)·w + (−1)^{|u|} u·d(w) with |u| the total degree, so the
-    terms of d(word) put each word of d(letter) in place of one letter of
-    the word.  `images` is an `ImageTable`, or a mapping that is put in
+    d(uw) = d(u)·w + (−1)^{|u|} u·d(w) with |u| the total degree (see
+    `_splice`).  `images` is an `ImageTable`, or a mapping that is put in
     one, and checked, for this call.  Every letter of `x` must be a key;
     the images come from the checked table, so the call is lookups and
     splices.
     """
     table = images if isinstance(images, ImageTable) else ImageTable(images)
-    entries = table._entries
-    out = {}
-    for word, coeff in x.terms.items():
-        sign = coeff
-        for pos, letter in enumerate(word):
-            try:
-                terms, odd = entries[letter]
-            except KeyError:
-                raise DomainError(f"no differential image for letter {letter.label()}") from None
-            if terms:
-                head, tail = word[:pos], word[pos + 1:]
-                _merge(out, ((head + w + tail, c) for w, c in terms.items()), sign)
-            if odd:
-                sign = -sign
-    return x._like(out)
+    try:
+        return x._like(_splice(table._entries, x.terms))
+    except KeyError as missing:
+        raise DomainError(f"no differential image for letter {missing.args[0].label()}") from None
 
 
 class FreeDGA:

@@ -586,6 +586,8 @@ def _render_value(value):
 
 
 def _render_table(rows, indent="  "):
+    """Yield the lines of a table of `rows` (dicts), with a header of
+    their keys and each column as wide as its widest cell."""
     keys = []
     for row in rows:
         for k in row:
@@ -595,34 +597,40 @@ def _render_table(rows, indent="  "):
               else json.dumps(row.get(k), ensure_ascii=False, sort_keys=True)
               for k in keys] for row in rows]
     widths = [max(len(k), *(len(c[i]) for c in cells)) if cells else len(k) for i, k in enumerate(keys)]
-    lines = [indent + "  ".join(k.ljust(w) for k, w in zip(keys, widths)).rstrip()]
+    yield indent + "  ".join(k.ljust(w) for k, w in zip(keys, widths)).rstrip()
     for c in cells:
-        lines.append(indent + "  ".join(v.ljust(w) for v, w in zip(c, widths)).rstrip())
-    return lines
+        yield indent + "  ".join(v.ljust(w) for v, w in zip(c, widths)).rstrip()
 
 
-def render_text(report, out):
-    lines = [f"command: {report['command']}"]
+def _text_lines(report):
+    """Yield the lines of the text form of `report`."""
+    yield f"command: {report['command']}"
     params = report.get("parameters", {})
     if params:
-        lines.append("parameters: " + ", ".join(f"{k}={_render_value(v)}" for k, v in sorted(params.items())))
-    lines.append(f"verdict: {report['verdict']}")
+        yield "parameters: " + ", ".join(f"{k}={_render_value(v)}" for k, v in sorted(params.items()))
+    yield f"verdict: {report['verdict']}"
     for key in sorted(report):
         if key in ("command", "parameters", "verdict"):
             continue
         value = report[key]
         if isinstance(value, list) and value and isinstance(value[0], dict):
-            lines.append(f"{key}:")
-            lines.extend(_render_table(value))
+            yield f"{key}:"
+            yield from _render_table(value)
         elif isinstance(value, dict):
-            lines.append(f"{key}:")
+            yield f"{key}:"
             for k, v in sorted(value.items()):
-                lines.append(f"  {k}: {json.dumps(v, ensure_ascii=False, sort_keys=True) if isinstance(v, (list, dict)) else _render_value(v)}")
+                yield f"  {k}: {json.dumps(v, ensure_ascii=False, sort_keys=True) if isinstance(v, (list, dict)) else _render_value(v)}"
         elif isinstance(value, list):
-            lines.append(f"{key}: {json.dumps(value, ensure_ascii=False, sort_keys=True)}")
+            yield f"{key}: {json.dumps(value, ensure_ascii=False, sort_keys=True)}"
         else:
-            lines.append(f"{key}: {_render_value(value)}")
-    out.write("\n".join(lines) + "\n")
+            yield f"{key}: {_render_value(value)}"
+
+
+def render_text(report, out):
+    """Write the text form of `report` to `out` a line at a time, each
+    ended by a newline, without building the whole text."""
+    for line in _text_lines(report):
+        out.write(line + "\n")
 
 
 # Scalars other than a plain str or int (bool, None, float, subclasses) and

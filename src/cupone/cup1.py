@@ -7,6 +7,14 @@ Hirsch formula distributes ⌣₁ over products of the right argument; a
 product on the left expands by the companion rule
 (a·b)⌣₁c = a·(b⌣₁c) + (−1)^{|b|(|c|+1)} (a⌣₁c)·b, the only sign that is
 compatible with the boundary formula below (see cup1_boundary).
+
+`cup1_boundary` is the general binary formula
+d(a⌣₁b) = da⌣₁b − (−1)^{|a|} a⌣₁db + (−1)^{|a|} ab − (−1)^{|a|(|b|+1)} ba,
+on elements.  The image tables of resolutions and of P_n come from
+`closed_images`, which evaluates the same formula with closed plain
+generators directly on term maps: for b = a0⌣₁z and each term c·x·y of
+d(z), a0⌣₁x is a bundle looked up by name, with no normalization or
+Hirsch expansion.  `cup1_boundary` is the tests' oracle for that table.
 """
 
 from __future__ import annotations
@@ -211,15 +219,55 @@ def cup1_boundary(m, ambient_d):
 
 
 def closed_images(plain, bundles):
-    """Image table of a differential under which every plain generator is
-    closed: zero on `plain` and the unshuffle boundary on each bundle of
-    `bundles`."""
-    zero = {g: TensorElement.zero() for g in plain}
-    known = dict(zero)
-    # fewer factors first: the recursion then finds each tail's boundary in `known`
-    for b in sorted(bundles, key=lambda b: len(b.factors)):
-        known[b] = cup1_boundary(b, known)
-    return ImageTable({**zero, **{b: known[b] for b in bundles}})
+    """Image table of the differential under which every plain generator
+    is closed: zero on `plain`, and on each bundle b = a0⌣₁z of `bundles`
+    the binary formula of `cup1_boundary` with d(a0) = 0,
+
+        d(b) = −s_a·Σ c·[(a0⌣₁x)·y + (−1)^{|x|(|a0|+1)} x·(a0⌣₁y)] + s_a·a0·z − s_za·z·a0
+
+    summed over the terms c·x·y of d(z) (none when z is plain), with
+    s_a = (−1)^{|a0|} and s_za = (−1)^{|a0|(|z|+1)}.  It is evaluated on
+    term maps, fewest factors first: a0 precedes every factor of z, so
+    a0⌣₁x is the bundle on a0 and the factors of x, with sign +1, looked
+    up by its name tuple.  Tails missing from `bundles` are added, closed
+    under `split`, and left out of the table.  `cup1_boundary` is the
+    general form of the formula, and the tests' oracle for this one."""
+    plain = list(plain)
+    closed = set(plain)
+    names = {g: (g.name,) for g in plain}  # letter -> name tuple of its plain factors
+    letter_of = {key: g for g, key in names.items()}  # the inverse
+    walk = {}
+    for b in bundles:
+        outside = [f.name for f in bundle_factors(b) if f not in closed]
+        if outside:
+            raise DomainError(f"no differential image for factor {outside[0]}")
+        while b not in closed and b not in walk:
+            walk[b] = b.split()
+            b = walk[b][1]
+    for b in walk:
+        names[b] = key = tuple(f.name for f in b.factors)
+        letter_of[key] = b
+    boundary = {}  # bundle -> term map of its boundary
+
+    def cup(a0, x):
+        key = (a0.name,) + names[x]
+        letter = letter_of.get(key)
+        if letter is None:
+            letter = letter_of[key] = Cup1Monomial((a0, *bundle_factors(x)))
+            names[letter] = key
+        return letter
+
+    for b, (a0, z) in sorted(walk.items(), key=lambda item: len(item[0].factors)):
+        deg = a0.total_degree
+        sa = -1 if deg % 2 else 1
+        sza = -1 if (deg * (z.total_degree + 1)) % 2 else 1
+        out = {}
+        for (x, y), c in boundary.get(z, {}).items():
+            sx = -1 if (x.total_degree * (deg + 1)) % 2 else 1
+            _merge(out, (((cup(a0, x), y), c), ((x, cup(a0, y)), sx * c)), -sa)
+        _merge(out, (((a0, z), sa), ((z, a0), -sza)))
+        boundary[b] = out
+    return ImageTable({**{g: TensorElement.zero() for g in plain}, **{b: TensorElement(boundary.get(b)) for b in bundles}})
 
 
 def bundle_images(plain):

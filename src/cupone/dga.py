@@ -117,8 +117,9 @@ class BigradedDGA:
 
     @property
     def products(self):
-        """The product table as (l1, l2) -> the table of l1·l2, read from `rows`."""
-        return {(l1, l2): table for l1, row in self.rows.items() for l2, table in row.items()}
+        """The product table as (l1, l2) -> the table of l1·l2, a new dict
+        read from `rows`, which the library itself walks."""
+        return dict(_product_items(self.rows))
 
     # -- helpers -----------------------------------------------------------
 
@@ -175,16 +176,15 @@ class BigradedDGA:
         # Outside these supports both sides of a law are zero, so visiting
         # them in sorted order finds the same first failure as all pairs.
         pairs = set(_product_support(rows))
-        pairs.update(_product_support(rows, diff), _product_support(rows, None, diff))
+        pairs.update(_product_support(rows, diff.items()), _product_support(rows, None, diff.items()))
         for l1, l2 in sorted(pairs):
             sign = -1 if self.total_degree(l1) % 2 else 1
             rhs = _product(rows, diff.get(l1, {}), {l2: 1})
             _merge(rhs, _product(rows, {l1: 1}, diff.get(l2, {})).items(), sign)
             if _linear(rows.get(l1, {}).get(l2, {}), diff.get) != rhs:
                 raise DomainError(f"Leibniz fails at {l1}·{l2}")
-        products = self.products
-        triples = {(l1, l2, l3) for (l1, l2), l3 in _product_support(rows, products)}
-        triples.update((l1, l2, l3) for l1, (l2, l3) in _product_support(rows, None, products))
+        triples = {(l1, l2, l3) for (l1, l2), l3 in _product_support(rows, _product_items(rows))}
+        triples.update((l1, l2, l3) for l1, (l2, l3) in _product_support(rows, None, _product_items(rows)))
         for l1, l2, l3 in sorted(triples):
             left = _product(rows, rows.get(l1, {}).get(l2, {}), {l3: 1})
             if left != _product(rows, {l1: 1}, rows.get(l2, {}).get(l3, {})):
@@ -236,7 +236,7 @@ class DgaMap:
                 raise DomainError(f"{self.name} is not a chain map at {label}")
         tables = {label: img.terms for label, img in self.images.items()}
         pairs = set(_product_support(self.source.rows))
-        pairs.update(_product_support(self.target.rows, tables, tables))
+        pairs.update(_product_support(self.target.rows, tables.items(), tables.items()))
         for l1, l2 in sorted(pairs):
             e1 = self.source.basis_element(l1)
             e2 = self.source.basis_element(l2)
@@ -272,17 +272,25 @@ def _product(rows, left, right):
     return out
 
 
+def _product_items(rows):
+    """Yield ((l1, l2), the table of l1·l2) for each product of the row index `rows`."""
+    for l1, row in rows.items():
+        for l2, table in row.items():
+            yield (l1, l2), table
+
+
 def _product_support(rows, left=None, right=None):
     """Yield the pairs (x, y), with repeats, for which left(x)·right(y) can
     be nonzero under the row index `rows`: left(x) hits the left label
     and right(y) the right label of some product with a table.  `left` and
-    `right` map keys to tables whose keys are the labels they hit; None is
-    the identity.  Any bilinear law built from such terms holds trivially
-    outside the union of the supports of its terms."""
+    `right` are iterables of (key, table) pairs, each table keyed by the
+    labels its key hits; None is the identity.  Any bilinear law built
+    from such terms holds trivially outside the union of the supports of
+    its terms."""
 
-    def preimages(table):
+    def preimages(pairs):
         pre = {}
-        for key, image in table.items():
+        for key, image in pairs:
             for label in image:
                 pre.setdefault(label, []).append(key)
         return pre
@@ -487,9 +495,9 @@ def tensor_dga(B, C, name=None):
                 diff[tensor_label(bl, cl)] = image
 
     products = {}
-    for (bl1, bl2), btable in B.products.items():
+    for (bl1, bl2), btable in _product_items(B.rows):
         tb = B.total_degree(bl2)
-        for (cl1, cl2), ctable in C.products.items():
+        for (cl1, cl2), ctable in _product_items(C.rows):
             sign = -1 if (C.total_degree(cl1) * tb) % 2 else 1
             out = {}
             for bl3, cb in btable.items():

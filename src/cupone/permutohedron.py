@@ -5,7 +5,9 @@ dimension n − k.  A block is the cup-one bundle on its letters and block
 order is product order, so P_n is the resolution summand on n distinct
 generators: its faces are that summand's strata in text order, and its
 boundary is DEFINED as the summand's transported boundary, certified
-independently by ∂∘∂ = 0 and the contractibility homology.
+independently by ∂∘∂ = 0 and the contractibility homology.  Faces are
+walked and ∂ is built on the code words of the resolution module, and
+decoded to letters only for face texts and labels.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .cup1 import Cup1Monomial, bundle_factors, bundle_images, closed_images
 from .errors import DomainError, SizeError
 from .linalg import homology
 from .record import Record
-from .resolution import _cell_boundary, _letter_table, _stratum_boundary, _stratum_walk
+from .resolution import _cell_boundary, _Codes, _stratum_boundary, _stratum_walk
 
 MAX_N = 7
 
@@ -93,23 +95,25 @@ class Face(Record):
 
 
 def _strata(n):
-    """Faces of P_n as lists of (text, monomial word) pairs in text order,
-    indexed by dimension, and their shared image table: the faces of
-    dimension d are the words of n − d blocks of the summand on n letters."""
+    """Faces of P_n as lists of (text, code word) pairs in text order,
+    indexed by dimension, and the `_Codes` table of their letters: the
+    faces of dimension d are the words of n − d blocks of the summand on
+    n letters."""
     _check_size(n)
     letters = default_letters(n)
-    images = bundle_images(letters)
-    walk = _stratum_walk(dict.fromkeys((letter.name for letter in letters), 1), _letter_table(images))
+    table = _Codes(bundle_images(letters))
+    walk = _stratum_walk(dict.fromkeys((letter.name for letter in letters), 1), table.code)
     index = {letter.name: str(i + 1) for i, letter in enumerate(letters)}
-    texts = {letter: "{" + ",".join(index[f.name] for f in bundle_factors(letter)) + "}" for letter in images}
-    faces = [sorted(("(" + ",".join(map(texts.get, word)) + ")", word) for word in walk(k)) for k in range(n, 0, -1)]
-    return faces, images
+    texts = ["{" + ",".join(index[f.name] for f in bundle_factors(letter)) + "}" for letter in table.letters]
+    faces = [sorted(("(" + ",".join(map(texts.__getitem__, word)) + ")", word) for word in walk(k)) for k in range(n, 0, -1)]
+    return faces, table
 
 
 def enumerate_faces(n):
     """All faces of P_n grouped by dimension: {dim: [Face, ...]}."""
     letters = default_letters(n)
-    return {dim: [face_of_monomial(word, letters) for _, word in found] for dim, found in enumerate(_strata(n)[0])}
+    faces, table = _strata(n)
+    return {dim: [face_of_monomial(table.decode(word), letters) for _, word in found] for dim, found in enumerate(faces)}
 
 
 def f_vector(n):
@@ -172,23 +176,25 @@ def face_boundary(face):
     letters = default_letters(face.n)
     word = next(iter(monomial_of_face(face, letters).terms))
     names = [letter.name for letter in letters]
+    table = _Codes(closed_images(letters, [letter for letter in word if isinstance(letter, Cup1Monomial)]))
 
     def facet(w):
-        if len(w) != len(word) + 1 or sorted(f.name for letter in w for f in bundle_factors(letter)) != names:
+        found = table.decode(w)
+        if len(found) != len(word) + 1 or sorted(f.name for letter in found for f in bundle_factors(letter)) != names:
             raise KeyError(w)
-        return w
+        return found
 
-    images = closed_images(letters, [letter for letter in word if isinstance(letter, Cup1Monomial)])
-    boundary = sorted(_cell_boundary(images, word, facet), key=lambda term: _word_key(term[0]))
+    coded = tuple(table.code[tuple(f.name for f in bundle_factors(letter))] for letter in word)
+    boundary = sorted(_cell_boundary(table, coded, facet), key=lambda term: _word_key(term[0]))
     return [(coeff, face_of_monomial(w, letters)) for w, coeff in boundary]
 
 
 def boundary_matrices(n):
     """Cellular boundary matrices [∂_1, ..., ∂_{n-1}] of P_n, with rows and
     columns in the text order of the faces."""
-    faces, images = _strata(n)
+    faces, table = _strata(n)
     words = [[word for _, word in found] for found in faces]
-    return [_stratum_boundary(images, words[dim], words[dim - 1]) for dim in range(1, n)]
+    return [_stratum_boundary(table, words[dim], words[dim - 1]) for dim in range(1, n)]
 
 
 def cellular_homology(n):
@@ -201,19 +207,21 @@ def complex_description(n):
 
     This is the golden-file structure; for n = 3 it reproduces the
     hexagon with the labels (a⌣₁b)c, c(a⌣₁b), a(b⌣₁c), b(a⌣₁c),
-    (a⌣₁c)b, (b⌣₁c)a around the top cell a⌣₁b⌣₁c."""
-    faces, images = _strata(n)
+    (a⌣₁c)b, (b⌣₁c)a around the top cell a⌣₁b⌣₁c.  Code words are
+    decoded to letters only for the labels and their order."""
+    faces, table = _strata(n)
     cells = []
-    below = {}  # word of each face one dimension down -> (face text, label, term order key)
+    below = {}  # code word of each face one dimension down -> (face text, label, term order key)
     for dim in range(n):
         here = {}
         for text, word in faces[dim]:
-            label = format_word(word)
-            here[word] = (text, label, _word_key(word))
+            letters = table.decode(word)
+            label = format_word(letters)
+            here[word] = (text, label, _word_key(letters))
             entry = {"dimension": dim, "face": text, "label": label}
             if dim >= 1:
                 # the order of TensorElement.sorted_terms, each face's key computed once
-                boundary = sorted(_cell_boundary(images, word, below.__getitem__), key=lambda term: term[0][2])
+                boundary = sorted(_cell_boundary(table, word, below.__getitem__), key=lambda term: term[0][2])
                 entry["boundary"] = [
                     {"coefficient": coeff, "face": face[0], "label": face[1]} for face, coeff in boundary
                 ]

@@ -8,12 +8,20 @@ the augmentation sends a degree-zero word to its commutative monomial.
 The tensor algebra splits into d-invariant summands, one per multiset of
 plain generators: complexes of ordered partitions, with one stratum walk
 and one stratum-∂ builder, shared with the permutohedron P_n (the summand
-on n distinct generators).  `certify_resolution` asks each summand for
-one window of positions and gets its verdicts from one walk up the
-strata.  A summand's homology only depends on the multiplicity pattern,
-so for a resolution from build_resolution the walk runs on generic
-generators and its verdicts are memoized across presentations; any
-other resolution is checked on its own letters.
+on n distinct generators).  They run on code words: a checked image
+table is compiled once per owner (`_Codes`) into a small int per letter,
+keyed by the name tuple of its plain factors, and per code the image on
+code words, so cells are int tuples and ∂ splices them with the loop of
+`extend_derivation`; letters are decoded only for texts and labels.
+`certify_resolution` asks each summand for one window of positions and
+gets its verdicts from one walk down the strata.  A summand's homology
+only depends on the multiplicity pattern, so for a resolution from
+build_resolution the walk runs on generic generators w0, w1, ... of one
+generic table, built once on the longest pattern that meets the range
+(the resolution's generator count, when m allows), and each pattern's
+verdicts are kept across presentations for the widest window walked;
+any other resolution is checked on its own letters, compiled once per
+`certify`.
 
 Maps of resolutions extend letter data along one bundle walk, fewest
 factors first, splitting each bundle as a0⌣₁z: RH(f), and derivation
@@ -24,14 +32,13 @@ where it holds only for chain maps, so the check is not a tautology.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from functools import lru_cache, reduce
 from itertools import combinations
 from math import ceil
 from operator import sub
 
-from .algebra import (
-    FreeDGA, Generator, TensorElement, _merge, check_d_squared, extend_derivation, format_word, word_multiply,
-)
+from .algebra import FreeDGA, Generator, TensorElement, _merge, _splice, check_d_squared, format_word, word_multiply
 from .cup1 import Cup1Monomial, bundle_factors, bundle_images, closed_images, cup1_pair
 from .errors import DegreeError, DomainError, PreconditionError
 from .linalg import IntMatrix, group_at, invariant_factors
@@ -185,21 +192,56 @@ def build_resolution(p, truncation=None):
 # exactness certificates
 
 
+class _Codes:
+    """A checked `ImageTable` compiled onto small integer codes, once per
+    owner.  `code` maps the name tuple of the plain factors of each of
+    `letters` (every key of `images` by default) to its code, and
+    `entries[code]` is that letter's (image term map on code words,
+    whether its total degree is odd), the form `_splice` reads.
+    `letters[code]` decodes; letters that occur only in images get codes
+    after the given ones.  Cells are then int tuples, whose hashing calls
+    no Python-level `__hash__`."""
+
+    __slots__ = ("code", "entries", "letters")
+
+    def __init__(self, images, letters=None):
+        self.letters = list(images if letters is None else letters)
+        keys = len(self.letters)
+        code_of = {letter: i for i, letter in enumerate(self.letters)}
+
+        def coded(word):
+            for letter in word:
+                if letter not in code_of:
+                    code_of[letter] = len(self.letters)
+                    self.letters.append(letter)
+            return tuple(map(code_of.__getitem__, word))
+
+        self.code = {tuple(f.name for f in bundle_factors(letter)): i for i, letter in enumerate(self.letters)}
+        self.entries = [
+            ({coded(w): c for w, c in images[letter].terms.items()}, letter.total_degree % 2)
+            for letter in self.letters[:keys]
+        ]
+
+    def decode(self, word):
+        return tuple(map(self.letters.__getitem__, word))
+
+
 def _stratum_walk(counts, letters):
     """The strata of the multiset `counts` of plain generator names, as a
-    function k -> the words of exactly k block-letters that use the
-    multiset; blocks have distinct members and come from `letters` (name
-    tuple -> letter).  The walk is memoized on the remaining multiset and
+    function k -> the words of exactly k blocks that use the multiset;
+    blocks have distinct members and come from `letters` (name tuple ->
+    code, or letter).  The walk is memoized on the remaining multiset and
     the number of blocks left, so each stratum is enumerated once and
     shares its sub-walks with the others."""
     names = sorted(counts)
-    # (one count per name taken by the block, letter), by size, then in name order
+    # (bitmask of the names in the block, one count per name it takes, code), by size, then in name order
     blocks = [
-        (tuple(int(i in combo) for i in range(len(names))), letters[key])
+        (sum(1 << i for i in combo), tuple(int(i in combo) for i in range(len(names))), letters[key])
         for size in range(1, len(names) + 1)
         for combo in combinations(range(len(names)), size)
         if (key := tuple(names[i] for i in combo)) in letters
     ]
+    within = {}  # remaining multiset -> the blocks on names it still holds
     memo = {}
 
     def words(remaining, k):
@@ -211,58 +253,57 @@ def _stratum_walk(counts, letters):
                 if size == 0:
                     found.append(())
             elif k <= size <= k * (len(remaining) - remaining.count(0)) and max(remaining) <= k:
-                for taken, letter in blocks:
-                    rest = tuple(map(sub, remaining, taken))
-                    if min(rest) >= 0:
-                        found.extend((letter,) + tail for tail in words(rest, k - 1))
+                fits = within.get(remaining)
+                if fits is None:
+                    left = sum(1 << i for i, c in enumerate(remaining) if c)
+                    fits = within[remaining] = [(taken, letter) for mask, taken, letter in blocks if mask & left == mask]
+                for taken, letter in fits:
+                    found.extend((letter,) + tail for tail in words(tuple(map(sub, remaining, taken)), k - 1))
         return found
 
     whole = tuple(counts[name] for name in names)
     return lambda k: words(whole, k)
 
 
-def _cell_boundary(images, word, cell_of):
-    """∂ of the cell `word` of an ordered-partition complex: (cell_of(w),
-    coefficient) per word w of d(word) through `images`.  A w that is not
-    a cell one block longer, where cell_of raises KeyError, is named."""
-    terms = extend_derivation(images, TensorElement({word: 1})).terms
+def _cell_boundary(table, word, cell_of):
+    """∂ of the cell `word`, a code word of the `_Codes` table, in an
+    ordered-partition complex: (cell_of(w), coefficient) per code word w
+    of d(word).  A w that is not a cell one block longer, where cell_of
+    raises KeyError, is named."""
+    terms = _splice(table.entries, {word: 1})
     try:
         return [(cell_of(w), coeff) for w, coeff in terms.items()]
     except KeyError as missing:
-        dim = -sum(letter.res_degree for letter in word) - 1
-        raise DomainError(f"transported word {format_word(missing.args[0])} is not a face of dimension {dim}") from None
+        dim = -sum(letter.res_degree for letter in table.decode(word)) - 1
+        named = format_word(table.decode(missing.args[0]))
+        raise DomainError(f"transported word {named} is not a face of dimension {dim}") from None
 
 
-def _stratum_boundary(images, src, tgt):
-    """∂ from the cells `src` to the cells `tgt` one block longer, with
-    rows and columns in list order."""
+def _stratum_boundary(table, src, tgt):
+    """∂ from the cells `src` to the cells `tgt` one block longer, code
+    words of `table`, with rows and columns in list order."""
     row_of = {w: i for i, w in enumerate(tgt)}.__getitem__
-    return IntMatrix.from_columns(range(len(tgt)), [_cell_boundary(images, w, row_of) for w in src])
+    return IntMatrix.from_columns(range(len(tgt)), [_cell_boundary(table, w, row_of) for w in src])
 
 
-def _letter_table(letters):
-    """Letters keyed by the name tuple of their plain factors."""
-    return {tuple(f.name for f in bundle_factors(letter)): letter for letter in letters}
-
-
-def _summand_verdicts(counts, letters, images, lo, hi):
+def _summand_verdicts(counts, table, lo, hi):
     """Whether the homology of the summand on the multiset `counts` of
-    plain generator names, over `letters` (name tuple -> letter) with
-    differential `images`, vanishes at resolution degree −n, for n = lo..hi
-    in that order.  One walk up the strata holds only the ∂ on each side
-    of the current position; each ∂ is built and eliminated once.  At n = 0
-    the augmentation, which sums the coefficients on the ordering stratum,
+    plain generator names, over the letters of the `_Codes` table
+    `table`, vanishes at resolution degree −n, for n = lo..hi in that
+    order.  One walk down the strata holds only the ∂ on each side of the
+    current position; each ∂ is built and eliminated once.  At n = 0 the
+    augmentation, which sums the coefficients on the ordering stratum,
     takes the place of the outgoing ∂, so the verdict is exactness
     ker(ρ) = im(d).  Each outgoing map composed with the incoming ∂ is
     checked to vanish."""
     size = sum(counts.values())
-    stratum = _stratum_walk(counts, letters)  # k -> words of k blocks, resolution degree k − size
-    d_in = _stratum_boundary(images, stratum(size - hi - 1), stratum(size - hi))
+    stratum = _stratum_walk(counts, table.code)  # k -> code words of k blocks, resolution degree k − size
+    d_in = _stratum_boundary(table, stratum(size - hi - 1), stratum(size - hi))
     in_factors = invariant_factors(d_in)
     verdicts = []
     for n in range(hi, lo - 1, -1):
         mid = stratum(size - n)
-        d_out = IntMatrix([[1] * len(mid)]) if n == 0 else _stratum_boundary(images, mid, stratum(size - n + 1))
+        d_out = IntMatrix([[1] * len(mid)]) if n == 0 else _stratum_boundary(table, mid, stratum(size - n + 1))
         out_factors = (1,) if n == 0 else invariant_factors(d_out)
         if d_out.mul(d_in).sparse_rows:
             composite = "ρ∘d" if n == 0 else "d∘d"
@@ -272,24 +313,43 @@ def _summand_verdicts(counts, letters, images, lo, hi):
     return tuple(reversed(verdicts))
 
 
-@lru_cache(maxsize=64)
+# A `certify` on 4-6 generators of degree 2-6 at m = 8 or 10
+# (`bench/data/certify.json`) meets 17-34 patterns, so one run's verdicts fit.
+PATTERN_CACHE_SIZE = 64
+_pattern_cache = OrderedDict()  # (pattern, hi) -> its verdicts at lo..hi, for the lowest lo walked
+
+
 def _pattern_verdicts(mults, lo, hi):
     """The verdicts of `_summand_verdicts` for a multiplicity pattern, on
-    generic degree-2 generators w0, w1, ...; the homology of a summand of
-    a canonical resolution only depends on the pattern.  A `certify` on
-    4-6 generators of degree 2-6 at m = 8 or 10 (`bench/data/certify.json`)
-    asks for 20-34 windows lo..hi, so 64 keep one run cached."""
-    letters, images = _generic_table(len(mults))
-    return _summand_verdicts({f"w{i}": c for i, c in enumerate(mults)}, letters, images, lo, hi)
+    generic generators w0, w1, ... of `_generic_table`; the homology of a
+    summand of a canonical resolution only depends on the pattern.  The
+    verdicts are kept per pattern and top position, for the last
+    `PATTERN_CACHE_SIZE` of them, and serve every window inside the one
+    walked; a window that reaches lower is walked whole and replaces it,
+    so a caller that asks for a pattern's lowest window first walks each
+    pattern once."""
+    key, width = (mults, hi), hi - lo + 1
+    found = _pattern_cache.pop(key, ())
+    if len(found) < width:
+        found = _summand_verdicts({f"w{i}": c for i, c in enumerate(mults)}, _generic_table(len(mults)), lo, hi)
+    _pattern_cache[key] = found
+    if len(_pattern_cache) > PATTERN_CACHE_SIZE:
+        _pattern_cache.popitem(last=False)
+    return found[len(found) - width:]
 
 
-@lru_cache(maxsize=8)
+_generic = []  # (generator count, table) of the largest generic table built
+
+
 def _generic_table(size):
-    """Letters (name tuple -> letter) and closed image table of `size`
-    generic generators w0, w1, ...: one table, built and checked once,
-    serves every pattern on that many generators."""
-    images = bundle_images([Generator(f"w{i}", 0, 2) for i in range(size)])
-    return _letter_table(images), images
+    """The `_Codes` table of the closed images of at least `size` generic
+    generators w0, w1, ... of degree 2.  A pattern on k generators reads
+    its letters w0..w{k−1} by name, so one table serves every pattern no
+    longer than it: a new one is built only when more generators are
+    asked for, and a `certify` builds one, on its longest pattern."""
+    if not _generic or _generic[0][0] < size:
+        _generic[:] = [(size, _Codes(bundle_images([Generator(f"w{i}", 0, 2) for i in range(size)])))]
+    return _generic[0][1]
 
 
 def _resolution_multisets(plain, m):
@@ -368,20 +428,26 @@ def certify_resolution(r):
         for j in range(1, r.m + 1) for mono in r.presentation.monomials(j)
     )
 
-    degree_map = {}  # total degree -> negative positions, all of them exact, exact at zero
-    letters = _letter_table(r.letters)
     degrees_by_name = {g.name: g.int_degree for g in r.plain}
+    windows = []  # (multiset, its degree j, positions lo..n_hi in range) of each summand that meets the range
     for counts in _resolution_multisets(r.plain, r.m):
         s = sum(counts.values())
         j = sum(degrees_by_name[n] * c for n, c in counts.items())
         n_hi = s - max(max(counts.values()), ceil(s / len(counts)))
-        lo = max(0, j - r.m)  # positions lo..n_hi lie in range
-        if lo > n_hi:
-            continue
+        lo = max(0, j - r.m)
+        if lo <= n_hi:
+            windows.append((counts, j, lo, n_hi))
+    if r.canonical:
+        _generic_table(max((len(counts) for counts, *_ in windows), default=0))  # one table for every pattern
+    else:
+        table = _Codes(r.images, r.letters)
+    degree_map = {}  # total degree -> negative positions, all of them exact, exact at zero
+    # lowest windows first, so each pattern is walked once (see `_pattern_verdicts`)
+    for counts, j, lo, n_hi in sorted(windows, key=lambda window: window[2]):
         if r.canonical:
             verdicts = _pattern_verdicts(tuple(sorted(counts.values(), reverse=True)), lo, n_hi)
         else:
-            verdicts = _summand_verdicts(counts, letters, r.images, lo, n_hi)
+            verdicts = _summand_verdicts(counts, table, lo, n_hi)
         for n, ok in enumerate(verdicts, lo):
             entry = degree_map.setdefault(j - n, {"neg": 0, "neg_ok": True, "exact": True})
             if n:

@@ -366,7 +366,10 @@ def homotopy_orbit_check(f, g, s_images, a):
             return OrbitHomotopyReport(False, "homotopy law f−g = sd+ds", label)
     f_tables, g_tables, s_tables = ({l: img.terms for l, img in m.items()} for m in (f.images, g.images, s_images))
     pairs = set(_product_support(A.rows))
-    pairs.update(_product_support(B.rows, f_tables, s_tables), _product_support(B.rows, s_tables, g_tables))
+    pairs.update(
+        _product_support(B.rows, f_tables.items(), s_tables.items()),
+        _product_support(B.rows, s_tables.items(), g_tables.items()),
+    )
     for l1, l2 in sorted(pairs):
         e1 = A.basis_element(l1)
         e2 = A.basis_element(l2)

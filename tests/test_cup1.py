@@ -16,6 +16,7 @@ from cupone.algebra import Generator, TensorElement, extend_derivation, word_mul
 from cupone.cup1 import (
     Cup1Monomial,
     bundle_images,
+    closed_images,
     cup1_boundary,
     cup1_letters,
     cup1_pair,
@@ -53,6 +54,46 @@ def all_images(letters):
         for combo in combinations(letters, k):
             images[Cup1Monomial(combo)] = cup1_boundary(Cup1Monomial(combo), zero)
     return images
+
+
+def boundary_oracle(plain, bundles):
+    """The table of closed_images, by the general formula of cup1_boundary."""
+    known = closed(plain)
+    for b in sorted(bundles, key=lambda b: len(b.factors)):
+        known[b] = cup1_boundary(b, known)
+    return {**closed(plain), **{b: known[b] for b in bundles}}
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(st.lists(st.integers(0, 7), min_size=1, max_size=6), st.data())
+def test_closed_images_match_cup1_boundary(degrees, data):
+    # mixed degrees, odd ones too, and every bundle or a partial list of
+    # bundles, whose missing tails closed_images adds
+    plain = [Generator(f"g{i}", 0, deg) for i, deg in enumerate(degrees)]
+    bundles = [Cup1Monomial(c) for k in range(2, len(plain) + 1) for c in combinations(plain, k)]
+    if bundles and data.draw(st.booleans()):
+        bundles = data.draw(st.lists(st.sampled_from(bundles), unique=True))
+    table = closed_images(plain, bundles)
+    assert dict(table) == boundary_oracle(plain, bundles)
+
+
+def test_closed_images_match_cup1_boundary_on_face_bundles():
+    # the partial lists face_boundary passes: the bundles of one face's word
+    from cupone.permutohedron import default_letters, enumerate_faces, monomial_of_face
+
+    for n in range(2, 6):
+        letters = default_letters(n)
+        for faces in enumerate_faces(n).values():
+            for face in faces:
+                word = next(iter(monomial_of_face(face, letters).terms))
+                bundles = [letter for letter in word if isinstance(letter, Cup1Monomial)]
+                assert dict(closed_images(letters, bundles)) == boundary_oracle(letters, bundles)
+
+
+def test_closed_images_name_a_factor_without_an_image():
+    a, b = even_gens("ab")
+    with pytest.raises(DomainError, match="no differential image for factor b"):
+        closed_images([a], [Cup1Monomial((a, b))])
 
 
 def test_normalize_swap_sign():

@@ -6,19 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cupone.algebra import Generator, ImageTable, TensorElement
+from cupone import cup1, resolution
+from cupone.algebra import Generator, ImageTable, TensorElement, extend_derivation
 from cupone.cup1 import Cup1Monomial, bundle_factors, bundle_images
 from cupone.errors import DomainError, PreconditionError
 from cupone.linalg import IntMatrix, homology_at, solve
 from cupone.resolution import (
     INFINITY,
+    PATTERN_CACHE_SIZE,
     WORD_CACHE_SIZE,
     CgaPresentation,
     Resolution,
     ResolutionMap,
+    _Codes,
     _generic_table,
-    _letter_table,
     _pattern_verdicts,
+    _pattern_cache,
     _stratum_boundary,
     _stratum_walk,
     _summand_verdicts,
@@ -121,17 +124,77 @@ def test_certify_direct_path_matches_cached():
     assert rep_a.degrees == rep_b.degrees
 
 
-def test_pattern_verdicts_recompute_after_eviction():
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls; returns the count."""
+    calls, original = [0], getattr(module, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_pattern_verdicts_recompute_after_eviction(monkeypatch):
     first = _pattern_verdicts((2, 2, 1), 0, 5)
     assert len(first) == 6
-    maxsize = _pattern_verdicts.cache_info().maxsize
-    for c in range(1, maxsize + 1):
+    for c in range(1, PATTERN_CACHE_SIZE + 1):
         _pattern_verdicts((c,), 0, 0)  # one generator: no bundles, cheap to walk
-    misses = _pattern_verdicts.cache_info().misses
+    assert len(_pattern_cache) == PATTERN_CACHE_SIZE and ((2, 2, 1), 5) not in _pattern_cache
+    walks = _counting(monkeypatch, resolution, "_summand_verdicts")
     again = _pattern_verdicts((2, 2, 1), 0, 5)
-    assert _pattern_verdicts.cache_info().misses == misses + 1  # evicted, so walked again
+    assert walks[0] == 1  # evicted, so walked again
     assert again == first
-    assert _pattern_verdicts.cache_info().currsize == maxsize
+    assert len(_pattern_cache) == PATTERN_CACHE_SIZE
+
+
+def test_pattern_verdicts_serve_every_window_inside_the_one_walked(monkeypatch):
+    mults, hi = (2, 2, 1, 1), 4
+    monkeypatch.setattr(resolution, "_pattern_cache", type(_pattern_cache)())
+    walks = _counting(monkeypatch, resolution, "_summand_verdicts")
+    top = _pattern_verdicts(mults, 3, hi)
+    whole = _pattern_verdicts(mults, 0, hi)
+    assert walks[0] == 2 and whole[3:] == top  # reaching lower walks again
+    assert [_pattern_verdicts(mults, lo, hi) for lo in range(hi + 1)] == [whole[lo:] for lo in range(hi + 1)]
+    assert walks[0] == 2
+    counts = {f"w{i}": c for i, c in enumerate(mults)}
+    assert whole == _summand_verdicts(counts, _generic_table(len(mults)), 0, hi)
+
+
+def _certify_cold(monkeypatch, degrees, m):
+    """Certify a presentation with no generic table or pattern walk kept."""
+    monkeypatch.setattr(resolution, "_pattern_cache", type(_pattern_cache)())
+    monkeypatch.setattr(resolution, "_generic", [])
+    return certify_resolution(build_resolution(CgaPresentation.of(degrees, m)))
+
+
+def test_cold_certify_builds_one_generic_table_and_no_cup1_boundary(monkeypatch):
+    # the table on all 5 generators also serves the patterns on fewer
+    tables = _counting(monkeypatch, resolution, "bundle_images")
+    boundaries = _counting(monkeypatch, cup1, "cup1_boundary")
+    assert _certify_cold(monkeypatch, dict.fromkeys("abcde", 2), 8).ok
+    assert tables[0] == 1 and boundaries[0] == 0
+    assert len(_generic_table(3).code) == 2 ** 5 - 1
+
+
+def test_generic_table_is_built_on_the_longest_pattern(monkeypatch):
+    # 11 generators at m = 3 meet only patterns on at most 2 of them; a
+    # table on all 11 would hold 2^11 − 1 letters
+    assert _certify_cold(monkeypatch, {chr(ord("a") + i): 2 for i in range(11)}, 3).ok
+    assert len(_generic_table(1).code) == 3
+
+
+@pytest.mark.parametrize("degrees, eliminations", [
+    ({"a": 2, "b": 2, "c": 4, "d": 4, "e": 2}, 61),
+    ({"a": 2, "b": 4, "c": 2, "d": 6}, 35),
+])
+def test_cold_certify_eliminates_each_pattern_boundary_once(monkeypatch, degrees, eliminations):
+    # two multisets of one pattern ask for different windows; the lower
+    # one is walked first and serves the other, so no ∂ is eliminated twice
+    calls = _counting(monkeypatch, resolution, "invariant_factors")
+    assert _certify_cold(monkeypatch, degrees, 10).ok
+    assert calls[0] == eliminations
 
 
 def test_summand_verdicts_check_each_composite_they_use():
@@ -140,13 +203,13 @@ def test_summand_verdicts_check_each_composite_they_use():
     counts = {"a": 1, "b": 1, "c": 1}
     images = bundle_images([a, b, c])
     images = ImageTable({**images, abc: images[abc] - TensorElement.of(ab, c)})  # right bidegree, but d(d(abc)) != 0
-    assert _summand_verdicts(counts, _letter_table(images), images, 0, 0) == (True,)
+    assert _summand_verdicts(counts, _Codes(images), 0, 0) == (True,)
     with pytest.raises(DomainError, match=r"d∘d is nonzero on the summand .* at resolution degree -1"):
-        _summand_verdicts(counts, _letter_table(images), images, 1, 1)
+        _summand_verdicts(counts, _Codes(images), 1, 1)
     # d(ab) does not augment to 0
     images = ImageTable({**bundle_images([a, b]), ab: TensorElement.of(a, b) + TensorElement.of(b, a)})
     with pytest.raises(DomainError, match=r"ρ∘d is nonzero on the summand .* at resolution degree 0"):
-        _summand_verdicts({"a": 1, "b": 1}, _letter_table(images), images, 0, 0)
+        _summand_verdicts({"a": 1, "b": 1}, _Codes(images), 0, 0)
 
 
 def test_summand_names_a_transported_word_outside_its_multiset():
@@ -154,7 +217,7 @@ def test_summand_names_a_transported_word_outside_its_multiset():
     # right bidegree, outside the multiset {a, b}
     images = ImageTable({**bundle_images([a, b]), Cup1Monomial((a, b)): TensorElement.of(a, a)})
     with pytest.raises(DomainError, match=r"transported word aa is not a face of dimension 0"):
-        _summand_verdicts({"a": 1, "b": 1}, _letter_table(images), images, 1, 1)
+        _summand_verdicts({"a": 1, "b": 1}, _Codes(images), 1, 1)
 
 
 def _patterns(size, largest=None):
@@ -166,16 +229,16 @@ def _patterns(size, largest=None):
         yield from ((part, *rest) for rest in _patterns(size - part, part))
 
 
-def _position_verdicts(counts, letters, images, top):
+def _position_verdicts(counts, table, top):
     """Whether the summand's homology vanishes at each position 0..top,
     through homology_at one position at a time."""
     size = sum(counts.values())
-    stratum = _stratum_walk(counts, letters)
+    stratum = _stratum_walk(counts, table.code)
     out = []
     for n in range(top + 1):
         mid = stratum(size - n)
-        d_out = IntMatrix([[1] * len(mid)]) if n == 0 else _stratum_boundary(images, mid, stratum(size - n + 1))
-        out.append(homology_at(d_out, _stratum_boundary(images, stratum(size - n - 1), mid)).is_trivial)
+        d_out = IntMatrix([[1] * len(mid)]) if n == 0 else _stratum_boundary(table, mid, stratum(size - n + 1))
+        out.append(homology_at(d_out, _stratum_boundary(table, stratum(size - n - 1), mid)).is_trivial)
     return out
 
 
@@ -186,17 +249,39 @@ def test_summand_verdicts_match_homology_at_on_every_window():
     for size in range(1, 6):
         for mults in _patterns(size):
             counts = {f"w{i}": c for i, c in enumerate(mults)}
-            letters, images = _generic_table(len(mults))
             n_hi = size - max(mults[0], ceil(size / len(mults)))
-            expected = _position_verdicts(counts, letters, images, n_hi)
+            expected = _position_verdicts(counts, _generic_table(len(mults)), n_hi)
             for lo in range(n_hi + 1):
                 assert _pattern_verdicts(mults, lo, n_hi) == tuple(expected[lo:]), (mults, lo)
             if len(mults) > 1:
-                sphere = {key: letter for key, letter in letters.items() if len(key) < len(mults)}
-                expected = _position_verdicts(counts, sphere, images, size - 1)
+                images = bundle_images([Generator(name, 0, 2) for name in counts])
+                sphere = _Codes(images, [letter for letter in images if len(bundle_factors(letter)) < len(mults)])
+                expected = _position_verdicts(counts, sphere, size - 1)
                 assert expected.count(False) == 1
                 for lo in range(size):
-                    assert _summand_verdicts(counts, sphere, images, lo, size - 1) == tuple(expected[lo:]), (mults, lo)
+                    assert _summand_verdicts(counts, sphere, lo, size - 1) == tuple(expected[lo:]), (mults, lo)
+
+
+def _letter_boundary(images, src, tgt):
+    """∂ from the letter words `src` to `tgt`, by extend_derivation."""
+    row_of = {w: i for i, w in enumerate(tgt)}
+    columns = [[(row_of[w], c) for w, c in extend_derivation(images, TensorElement({w: 1})).terms.items()] for w in src]
+    return IntMatrix.from_columns(range(len(tgt)), columns)
+
+
+def test_coded_stratum_boundary_matches_the_letter_boundary():
+    # every pattern of size <= 5: the ∂ built on code words equals the ∂
+    # built on the decoded letter words by extend_derivation
+    for size in range(1, 6):
+        for mults in _patterns(size):
+            counts = {f"w{i}": c for i, c in enumerate(mults)}
+            images = bundle_images([Generator(name, 0, 2) for name in counts])
+            table = _Codes(images)
+            stratum = _stratum_walk(counts, table.code)
+            for k in range(2, size + 1):
+                src, tgt = stratum(k - 1), stratum(k)
+                letters = [[table.decode(w) for w in words] for words in (src, tgt)]
+                assert _stratum_boundary(table, src, tgt) == _letter_boundary(images, *letters), (mults, k)
 
 
 def test_word_cache_is_bounded_and_recomputes_after_eviction():
