@@ -8,8 +8,7 @@ generator names where a cup-one bundle is written {"cup1": ["a","b"]}.
 Reports come out as aligned text or as machine-readable JSON: the machine
 output is exactly `json.dumps(report, ensure_ascii=False, sort_keys=True,
 indent=2)` plus a newline, written in pieces rather than built whole.
-Exit codes are 0 computed/pass, 1 checked-and-failed, 3 inconclusive,
-2 bad input.
+Exit codes are 0 computed/pass, 1 checked-and-failed, 2 bad input.
 No input prints a traceback: bad input exits 2 with a message that names
 its path in the document, such as `dgas.d: differential`.
 """
@@ -42,7 +41,6 @@ from .twisting import GaugeElement, TwistingElement, build_DX, gauge_act, gauge_
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_INPUT = 2
-EXIT_INCONCLUSIVE = 3
 
 
 class InputError(Exception):
@@ -462,25 +460,20 @@ def cmd_gauge(w, args):
 def cmd_orbit(w, args):
     a = _need(w, "twistings", args.a, "a")
     b = _need(w, "twistings", args.b, "b")
-    if args.budget < 1:
-        raise InputError(f"--budget must be at least 1, not {args.budget}")
-    verdict = gauge_equivalent(a, b, budget=args.budget)
+    verdict = gauge_equivalent(a, b)
     report = {
         "command": "orbit",
-        "parameters": {"a": args.a, "b": args.b, "budget": args.budget,
-                       "truncation": a.truncation},
+        "parameters": {"a": args.a, "b": args.b, "truncation": a.truncation},
         "verdict": verdict.status,
-        "nodes_used": verdict.nodes_used,
+        "unknowns": verdict.nodes_used,
     }
     if verdict.status == "witness":
         report["witness"] = {str(r): _dga_element_pairs(c) for r, c in sorted(verdict.witness.components.items())}
         return report, EXIT_OK
-    if verdict.status == "refuted":
-        report["refutation_level"] = verdict.refutation_level
-        report["obstruction"] = _dga_element_pairs(verdict.obstruction)
-        return report, EXIT_FAILED
-    report["depth_reached"] = verdict.depth_reached
-    return report, EXIT_INCONCLUSIVE
+    report["refutation_level"] = verdict.refutation_level
+    report["obstruction"] = _dga_element_pairs(verdict.obstruction)
+    report["modulus"] = verdict.modulus
+    return report, EXIT_FAILED
 
 
 def cmd_tor(w, args):
@@ -710,7 +703,6 @@ def build_parser():
     parser.add_argument("--command", required=True, choices=sorted(COMMANDS))
     parser.add_argument("--format", choices=("text", "machine"), default="text")
     parser.add_argument("--truncation", type=int, default=None, help="total-degree or perturbation truncation")
-    parser.add_argument("--budget", type=int, default=200, help="search budget for the orbit problem")
     parser.add_argument("--cga", help="presentation name (resolve, certify)")
     parser.add_argument("--m", type=int, default=None, help="range override for resolve/certify")
     parser.add_argument("--n", type=int, help="permutohedron size")

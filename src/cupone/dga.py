@@ -351,10 +351,6 @@ class SimplicialComplex:
             raise DomainError("empty complex")
         self.simplices = sorted(closed, key=lambda s: (len(s), s))
 
-    @property
-    def dimension(self):
-        return max(len(s) for s in self.simplices) - 1
-
 
 def _simplex_label(s):
     return "[" + ",".join(str(v) for v in s) + "]"

@@ -318,16 +318,28 @@ def _solution(elimination, rhs):
     return None if any(c) else tuple(x)
 
 
+def _certificate(elimination, rhs):
+    """Why M·x = rhs has no integer solution, from the result of
+    `_eliminate(M, transforms=True)`: the first row z of U, as a dict, and
+    a modulus q with z·M ≡ 0 but z·rhs ≢ 0 (mod q).  At a pivot d of row
+    r, (U·M)_r is d times a row of V⁻¹, so q = |d|; without a pivot
+    (U·M)_r = 0, and q = 0 makes both congruences equalities.  None when
+    a solution exists."""
+    pivots, u, _ = elimination
+    moduli = {r: abs(d) for r, _, d in pivots}
+    for r in range(len(u)):
+        q = moduli.get(r, 0)
+        value = sum(x * rhs[j] for j, x in u[r].items())
+        if value % q if q else value:
+            return dict(u[r]), q
+    return None
+
+
 def kernel_basis(matrix):
     """Basis of the lattice {x : M·x = 0}, as a list of integer tuples:
     the columns of V at the non-pivot columns, in column order."""
     m = matrix if isinstance(matrix, IntMatrix) else IntMatrix(matrix)
-    return _kernel(_eliminate(m, transforms=True))
-
-
-def _kernel(elimination):
-    """`kernel_basis` on the result of `_eliminate(M, transforms=True)`."""
-    pivots, _, v = elimination
+    pivots, _, v = _eliminate(m, transforms=True)
     pivot_cols = {c for _, c, _ in pivots}
     return [tuple(v[j].get(k, 0) for k in range(len(v))) for j in range(len(v)) if j not in pivot_cols]
 

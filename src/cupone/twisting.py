@@ -8,16 +8,23 @@ is truncated at an explicit level N: all statements hold in perturbation
 degrees <= N.  Twisting elements and gauge perturbations share one base
 for their level components; derivation homotopies reuse the dga maps'
 linear extension and bidegree check.
+
+Orbits are decided exactly.  For fixed a and b the relation
+b − a = ap′ − p′b + ∇p′ is a linear system over Z in the coordinates of
+p′, so one elimination answers `gauge_equivalent`: a solution is a
+witness p, confirmed by `gauge_act(a, p) == b`, and an unsolvable system
+has an integer certificate (z, q), a combination z of the equations with
+z·M ≡ 0 and z·(b − a) ≢ 0 modulo q, checked by a plain matrix product.
+Its `budget` keyword is ignored.
 """
 
 from __future__ import annotations
-
-from itertools import product
 
 from .algebra import _merge
 from .dga import (
     DgaElement,
     DgaMap,
+    _product,
     _product_support,
     check_bidegree_shift,
     linear_extension,
@@ -26,7 +33,7 @@ from .dga import (
     two_stage_hom_dga,
 )
 from .errors import DegreeError, DomainError, SizeError
-from .linalg import _eliminate, _kernel, _solution
+from .linalg import IntMatrix, _certificate, _eliminate, _solution
 from .record import Record
 
 
@@ -197,110 +204,82 @@ def orbit_relation_holds(a, b, p):
 
 
 class OrbitVerdict(Record):
-    status: str  # "witness" | "refuted" | "inconclusive"
+    status: str  # "witness" | "refuted"
     witness: object = None
     refutation_level: int = 0
     obstruction: object = None
-    depth_reached: int = 0
-    nodes_used: int = 0
+    modulus: int = 0
+    nodes_used: int = 0  # the unknowns of the orbit system
     _uncompared = ("obstruction",)
 
     def __str__(self):
         if self.status == "witness":
             return f"gauge equivalent; witness {self.witness!r}"
-        if self.status == "refuted":
-            return (
-                f"not gauge equivalent: level-{self.refutation_level} obstruction class "
-                f"[{self.obstruction}] is nonzero in cohomology"
-            )
-        return f"inconclusive (budget exhausted at level {self.depth_reached})"
+        modulo = f"modulo {self.modulus}" if self.modulus else "over Z"
+        return (
+            f"not gauge equivalent: z = {self.obstruction} annihilates every gauge move "
+            f"but not b − a, {modulo} (level {self.refutation_level})"
+        )
 
 
-def _offsets(dim, limit):
-    """Integer offset tuples of increasing max-norm: (0,..), then norm 1, ..."""
-    for radius in range(limit + 1):
-        for offset in product(range(-radius, radius + 1), repeat=dim):
-            if max(map(abs, offset), default=0) == radius:
-                yield offset
+def gauge_equivalent(a, b, budget=None):
+    """Decide whether b = a∗p for some gauge element p, by one integer solve.
 
-
-def gauge_equivalent(a, b, budget=200):
-    """Search for p′ with b = a∗p, degreewise by perturbation level.
-
-    At each level k the unknown p^{k−1} enters linearly through ∇: each
-    level's matrix is eliminated once, and that elimination gives its
-    kernel lattice and each search node's particular solution.
-    Unsolvability at level 2 refutes (the class of b²−a² in H^{2,−1}(A,∇)
-    is a gauge invariant); deeper failures backtrack over kernel cosets
-    until the node budget runs out."""
+    The orbit relation b − a = ap′ − p′b + ∇p′ is linear in p′.  The
+    unknowns are the coordinates of p′ on ⊕_{j<N} A^{j,−j}, the equations
+    the labels of ⊕_{2<=k<=N} A^{k,1−k}, and the column of a label e at
+    level j is ∇e + Σ_{i<=N−j} (a^i·e − e·b^i): block lower-triangular,
+    with ∇ on the diagonal blocks.  One elimination either solves it, and
+    the solution is a witness that `gauge_act` confirms, or gives a row z
+    of its left transform with z·M ≡ 0 and z·(b − a) ≢ 0 modulo q, an
+    integer certificate that no p exists; q = 0 makes both equalities
+    over Z.  A plain product checks the certificate.  The verdict reports
+    z as the `obstruction` Σ z_l·l, q as its `modulus`, the highest level
+    of z's support as the `refutation_level`, and the unknowns as
+    `nodes_used`.  `budget` is accepted and ignored, for callers that
+    still pass it: the solve needs no bound."""
     if a.dga is not b.dga or a.truncation != b.truncation:
         raise DomainError("twisting elements live in different dgas or truncations")
     for name, t in (("a", a), ("b", b)):
         rep = is_twisting(t)
         if not rep.ok:
             raise DomainError(f"{name} is not twisting: {rep}")
-    dga = a.dga
-    N = a.truncation
+    dga, N, rows = a.dga, a.truncation, a.dga.rows
+    unknowns = [(j, label) for j in range(1, N) for label in dga.basis_of(j, -j)]
+    equations = [label for k in range(2, N + 1) for label in dga.basis_of(k, 1 - k)]
 
-    strata = {}
-    for k in range(2, N + 1):
-        elimination = _eliminate(dga.differential_matrix(k - 1, 1 - k), transforms=True)
-        strata[k] = (dga.basis_of(k - 1, 1 - k), dga.basis_of(k, 1 - k), elimination, _kernel(elimination))
+    def column(j, label):
+        """ap′ − p′b + ∇p′ at p′ = label, through level N."""
+        e = {label: 1}
+        yield from dga.diff.get(label, {}).items()
+        for i in range(2, N - j + 1):
+            yield from _product(rows, a.component(i).terms, e).items()
+            yield from ((l, -v) for l, v in _product(rows, e, b.component(i).terms).items())
 
-    nodes = {"used": 0}
-
-    def rhs_at(k, chosen):
-        """∇(p^{k−1}) = (b−a)^k − Σ_{i+j=k} a^i p^j + Σ_{j+i=k} p^j b^i."""
-        out = b.component(k) - a.component(k)
-        for j in range(1, k - 1):
-            i = k - j
-            if i >= 2 and j in chosen:
-                out = out - a.component(i) * chosen[j] + chosen[j] * b.component(i)
-        tgt = strata[k][1]
-        vec = [out.terms.get(l, 0) for l in tgt]
-        leftover = set(out.terms) - set(tgt)
-        if leftover:
-            raise DomainError(f"right-hand side leaves the stored bidegree window at level {k}")
-        return vec
-
-    def dfs(k, chosen):
-        if k > N:
-            p = GaugeElement(dga, N, dict(chosen))
-            if gauge_act(a, p) == b:
-                return OrbitVerdict("witness", p, nodes_used=nodes["used"])
-            return None
-        src, tgt, elimination, kernel = strata[k]
-        vec = rhs_at(k, chosen)
-        nodes["used"] += 1
-        particular = _solution(elimination, vec)
-        if particular is None:
-            if k == 2:
-                obstruction = dga.element({l: c for l, c in zip(tgt, vec) if c})
-                return OrbitVerdict("refuted", refutation_level=2, obstruction=obstruction,
-                                    nodes_used=nodes["used"])
-            return None
-        for offset in _offsets(len(kernel), budget):
-            if nodes["used"] >= budget:
-                return OrbitVerdict("inconclusive", depth_reached=k, nodes_used=nodes["used"])
-            coords = list(particular)
-            for c, kv in zip(offset, kernel):
-                if c:
-                    coords = [x + c * y for x, y in zip(coords, kv)]
-            comp = dga.element({l: v for l, v in zip(src, coords) if v})
-            chosen[k - 1] = comp
-            nodes["used"] += 1
-            verdict = dfs(k + 1, chosen)
-            del chosen[k - 1]
-            if verdict is not None:
-                return verdict
-            if not kernel:
-                break
-        return None
-
-    verdict = dfs(2, {})
-    if verdict is None:
-        return OrbitVerdict("inconclusive", depth_reached=N, nodes_used=nodes["used"])
-    return verdict
+    matrix = IntMatrix.from_columns(equations, [column(j, label) for j, label in unknowns])
+    diff = (b.as_element() - a.as_element()).terms
+    rhs = [diff.get(label, 0) for label in equations]
+    elimination = _eliminate(matrix, transforms=True)
+    x = _solution(elimination, rhs)
+    if x is not None:
+        components = {}
+        for (j, label), v in zip(unknowns, x):
+            if v:
+                components.setdefault(j, {})[label] = v
+        p = GaugeElement(dga, N, components)
+        if gauge_act(a, p) != b:
+            raise RuntimeError("the orbit system's solution fails a∗p = b")
+        return OrbitVerdict("witness", p, nodes_used=len(unknowns))
+    z, q = _certificate(elimination, rhs)
+    dense = [z.get(i, 0) for i in range(len(equations))]
+    pairings = matrix.transpose().mul_vector(dense) + (sum(x * y for x, y in zip(dense, rhs)),)
+    residues = [v % q if q else v for v in pairings]
+    if any(residues[:-1]) or not residues[-1]:
+        raise RuntimeError("the orbit system's certificate does not check")
+    obstruction = dga.element({equations[i]: v for i, v in z.items()})
+    level = max(dga.bidegrees[label][0] for label in obstruction.terms)
+    return OrbitVerdict("refuted", refutation_level=level, obstruction=obstruction, modulus=q,
+                        nodes_used=len(unknowns))
 
 
 def push_twisting(phi, a):
@@ -317,10 +296,6 @@ def push_twisting(phi, a):
     if not rep.ok:
         raise DomainError(f"pushed element is not twisting: {rep}")
     return pushed
-
-
-def push_gauge(phi, p):
-    return GaugeElement(phi.target, p.truncation, {r: phi.apply(c) for r, c in p.components.items()})
 
 
 # ---------------------------------------------------------------------------

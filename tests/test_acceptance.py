@@ -6,9 +6,9 @@ criterion.
 
 import json
 import random
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 
-from cupone.algebra import Generator, TensorElement
+from cupone.algebra import TensorElement
 from cupone.cli import main
 from cupone.cup1 import Cup1Monomial, cup1_boundary
 from cupone.groups import Z, check_hypotheses, tor, unitary_group_instance

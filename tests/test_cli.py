@@ -1,5 +1,10 @@
+import contextlib
 import copy
+import io
 import json
+import os
+import re
+import tempfile
 import types
 
 import pytest
@@ -147,11 +152,22 @@ def test_cli_twisting_gauge_orbit(doc_path, capsys):
     assert "refuted" in out
 
 
-def test_cli_orbit_inconclusive_exit_code(doc_path, capsys):
-    assert main(["--input", doc_path, "--command", "orbit", "--a", "a", "--b", "b",
-                 "--budget", "1"]) == 3
-    out = capsys.readouterr().out
-    assert "inconclusive" in out
+def test_cli_orbit_reports_the_certificate(doc_path, capsys):
+    # c − a = e pairs to 1 with z = e, and no gauge move reaches e
+    assert main(["--input", doc_path, "--command", "orbit", "--a", "a", "--b", "c", "--format", "machine"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report == {
+        "command": "orbit", "parameters": {"a": "a", "b": "c", "truncation": 2}, "verdict": "refuted",
+        "unknowns": 1, "refutation_level": 2, "obstruction": [[1, "e"]], "modulus": 0,
+    }
+
+
+def test_exit_code_contract_lists_exactly_the_exit_constants():
+    import cupone.cli as cli
+
+    contract = re.search(r"Exit codes are ([^.]*)\.", cli.__doc__).group(1)
+    documented = sorted(int(code) for code in re.findall(r"\b(\d+) ", contract))
+    assert documented == sorted(v for k, v in vars(cli).items() if k.startswith("EXIT_"))
 
 
 def test_cli_resolve_with_m_override(doc_path, capsys):
@@ -216,6 +232,19 @@ OUT_OF_DOMAIN_DOC = {
 }
 
 
+# DOC plus a dga N with ∇e = f, where the level-2 element e is not twisting
+ORBIT_DOC = {
+    "dgas": {**DOC["dgas"], "N": {
+        "basis": [["one", 0, 0], ["e", 2, -1], ["f", 3, -1]],
+        "differential": {"e": [[1, "f"]]},
+        "products": [["one", "one", [[1, "one"]]], ["one", "e", [[1, "e"]]], ["e", "one", [[1, "e"]]],
+                     ["one", "f", [[1, "f"]]], ["f", "one", [[1, "f"]]]],
+        "unit": [[1, "one"]],
+    }},
+    "twistings": {**DOC["twistings"], "n": {"dga": "N", "truncation": 2, "components": {"2": [[1, "e"]]}}},
+}
+
+
 def _cga_text(generators, m):
     """A workspace holding one presentation `c`, written as JSON text so
     that literals such as 1e400 and NaN reach the parser as written."""
@@ -255,8 +284,9 @@ OUT_OF_DOMAIN_ARGV = [
 
 @pytest.mark.parametrize("doc, argv, message", [
     *[(OUT_OF_DOMAIN_DOC, argv, message) for argv, message in OUT_OF_DOMAIN_ARGV],
-    (DOC, ["--command", "orbit", "--a", "a", "--b", "b", "--budget", "0"], "--budget must be at least 1, not 0"),
-    (DOC, ["--command", "orbit", "--a", "a", "--b", "b", "--budget", "-1"], "--budget must be at least 1, not -1"),
+    (ORBIT_DOC, ["--command", "orbit", "--a", "n", "--b", "n"], "a is not twisting"),
+    (ORBIT_DOC, ["--command", "orbit", "--a", "a", "--b", "n"], "different dgas"),
+    (ORBIT_DOC, ["--command", "orbit", "--a", "a", "--b", "missing"], "no b named 'missing'"),
     # integer fields take JSON integers only: no float, bool or string value
     (_cga_text('{"x": 2}', "1e400"), CERTIFY_C, "cgas.c: m inf is not an integer"),
     (_cga_text('{"x": 2}', "4.5"), CERTIFY_C, "cgas.c: m 4.5 is not an integer"),
@@ -331,13 +361,19 @@ JSON_VALUES = st.one_of(
 
 
 @st.composite
-def mutated_documents(draw):
-    """DOC, which holds an entry of every section, mutated at one to three
-    values at any level: a value changes its JSON type, its key is dropped,
-    or it is nested in a list where an object or a scalar belongs."""
-    holder = {"doc": copy.deepcopy(DOC)}
-    for _ in range(draw(st.integers(1, 3))):
-        path = draw(st.sampled_from(list(_document_paths(holder))[1:]))
+def mutated_documents(draw, base=DOC, section=None, values=JSON_VALUES, mutations=st.integers(1, 3)):
+    """`base`, by default DOC, which holds an entry of every section,
+    mutated at `mutations` values at any level, or only inside `section`:
+    a value becomes one of `values`, its key is dropped, or it is nested
+    in a list where an object or a scalar belongs."""
+    holder = {"doc": copy.deepcopy(base)}
+    inside = () if section is None else ("doc", section)
+    for _ in range(draw(mutations)):
+        # the first path under `inside` is `inside` itself
+        paths = [p for p in _document_paths(holder) if p[:len(inside)] == inside][1:]
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
         parent = holder
         for key in path[:-1]:
             parent = parent[key]
@@ -347,7 +383,7 @@ def mutated_documents(draw):
         elif kind == "nest":
             parent[path[-1]] = [parent[path[-1]]]
         else:
-            parent[path[-1]] = draw(JSON_VALUES)
+            parent[path[-1]] = draw(values)
     return json.dumps(holder["doc"])
 
 
@@ -359,6 +395,37 @@ def test_parse_input_returns_a_workspace_or_raises_input_error(text):
     except InputError:
         return
     assert isinstance(workspace, Workspace)
+
+
+ORBIT_NAMES = st.sampled_from(["a", "b", "c", "n", "missing"])
+ORBIT_VALUES = st.one_of(st.integers(-3, 5), st.sampled_from(["A", "N", "one", "u", "e", "f", "2", "3"]), JSON_VALUES)
+
+
+@st.composite
+def drawn_twistings(draw):
+    """ORBIT_DOC with the entries a and b redrawn in A, at level 2 and
+    with truncation 2 or 3."""
+    doc = copy.deepcopy(ORBIT_DOC)
+    for name in ("a", "b"):
+        labels = draw(st.lists(st.sampled_from(["e", "f"]), max_size=3))
+        doc["twistings"][name] = {"dga": "A", "truncation": draw(st.sampled_from([2, 3])),
+                                  "components": {"2": [[draw(st.integers(-3, 3)), label] for label in labels]}}
+    return json.dumps(doc)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.one_of(drawn_twistings(), mutated_documents(ORBIT_DOC, "twistings", ORBIT_VALUES, st.integers(0, 2))),
+       ORBIT_NAMES, ORBIT_NAMES, st.sampled_from(["text", "machine"]))
+def test_orbit_exits_0_1_or_2_without_traceback(text, a, b, fmt):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["--input", path, "--command", "orbit", "--a", a, "--b", b, "--format", fmt])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("dga, message", [

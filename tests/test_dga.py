@@ -179,4 +179,3 @@ def test_a_map_rejects_an_element_of_another_dga():
 def test_simplicial_complex_closure():
     X = SimplicialComplex([[0, 1, 2]])
     assert X.simplices == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
-    assert X.dimension == 2

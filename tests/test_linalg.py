@@ -14,6 +14,8 @@ from cupone.linalg import (
     homology,
     homology_at,
     invariant_factors,
+    _certificate,
+    _eliminate,
     kernel_basis,
     smith_normal_form,
     solve,
@@ -150,6 +152,15 @@ def test_solve_against_the_column_lattice(m, data):
     assert (x is not None) == inside
     if x is not None:
         assert m.mul_vector(x) == tuple(b)
+    # outside, a row z of U with z·M ≡ 0 and z·b ≢ 0 (mod q) says so
+    certificate = _certificate(_eliminate(m, transforms=True), b)
+    assert (certificate is None) == inside
+    if certificate is not None:
+        z, q = certificate
+        dense = [z.get(i, 0) for i in range(m.rows)]
+        pairings = m.transpose().mul_vector(dense) + (sum(x * y for x, y in zip(dense, b)),)
+        residues = [v % q if q else v for v in pairings]
+        assert not any(residues[:-1]) and residues[-1]
 
 
 def test_solve_and_kernel():

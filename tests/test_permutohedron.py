@@ -1,6 +1,6 @@
 import pytest
 
-from cupone.algebra import Generator, ImageTable, TensorElement
+from cupone.algebra import ImageTable, TensorElement
 from cupone.cup1 import Cup1Monomial, bundle_factors, bundle_images, cup1_boundary
 from cupone.errors import DomainError, SizeError
 from cupone.permutohedron import (

@@ -92,9 +92,9 @@ RECORDS = {
     ),
     OrbitVerdict: (
         [("status", REQUIRED), ("witness", None), ("refutation_level", 0), ("obstruction", None, UNCOMPARED),
-         ("depth_reached", 0), ("nodes_used", 0)],
-        [("inconclusive",), ("refuted", None, 3, "one", 3, 5), ("refuted", None, 3, "two", 3, 5),
-         ("witness", "p", 0, None, 2, 10)],
+         ("modulus", 0), ("nodes_used", 0)],
+        [("witness",), ("refuted", None, 3, "one", 2, 5), ("refuted", None, 3, "two", 2, 5),
+         ("witness", "p", 0, None, 0, 10)],
     ),
     OrbitHomotopyReport: (
         [("ok", REQUIRED), ("failed_law", ""), ("failed_at", ""), ("witness", None)],

@@ -1,12 +1,9 @@
 import random
-from collections import Counter
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cupone.dga import BigradedDGA, DgaMap, free_truncated_dga, simplicial_cochain_dga, tensor_dga, two_stage_hom_dga
-from cupone.errors import DomainError
+from cupone.dga import BigradedDGA, DgaMap, free_truncated_dga, simplicial_cochain_dga
 from cupone.linalg import FGAbelianGroup, _eliminate, kernel_basis, solve
 from cupone.twisting import (
     GaugeElement,
@@ -17,7 +14,6 @@ from cupone.twisting import (
     homotopy_orbit_check,
     is_twisting,
     orbit_relation_holds,
-    push_gauge,
     push_twisting,
 )
 
@@ -151,35 +147,44 @@ def test_gauge_additivity_identity():
         assert moved.component(n + 1) == expected
 
 
+def certificate_holds(a, b, verdict):
+    """A refutation's certificate (z, q), checked with dga products alone:
+    z pairs the move ap′ − p′b + ∇p′ of every basis perturbation p′ to 0
+    modulo q, and b − a to a nonzero residue; q = 0 means over Z.  z lives
+    on levels <= N, so the pairing truncates the products."""
+    z, q = verdict.obstruction.terms, verdict.modulus
+
+    def residue(element):
+        value = sum(z.get(label, 0) * c for label, c in element.terms.items())
+        return value % q if q else value
+
+    F = a.dga
+    for j in range(1, a.truncation):
+        for label in F.basis_of(j, -j):
+            e = F.basis_element(label)
+            if residue(a.as_element() * e - e * b.as_element() + e.d()):
+                return False
+    return residue(b.as_element() - a.as_element()) != 0
+
+
 def test_orbit_trivial_and_recovered():
     F = diagonal_free_dga()
     rng = random.Random(13)
     zero = TwistingElement.zero(F, 4)
     a = gauge_act(zero, random_gauge(F, 4, rng))
-    assert gauge_equivalent(a, a).status == "witness"
+    verdict = gauge_equivalent(a, a)
+    assert verdict.status == "witness" and gauge_act(a, verdict.witness) == a
     p = random_gauge(F, 4, rng)
     b = gauge_act(a, p)
-    verdict = gauge_equivalent(a, b, budget=500)
+    verdict = gauge_equivalent(a, b)
     assert verdict.status == "witness"
     assert gauge_act(a, verdict.witness) == b
 
 
-def test_orbit_inconclusive_when_budget_exhausted():
-    F = diagonal_free_dga()
-    rng = random.Random(14)
-    zero = TwistingElement.zero(F, 4)
-    a = gauge_act(zero, random_gauge(F, 4, rng))
-    b = gauge_act(a, random_gauge(F, 4, rng))
-    verdict = gauge_equivalent(a, b, budget=1)
-    assert verdict.status == "inconclusive"
-    assert verdict.depth_reached >= 2
-
-
-def test_orbit_search_computes_each_level_kernel_once(monkeypatch):
-    """The budget-exhaustion search, one level deeper and with b moved off
-    the orbit at its top level, backtracks over level-3 and level-4
-    cosets; each level's matrix is still eliminated once, and that one
-    elimination gives its kernel lattice and every particular solution."""
+def test_off_orbit_pair_is_refuted_with_one_elimination(monkeypatch):
+    """b is moved off a's orbit at its top level N = 5.  Its levels below
+    N are on the orbit, so any certificate needs a level-N equation; the
+    whole system is eliminated once."""
     import cupone.twisting as twisting
 
     F = diagonal_free_dga()
@@ -189,16 +194,52 @@ def test_orbit_search_computes_each_level_kernel_once(monkeypatch):
     b = gauge_act(a, random_gauge(F, N, rng))
     off = TwistingElement(F, N, {**b.components, N: b.component(N) + F.element({"u2·x3": 1})})
     assert is_twisting(off).ok
-    calls = Counter()
+    calls = []
 
     def counting_eliminate(mat, transforms=False):
-        calls[mat] += 1
+        calls.append(mat)
         return _eliminate(mat, transforms)
 
     monkeypatch.setattr(twisting, "_eliminate", counting_eliminate)
-    verdict = gauge_equivalent(a, off, budget=40)
-    assert verdict.status == "inconclusive" and verdict.depth_reached == N - 1
-    assert max(calls.values()) == 1 and len(calls) == N - 1
+    verdict = gauge_equivalent(a, off)
+    assert verdict.status == "refuted" and verdict.refutation_level == N
+    assert certificate_holds(a, off, verdict)
+    assert len(calls) == 1
+
+
+@st.composite
+def twistings(draw, N=4):
+    """a = c∗p for a drawn ∇-cycle c at level 3 and a drawn gauge p; c is
+    twisting at N = 4 because c·c lies at level 6."""
+    F = diagonal_free_dga()
+    basis = F.basis_of(3, -2)
+    coords = [0] * len(basis)
+    for kv in kernel_basis(F.differential_matrix(3, -2)):
+        c = draw(st.integers(-2, 2))
+        coords = [x + c * y for x, y in zip(coords, kv)]
+    cycle = TwistingElement(F, N, {3: {l: c for l, c in zip(basis, coords) if c}})
+    return gauge_act(cycle, draw(gauges(N)))
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(twistings(), gauges())
+def test_planted_orbit_pairs_are_recovered(a, p):
+    b = gauge_act(a, p)
+    assert orbit_relation_holds(a, b, p)
+    verdict = gauge_equivalent(a, b)
+    assert verdict.status == "witness" and gauge_act(a, verdict.witness) == b
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.integers(-3, 3), st.integers(-3, 3), gauges(N=2), st.integers(-3, 3).filter(bool))
+def test_moving_off_the_orbit_by_a_non_exact_cycle_is_refuted(alpha, beta, p, k):
+    """b = a∗p + k·x2 at N = 2: x2 is a ∇-cycle and not exact (∇u1 = y2)."""
+    F = diagonal_free_dga()
+    a = TwistingElement(F, 2, {2: {"x2": alpha, "y2": beta}})
+    b = TwistingElement(F, 2, {2: gauge_act(a, p).component(2) + F.element({"x2": k})})
+    verdict = gauge_equivalent(a, b)
+    assert verdict.status == "refuted" and verdict.refutation_level == 2
+    assert certificate_holds(a, b, verdict)
 
 
 def _two_level_pair():
@@ -231,7 +272,7 @@ def test_refuted_at_level_two():
     verdict = gauge_equivalent(a, b)
     assert verdict.status == "refuted"
     assert verdict.refutation_level == 2
-    assert not verdict.obstruction.is_zero()
+    assert certificate_holds(a, b, verdict)
 
 
 def test_push_twisting_identity_and_functoriality():
@@ -250,7 +291,8 @@ def test_push_preserves_orbits():
     a = TwistingElement(A, 2, {2: {"e": 1, "f": 0}})
     p = GaugeElement(A, 2, {1: {"u": 3}})
     b = gauge_act(a, p)
-    assert orbit_relation_holds(push_twisting(phi, a), push_twisting(phi, b), push_gauge(phi, p))
+    pushed = GaugeElement(B, p.truncation, {r: phi.apply(c) for r, c in p.components.items()})
+    assert orbit_relation_holds(push_twisting(phi, a), push_twisting(phi, b), pushed)
 
 
 def test_comparison_orbit_counts_desk_scale():
@@ -262,9 +304,12 @@ def test_comparison_orbit_counts_desk_scale():
         classes = []
         for elt in elements:
             for cls in classes:
-                if gauge_equivalent(cls[0], elt, budget=50).status == "witness":
+                verdict = gauge_equivalent(cls[0], elt)
+                if verdict.status == "witness":
+                    assert gauge_act(cls[0], verdict.witness) == elt
                     cls.append(elt)
                     break
+                assert certificate_holds(cls[0], elt, verdict)
             else:
                 classes.append([elt])
         return classes
