@@ -7,10 +7,15 @@ Elements are lists of [coefficient, word] pairs; a word is a list of
 generator names where a cup-one bundle is written {"cup1": ["a","b"]}.
 Reports come out as aligned text or as machine-readable JSON: the machine
 output is exactly `json.dumps(report, ensure_ascii=False, sort_keys=True,
-indent=2)` plus a newline, written in pieces rather than built whole.
+indent=2)` plus a newline, written in pieces rather than built whole.  A
+report member may be an iterator, such as the cells of `permutohedron`,
+which are made while the report is written; it is written as the JSON list
+it yields.
 Exit codes are 0 computed/pass, 1 checked-and-failed, 2 bad input.
 No input prints a traceback: bad input exits 2 with a message that names
-its path in the document, such as `dgas.d: differential`.
+its path in the document, such as `dgas.d: differential`.  A domain error
+met while a report is written exits 2 the same way; the report on stdout
+then stops where the error was met.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ import argparse
 import json
 import re
 import sys
+from collections.abc import Iterator
+from itertools import repeat
 from json.encoder import encode_basestring
 
 from .algebra import TensorElement, _merge
@@ -27,7 +34,7 @@ from .dga import BigradedDGA, SimplicialComplex
 from .errors import DomainError
 from .groups import GroupHom, HypothesisInstance, check_hypotheses, tor
 from .linalg import FGAbelianGroup, IntMatrix
-from .permutohedron import Face, complex_description, face_boundary
+from .permutohedron import Face, face_boundary, iter_cells
 from .resolution import (
     INFINITY,
     CgaPresentation,
@@ -366,13 +373,13 @@ def cmd_certify(w, args):
 def cmd_permutohedron(w, args):
     if args.n is None:
         raise InputError("missing --n argument")
-    desc = complex_description(args.n)
+    f_vector, cells = iter_cells(args.n)
     report = {
         "command": "permutohedron",
         "parameters": {"n": args.n},
         "verdict": "computed",
-        "f_vector": desc["f_vector"],
-        "cells": desc["cells"],
+        "f_vector": f_vector,
+        "cells": cells,
     }
     return report, EXIT_OK
 
@@ -596,7 +603,10 @@ def _render_table(rows, indent="  "):
 
 
 def _text_lines(report):
-    """Yield the lines of the text form of `report`."""
+    """Yield the lines of the text form of `report`.  Its iterator members
+    are made into lists before the first line, since a table sizes its
+    columns from all of its rows."""
+    report = {k: list(v) if isinstance(v, Iterator) else v for k, v in report.items()}
     yield f"command: {report['command']}"
     params = report.get("parameters", {})
     if params:
@@ -643,17 +653,19 @@ def _key(key):
 
 
 def _put_json(node, newline, pending, write):
-    """Append the JSON text of a non-empty dict, list or tuple `node` to
-    `pending`, its closing bracket after `newline` (a newline and the
-    node's own indentation).  Scalars and empty containers join the text
-    around them, so only a non-empty container member makes a call and a
-    piece of its own.  Every _JOIN_PIECES pieces are joined, and written
-    once they reach _FLUSH_CHARS characters."""
+    """Append the JSON text of a non-empty dict, list or tuple `node`, or
+    of the list an iterator `node` yields, to `pending`, its closing
+    bracket after `newline` (a newline and the node's own indentation).
+    Scalars and empty containers join the text around them, so only a
+    non-empty container or an iterator member makes a call and a piece of
+    its own; an iterator is drawn from as it is written.  Every
+    _JOIN_PIECES pieces are joined, and written once they reach
+    _FLUSH_CHARS characters."""
     if isinstance(node, dict):
         members = [((encode_basestring(k) if type(k) is str else _key(k)) + ": ", v) for k, v in sorted(node.items())]
         opening, closing = "{", "}"
     else:
-        members = [("", v) for v in node]
+        members = zip(repeat(""), node)
         opening, closing = "[", "]"
     inner = newline + "  "
     lead = opening + inner
@@ -664,14 +676,15 @@ def _put_json(node, newline, pending, write):
             text += lead + name + encode_basestring(v)
         elif kind is int:
             text += lead + name + int.__repr__(v)
-        elif isinstance(v, (dict, list, tuple)) and v:
+        elif isinstance(v, (dict, list, tuple)) and v or isinstance(v, Iterator):
             pending.append(text + lead + name)
             _put_json(v, inner, pending, write)
             text = ""
         else:
             text += lead + name + _encode_scalar(v)
         lead = "," + inner
-    pending.append(text + newline + closing)
+    # only an iterator that yields nothing leaves `lead` at its opening
+    pending.append(opening + closing if lead[0] == opening else text + newline + closing)
     if len(pending) >= _JOIN_PIECES:
         joined = "".join(pending)
         pending.clear()
@@ -684,9 +697,11 @@ def _put_json(node, newline, pending, write):
 def render_machine(report, out):
     """Write `json.dumps(report, ensure_ascii=False, sort_keys=True,
     indent=2)` and a newline to `out`, in writes of about 64 Ki characters,
-    without building the whole document."""
+    without building the whole document.  An iterator in `report` is
+    written as the JSON list it yields, drawn from as it is written; an
+    error it raises leaves on `out` what was written before it."""
     pending = []
-    if isinstance(report, (dict, list, tuple)) and report:
+    if isinstance(report, (dict, list, tuple)) and report or isinstance(report, Iterator):
         _put_json(report, "\n", pending, out.write)
     else:
         pending.append(_encode_scalar(report))
@@ -735,14 +750,11 @@ def main(argv=None):
         else:
             workspace = Workspace()
         report, code = run_command(workspace, args)
-    except InputError as exc:
+        render = render_machine if args.format == "machine" else render_text
+        render(report, sys.stdout)  # may still raise: report members can be made as they are written
+    except (InputError, DomainError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    except DomainError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    render = render_machine if args.format == "machine" else render_text
-    render(report, sys.stdout)
     return code
 
 

@@ -202,29 +202,43 @@ def cellular_homology(n):
     return homology(boundary_matrices(n))
 
 
+def iter_cells(n):
+    """The f-vector of P_n and an iterator over its cells, each a dict of
+    its dimension, face text, monomial label and, above dimension 0, its
+    transported boundary, made one at a time in the order of
+    `complex_description`.  Only the faces one dimension down are held
+    with their labels; a non-face met in a boundary raises DomainError
+    while the iterator runs.  Code words are decoded to letters only for
+    the labels and their order."""
+    faces, table = _strata(n)
+
+    def cells():
+        below = {}  # code word of each face one dimension down -> (face text, label, term order key)
+        for dim, found in enumerate(faces):
+            here = {}
+            for text, word in found:
+                letters = table.decode(word)
+                label = format_word(letters)
+                here[word] = (text, label, _word_key(letters))
+                entry = {"dimension": dim, "face": text, "label": label}
+                if dim >= 1:
+                    # the order of TensorElement.sorted_terms, each face's key computed once
+                    boundary = sorted(_cell_boundary(table, word, below.__getitem__), key=lambda term: term[0][2])
+                    entry["boundary"] = [
+                        {"coefficient": coeff, "face": face[0], "label": face[1]} for face, coeff in boundary
+                    ]
+                yield entry
+            below = here
+
+    return [len(found) for found in faces], cells()
+
+
 def complex_description(n):
-    """Cells of P_n with their monomial labels and transported boundaries.
+    """Cells of P_n with their monomial labels and transported boundaries,
+    the cells of `iter_cells` held in one list.
 
     This is the golden-file structure; for n = 3 it reproduces the
     hexagon with the labels (a⌣₁b)c, c(a⌣₁b), a(b⌣₁c), b(a⌣₁c),
-    (a⌣₁c)b, (b⌣₁c)a around the top cell a⌣₁b⌣₁c.  Code words are
-    decoded to letters only for the labels and their order."""
-    faces, table = _strata(n)
-    cells = []
-    below = {}  # code word of each face one dimension down -> (face text, label, term order key)
-    for dim in range(n):
-        here = {}
-        for text, word in faces[dim]:
-            letters = table.decode(word)
-            label = format_word(letters)
-            here[word] = (text, label, _word_key(letters))
-            entry = {"dimension": dim, "face": text, "label": label}
-            if dim >= 1:
-                # the order of TensorElement.sorted_terms, each face's key computed once
-                boundary = sorted(_cell_boundary(table, word, below.__getitem__), key=lambda term: term[0][2])
-                entry["boundary"] = [
-                    {"coefficient": coeff, "face": face[0], "label": face[1]} for face, coeff in boundary
-                ]
-            cells.append(entry)
-        below = here
-    return {"n": n, "f_vector": [len(faces[d]) for d in range(n)], "cells": cells}
+    (a⌣₁c)b, (b⌣₁c)a around the top cell a⌣₁b⌣₁c."""
+    f_vector, cells = iter_cells(n)
+    return {"n": n, "f_vector": f_vector, "cells": list(cells)}

@@ -3,12 +3,13 @@ import copy
 import io
 import json
 import os
+import random
 import re
 import tempfile
 import types
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cupone.cli import (
@@ -22,6 +23,7 @@ from cupone.cli import (
     render_machine,
     run_command,
 )
+from cupone.permutohedron import complex_description, iter_cells
 
 DOC = {
     "cgas": {
@@ -143,8 +145,8 @@ def test_cli_twisting_gauge_orbit(doc_path, capsys):
     assert main(["--input", doc_path, "--command", "twisting-check", "--twisting", "a"]) == 0
     assert main(["--input", doc_path, "--command", "gauge", "--twisting", "a", "--gauge", "p"]) == 0
     out = capsys.readouterr().out
-    # a * p adds ∇(3u) = 3f at level 2
-    assert '"e"' not in out or True
+    # a * p adds ∇(3u) = 3f at level 2, and the result is again twisting
+    assert out.splitlines()[-3:] == ["result:", '  2: [[1, "e"], [3, "f"]]', "result_twisting: yes"]
     # orbit: a ~ b (b − a = 5f is exact: ∇(5u)); a !~ c (class differs)
     assert main(["--input", doc_path, "--command", "orbit", "--a", "a", "--b", "b"]) == 0
     assert main(["--input", doc_path, "--command", "orbit", "--a", "a", "--b", "c"]) == 1
@@ -520,10 +522,49 @@ def test_render_machine_raises_type_error_on_mixed_keys_as_json_does(text_key, i
         _rendered(report)
 
 
+def _streamed(value, pick):
+    """`value` with each list for which `pick()` is true replaced by a
+    generator over its items, the items streamed the same way."""
+    if isinstance(value, dict):
+        return {k: _streamed(v, pick) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        items = [_streamed(v, pick) for v in value]
+        if isinstance(value, list) and pick():
+            return (item for item in items)
+        return type(value)(items)
+    return value
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(REPORT_TREES, st.randoms(use_true_random=False))
+@example([], random.Random(0))
+@example({"a": [[], {}, [[]]], "b": [], "c": [[[], [1]]]}, random.Random(0))
+def test_render_machine_writes_an_iterator_as_the_list_it_yields(report, rng):
+    # with every list streamed, and with about half of them
+    assert _rendered(_streamed(report, lambda: True)) == _dumps(report)
+    assert _rendered(_streamed(report, lambda: rng.random() < 0.5)) == _dumps(report)
+
+
+def test_render_machine_writes_before_the_cell_iterator_is_exhausted():
+    f_vector, cells = iter_cells(6)
+    made = []
+
+    def counted():
+        for cell in cells:
+            made.append(cell)
+            yield cell
+
+    seen_at_write = []
+    render_machine({"cells": counted()}, types.SimpleNamespace(write=lambda text: seen_at_write.append(len(made))))
+    assert len(made) == sum(f_vector)
+    assert seen_at_write[0] < len(made)
+
+
 def test_render_machine_writes_the_p5_report_in_bounded_pieces():
     report, _ = run_command(Workspace(), build_parser().parse_args(["--command", "permutohedron", "--n", "5"]))
     writes = []
     render_machine(report, types.SimpleNamespace(write=writes.append))
     assert len(writes) > 1
     assert max(len(text) for text in writes) <= 2 * _FLUSH_CHARS
-    assert "".join(writes) == _dumps(report)
+    # the report's cells are a one-shot iterator; the list form holds the same cells
+    assert "".join(writes) == _dumps({**report, "cells": complex_description(5)["cells"]})

@@ -226,18 +226,32 @@ def test_boundary_matrices_match_face_boundary():
             assert mat == IntMatrix.from_columns([str(f) for f in by_dim[dim - 1]], columns)
 
 
+def _planted_non_face(letters):
+    a, b = letters[0], letters[1]
+    # right bidegree, repeats a
+    return ImageTable({**bundle_images(letters), Cup1Monomial((a, b)): TensorElement.of(a, a)})
+
+
 def test_transported_non_face_is_named(monkeypatch):
     from cupone import permutohedron
 
-    def planted(letters):
-        a, b = letters[0], letters[1]
-        # right bidegree, repeats a
-        return ImageTable({**bundle_images(letters), Cup1Monomial((a, b)): TensorElement.of(a, a)})
-
-    monkeypatch.setattr(permutohedron, "bundle_images", planted)
+    monkeypatch.setattr(permutohedron, "bundle_images", _planted_non_face)
     for build in (boundary_matrices, complex_description):
         with pytest.raises(DomainError, match=r"transported word aac is not a face of dimension 0"):
             build(3)
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_non_face_met_while_the_report_is_written_exits_2(monkeypatch, capsys, fmt):
+    # the cells are made as the report is written, after run_command returns
+    from cupone import permutohedron
+    from cupone.cli import main
+
+    monkeypatch.setattr(permutohedron, "bundle_images", _planted_non_face)
+    assert main(["--command", "permutohedron", "--n", "3", "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "aac" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_enumerated_faces_total_the_fubini_numbers():
