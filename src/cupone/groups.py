@@ -20,7 +20,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import DomainError
-from .linalg import FGAbelianGroup, IntMatrix, cokernel_group, kernel_basis, solve
+from .linalg import FGAbelianGroup, IntMatrix, group_at, invariant_factors, kernel_basis, solve
 from .record import Record
 
 Z = FGAbelianGroup(1)
@@ -103,7 +103,8 @@ def tor(a, b):
 
 def cokernel(h):
     """target / im(h) in canonical form: the cokernel of [matrix | target relations]."""
-    return cokernel_group(_with_target_relations(h))
+    m = _with_target_relations(h)
+    return group_at(m.rows, 0, invariant_factors(m))
 
 
 def is_injective(h):

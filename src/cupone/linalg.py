@@ -399,12 +399,6 @@ class FGAbelianGroup(Record):
         return " + ".join(parts) if parts else "0"
 
 
-def cokernel_group(matrix):
-    """Z^rows / (column lattice of M) as an FGAbelianGroup."""
-    m = matrix if isinstance(matrix, IntMatrix) else IntMatrix(matrix)
-    return group_at(m.rows, 0, invariant_factors(m))
-
-
 def homology(boundaries):
     """Homology groups of a bounded complex of free Z-modules.
 

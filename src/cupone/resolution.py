@@ -13,15 +13,14 @@ table is compiled once per owner (`_Codes`) into a small int per letter,
 keyed by the name tuple of its plain factors, and per code the image on
 code words, so cells are int tuples and ∂ splices them with the loop of
 `extend_derivation`; letters are decoded only for texts and labels.
-`certify_resolution` asks each summand for one window of positions and
-gets its verdicts from one walk down the strata.  A summand's homology
-only depends on the multiplicity pattern, so for a resolution from
-build_resolution the walk runs on generic generators w0, w1, ... of one
-generic table, built once on the longest pattern that meets the range
-(the resolution's generator count, when m allows), and each pattern's
-verdicts are kept across presentations for the widest window walked;
-any other resolution is checked on its own letters, compiled once per
-`certify`.
+`certify_resolution` compiles the resolution's own table once and asks
+each summand for one window of positions, getting its verdicts from one
+walk down the strata.  A summand's homology only depends on the
+multiplicity pattern, so for a resolution from build_resolution each
+pattern is walked once, on its multiset with the lowest window, and the
+other multisets of the pattern read their windows off those verdicts;
+any other resolution walks every multiset.  Nothing is kept between
+calls.
 
 Maps of resolutions extend letter data along one bundle walk, fewest
 factors first, splitting each bundle as a0⌣₁z: RH(f), and derivation
@@ -32,14 +31,13 @@ where it holds only for chain maps, so the check is not a tautology.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from functools import lru_cache, reduce
 from itertools import combinations
 from math import ceil
 from operator import sub
 
 from .algebra import FreeDGA, Generator, TensorElement, _merge, _splice, check_d_squared, format_word, word_multiply
-from .cup1 import Cup1Monomial, bundle_factors, bundle_images, closed_images, cup1_pair
+from .cup1 import Cup1Monomial, bundle_factors, closed_images, cup1_pair
 from .errors import DegreeError, DomainError, PreconditionError
 from .linalg import IntMatrix, group_at, invariant_factors
 from .record import Record
@@ -313,45 +311,6 @@ def _summand_verdicts(counts, table, lo, hi):
     return tuple(reversed(verdicts))
 
 
-# A `certify` on 4-6 generators of degree 2-6 at m = 8 or 10
-# (`bench/data/certify.json`) meets 17-34 patterns, so one run's verdicts fit.
-PATTERN_CACHE_SIZE = 64
-_pattern_cache = OrderedDict()  # (pattern, hi) -> its verdicts at lo..hi, for the lowest lo walked
-
-
-def _pattern_verdicts(mults, lo, hi):
-    """The verdicts of `_summand_verdicts` for a multiplicity pattern, on
-    generic generators w0, w1, ... of `_generic_table`; the homology of a
-    summand of a canonical resolution only depends on the pattern.  The
-    verdicts are kept per pattern and top position, for the last
-    `PATTERN_CACHE_SIZE` of them, and serve every window inside the one
-    walked; a window that reaches lower is walked whole and replaces it,
-    so a caller that asks for a pattern's lowest window first walks each
-    pattern once."""
-    key, width = (mults, hi), hi - lo + 1
-    found = _pattern_cache.pop(key, ())
-    if len(found) < width:
-        found = _summand_verdicts({f"w{i}": c for i, c in enumerate(mults)}, _generic_table(len(mults)), lo, hi)
-    _pattern_cache[key] = found
-    if len(_pattern_cache) > PATTERN_CACHE_SIZE:
-        _pattern_cache.popitem(last=False)
-    return found[len(found) - width:]
-
-
-_generic = []  # (generator count, table) of the largest generic table built
-
-
-def _generic_table(size):
-    """The `_Codes` table of the closed images of at least `size` generic
-    generators w0, w1, ... of degree 2.  A pattern on k generators reads
-    its letters w0..w{k−1} by name, so one table serves every pattern no
-    longer than it: a new one is built only when more generators are
-    asked for, and a `certify` builds one, on its longest pattern."""
-    if not _generic or _generic[0][0] < size:
-        _generic[:] = [(size, _Codes(bundle_images([Generator(f"w{i}", 0, 2) for i in range(size)])))]
-    return _generic[0][1]
-
-
 def _resolution_multisets(plain, m):
     """Multisets of plain generators that can meet the range: the minimal
     total degree j − (s − 1) of a word on the multiset must be <= m.
@@ -410,7 +369,8 @@ class CertifyReport(Record):
 def certify_resolution(r):
     """Certify d² = 0, ρ∘d = 0, ρ surjectivity, acyclicity in negative
     resolution degrees and exactness at degree zero, through total
-    degree m.  d² failures raise; everything else is report-valued."""
+    degree m, on the compiled letters of `r`; nothing is kept between
+    calls.  d² failures raise; everything else is report-valued."""
     squared = check_d_squared(r, r.m)
     if not squared.ok:
         raise DomainError(str(squared))
@@ -437,17 +397,22 @@ def certify_resolution(r):
         lo = max(0, j - r.m)
         if lo <= n_hi:
             windows.append((counts, j, lo, n_hi))
-    if r.canonical:
-        _generic_table(max((len(counts) for counts, *_ in windows), default=0))  # one table for every pattern
-    else:
-        table = _Codes(r.images, r.letters)
+    table = _Codes(r.images, r.letters)
     degree_map = {}  # total degree -> negative positions, all of them exact, exact at zero
-    # lowest windows first, so each pattern is walked once (see `_pattern_verdicts`)
+    walked = {}  # summand key -> its verdicts at lo..n_hi, for the lowest lo of the key
+    # The homology of a canonical resolution's summand only depends on its
+    # multiplicity pattern, so that is its key; otherwise the multiset is.
+    # Lowest lo first, each key is walked once, on its lowest window, and
+    # its other windows slice those verdicts.  The walk meets only letters
+    # of `r`, as a letter has total degree >= 1: the cells at positions
+    # lo..n_hi + 1 have total degree <= m (j <= m when lo = 0, lo = j − m
+    # otherwise), and for lo > 0 those at lo − 1 have m + 1 and
+    # s − lo + 1 >= 2 blocks (lo <= n_hi < s).
     for counts, j, lo, n_hi in sorted(windows, key=lambda window: window[2]):
-        if r.canonical:
-            verdicts = _pattern_verdicts(tuple(sorted(counts.values(), reverse=True)), lo, n_hi)
-        else:
-            verdicts = _summand_verdicts(counts, table, lo, n_hi)
+        key = tuple(sorted(counts.values(), reverse=True)) if r.canonical else tuple(sorted(counts.items()))
+        if key not in walked:
+            walked[key] = _summand_verdicts(counts, table, lo, n_hi)
+        verdicts = walked[key][lo - n_hi - 1:]  # the last n_hi − lo + 1
         for n, ok in enumerate(verdicts, lo):
             entry = degree_map.setdefault(j - n, {"neg": 0, "neg_ok": True, "exact": True})
             if n:
@@ -594,18 +559,6 @@ def _homotopy(alpha, s_plain):
         s_b = s_letter[b] = -cup1_pair(alpha_a0, s_z) + cup1_pair(s_a0, beta[z]) + word_multiply(s_z, s_a0)
         beta[b] = alpha(TensorElement.of(b)) - target.d(s_b) - s(source.d(TensorElement.of(b)))
     return s_letter, s, beta
-
-
-def derivation_homotopic_map(alpha, s0):
-    """The dga self-map β homotopic to `alpha` along `s0` (plain generator
-    name -> element, zero where absent): the β the homotopy law forces on
-    letters (see `_homotopy`), verified to be a chain map."""
-    s_plain = {g: s0.get(g.name, TensorElement.zero()) for g in alpha.source.plain}
-    beta = ResolutionMap(alpha.source, alpha.target, _homotopy(alpha, s_plain)[2])
-    ok, witness = beta.verify_chain_map()
-    if not ok:
-        raise DomainError(f"derived map is not a chain map at {witness}")
-    return beta
 
 
 class HomotopyReport(Record):

@@ -430,6 +430,30 @@ def test_orbit_exits_0_1_or_2_without_traceback(text, a, b, fmt):
     assert "Traceback" not in err.getvalue()
 
 
+RANGE_OPTIONS = st.one_of(st.none(), st.integers(-2, 8))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(mutated_documents(DOC, "cgas", mutations=st.integers(0, 3)), st.sampled_from(["certify", "resolve"]),
+       st.sampled_from(["P2", "Q", "missing"]), RANGE_OPTIONS, RANGE_OPTIONS, st.sampled_from(["text", "machine"]))
+def test_certify_and_resolve_exit_0_1_or_2_without_traceback(text, command, cga, m, truncation, fmt):
+    argv = ["--command", command, "--cga", cga, "--format", fmt]
+    for flag, value in (("--m", m), ("--truncation", truncation)):
+        if value is not None:
+            argv += [flag, str(value)]
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--input", path, *argv])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+
+
 @pytest.mark.parametrize("dga, message", [
     ({"basis": [["a", 0, 0]], "differential": {"zz": [[1, "a"]]}, "unit": [[1, "a"]]},
      "dgas.bad: d(zz): 'zz' is not a basis label"),

@@ -69,6 +69,12 @@ def test_cokernel_examples():
     assert str(cokernel(GroupHom.zero(Z, cyclic(6)))) == "Z/6"
 
 
+def test_cokernel_of_free_groups_is_the_matrix_cokernel():
+    z2 = FGAbelianGroup(2)
+    assert cokernel(GroupHom(z2, z2, IntMatrix([[2, 0], [0, 3]]))) == FGAbelianGroup.from_divisors([6])
+    assert cokernel(GroupHom(Z, z2, IntMatrix.zeros(2, 1))).rank == 2
+
+
 def test_cokernel_invariant_under_source_isomorphism():
     # precomposing with an isomorphism does not change the cokernel
     h = GroupHom(FGAbelianGroup(2), Z, IntMatrix([[2, 4]]))

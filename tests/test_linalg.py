@@ -10,7 +10,6 @@ from cupone.errors import DomainError
 from cupone.linalg import (
     FGAbelianGroup,
     IntMatrix,
-    cokernel_group,
     homology,
     homology_at,
     invariant_factors,
@@ -244,13 +243,6 @@ def test_group_canonical_form():
     assert FGAbelianGroup.from_divisors([2, 4]) != FGAbelianGroup.from_divisors([8])
     with pytest.raises(DomainError):
         FGAbelianGroup(0, (4, 2))
-
-
-def test_cokernel_group():
-    g = cokernel_group(IntMatrix([[2, 0], [0, 3]]))
-    assert g == FGAbelianGroup.from_divisors([6])
-    g = cokernel_group(IntMatrix.zeros(2, 1))
-    assert g.rank == 2
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])

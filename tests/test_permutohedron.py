@@ -259,19 +259,21 @@ def test_enumerated_faces_total_the_fubini_numbers():
 
 
 def test_all_ones_summand_is_the_permutohedron():
-    # the resolution's summand on n distinct generic generators w0, w1, ...
-    # is P_n's complex: after renaming w_i to the i-th face letter, the
-    # stratum of k blocks holds the faces of dimension n − k, and the
-    # summand's ∂ out of it equals ∂_{n−k} entry for entry
-    from cupone.resolution import _generic_table, _pattern_verdicts, _stratum_boundary, _stratum_walk
+    # the resolution's summand on n distinct generators w0, w1, ... is P_n's
+    # complex: after renaming w_i to the i-th face letter, the stratum of
+    # k blocks holds the faces of dimension n − k, and the summand's ∂ out
+    # of it equals ∂_{n−k} entry for entry
+    from cupone.algebra import Generator
+    from cupone.resolution import _Codes, _stratum_boundary, _stratum_walk, _summand_verdicts
 
     def entries(mat, rows, cols):
         return {(rows[i], cols[j]): v for i, row in mat.sparse_rows.items() for j, v in row.items()}
 
     for n in range(2, 6):
         letters = default_letters(n)
-        table = _generic_table(n)
-        stratum = _stratum_walk({f"w{i}": 1 for i in range(n)}, table.code)
+        counts = {f"w{i}": 1 for i in range(n)}
+        table = _Codes(bundle_images([Generator(name, 0, 2) for name in counts]))
+        stratum = _stratum_walk(counts, table.code)
 
         def renamed(word):
             out = []
@@ -291,7 +293,7 @@ def test_all_ones_summand_is_the_permutohedron():
         groups = cellular_homology(n)
         assert [str(g) for g in groups] == ["Z"] + ["0"] * (n - 1)
         # at resolution degree 0 the augmentation makes the verdict reduced homology
-        assert list(_pattern_verdicts((1,) * n, 0, n - 1)) == [True] + [g.is_trivial for g in groups[1:]]
+        assert list(_summand_verdicts(counts, table, 0, n - 1)) == [True] + [g.is_trivial for g in groups[1:]]
 
 
 def test_coded_boundary_matrices_match_the_letter_boundary():

@@ -3,7 +3,7 @@ from itertools import combinations, product
 from math import ceil, comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cupone import cup1, resolution
@@ -13,15 +13,12 @@ from cupone.errors import DomainError, PreconditionError
 from cupone.linalg import IntMatrix, homology_at, solve
 from cupone.resolution import (
     INFINITY,
-    PATTERN_CACHE_SIZE,
     WORD_CACHE_SIZE,
     CgaPresentation,
     Resolution,
     ResolutionMap,
     _Codes,
-    _generic_table,
-    _pattern_verdicts,
-    _pattern_cache,
+    _resolution_multisets,
     _stratum_boundary,
     _stratum_walk,
     _summand_verdicts,
@@ -114,8 +111,8 @@ def test_certify_detects_corrupted_rho_d():
     assert "ρ∘d" in rep.failure
 
 
-def test_certify_direct_path_matches_cached():
-    # same resolution, canonical flag off forces the uncached computation
+def test_certify_per_multiset_matches_per_pattern():
+    # same resolution; with the canonical flag off each multiset is walked
     r = build_resolution(CgaPresentation.of({"x": 2, "y": 4}, 8))
     direct = Resolution(r.presentation, r.m, r.plain, r.bundles, r.images, canonical=False)
     rep_a = certify_resolution(r)
@@ -136,65 +133,43 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-def test_pattern_verdicts_recompute_after_eviction(monkeypatch):
-    first = _pattern_verdicts((2, 2, 1), 0, 5)
-    assert len(first) == 6
-    for c in range(1, PATTERN_CACHE_SIZE + 1):
-        _pattern_verdicts((c,), 0, 0)  # one generator: no bundles, cheap to walk
-    assert len(_pattern_cache) == PATTERN_CACHE_SIZE and ((2, 2, 1), 5) not in _pattern_cache
-    walks = _counting(monkeypatch, resolution, "_summand_verdicts")
-    again = _pattern_verdicts((2, 2, 1), 0, 5)
-    assert walks[0] == 1  # evicted, so walked again
-    assert again == first
-    assert len(_pattern_cache) == PATTERN_CACHE_SIZE
+def _generic_codes(size):
+    """The `_Codes` table of every bundle on `size` generators w0, w1, ...
+    of degree 2, the table a summand of that many names is checked on."""
+    return _Codes(bundle_images([Generator(f"w{i}", 0, 2) for i in range(size)]))
 
 
-def test_pattern_verdicts_serve_every_window_inside_the_one_walked(monkeypatch):
+def test_summand_verdicts_of_the_lowest_window_serve_every_window_above_it():
     mults, hi = (2, 2, 1, 1), 4
-    monkeypatch.setattr(resolution, "_pattern_cache", type(_pattern_cache)())
-    walks = _counting(monkeypatch, resolution, "_summand_verdicts")
-    top = _pattern_verdicts(mults, 3, hi)
-    whole = _pattern_verdicts(mults, 0, hi)
-    assert walks[0] == 2 and whole[3:] == top  # reaching lower walks again
-    assert [_pattern_verdicts(mults, lo, hi) for lo in range(hi + 1)] == [whole[lo:] for lo in range(hi + 1)]
-    assert walks[0] == 2
-    counts = {f"w{i}": c for i, c in enumerate(mults)}
-    assert whole == _summand_verdicts(counts, _generic_table(len(mults)), 0, hi)
+    counts, table = {f"w{i}": c for i, c in enumerate(mults)}, _generic_codes(len(mults))
+    whole = _summand_verdicts(counts, table, 0, hi)
+    assert len(whole) == hi + 1
+    assert [_summand_verdicts(counts, table, lo, hi) for lo in range(hi + 1)] == [whole[lo:] for lo in range(hi + 1)]
 
 
-def _certify_cold(monkeypatch, degrees, m):
-    """Certify a presentation with no generic table or pattern walk kept."""
-    monkeypatch.setattr(resolution, "_pattern_cache", type(_pattern_cache)())
-    monkeypatch.setattr(resolution, "_generic", [])
-    return certify_resolution(build_resolution(CgaPresentation.of(degrees, m)))
-
-
-def test_cold_certify_builds_one_generic_table_and_no_cup1_boundary(monkeypatch):
-    # the table on all 5 generators also serves the patterns on fewer
-    tables = _counting(monkeypatch, resolution, "bundle_images")
+def test_certify_compiles_one_code_table_and_no_cup1_boundary(monkeypatch):
+    # the resolution's own images are compiled once; no other table is built
+    tables = _counting(monkeypatch, resolution, "_Codes")
+    images = _counting(monkeypatch, cup1, "bundle_images")
     boundaries = _counting(monkeypatch, cup1, "cup1_boundary")
-    assert _certify_cold(monkeypatch, dict.fromkeys("abcde", 2), 8).ok
-    assert tables[0] == 1 and boundaries[0] == 0
-    assert len(_generic_table(3).code) == 2 ** 5 - 1
-
-
-def test_generic_table_is_built_on_the_longest_pattern(monkeypatch):
-    # 11 generators at m = 3 meet only patterns on at most 2 of them; a
-    # table on all 11 would hold 2^11 − 1 letters
-    assert _certify_cold(monkeypatch, {chr(ord("a") + i): 2 for i in range(11)}, 3).ok
-    assert len(_generic_table(1).code) == 3
+    assert certify_resolution(build_resolution(CgaPresentation.of(dict.fromkeys("abcde", 2), 8))).ok
+    assert (tables[0], images[0], boundaries[0]) == (1, 0, 0)
 
 
 @pytest.mark.parametrize("degrees, eliminations", [
     ({"a": 2, "b": 2, "c": 4, "d": 4, "e": 2}, 61),
     ({"a": 2, "b": 4, "c": 2, "d": 6}, 35),
 ])
-def test_cold_certify_eliminates_each_pattern_boundary_once(monkeypatch, degrees, eliminations):
+def test_certify_eliminates_each_pattern_boundary_once(monkeypatch, degrees, eliminations):
     # two multisets of one pattern ask for different windows; the lower
-    # one is walked first and serves the other, so no ∂ is eliminated twice
+    # one is walked first and serves the other, so no ∂ is eliminated
+    # twice; a second certify counts the same, as none keeps state
     calls = _counting(monkeypatch, resolution, "invariant_factors")
-    assert _certify_cold(monkeypatch, degrees, 10).ok
+    r = build_resolution(CgaPresentation.of(degrees, 10))
+    assert certify_resolution(r).ok
     assert calls[0] == eliminations
+    assert certify_resolution(r).ok
+    assert calls[0] == 2 * eliminations
 
 
 def test_summand_verdicts_check_each_composite_they_use():
@@ -229,13 +204,13 @@ def _patterns(size, largest=None):
         yield from ((part, *rest) for rest in _patterns(size - part, part))
 
 
-def _position_verdicts(counts, table, top):
-    """Whether the summand's homology vanishes at each position 0..top,
-    through homology_at one position at a time."""
+def _position_verdicts(counts, table, top, bottom=0):
+    """Whether the summand's homology vanishes at each position
+    bottom..top, through homology_at one position at a time."""
     size = sum(counts.values())
     stratum = _stratum_walk(counts, table.code)
     out = []
-    for n in range(top + 1):
+    for n in range(bottom, top + 1):
         mid = stratum(size - n)
         d_out = IntMatrix([[1] * len(mid)]) if n == 0 else _stratum_boundary(table, mid, stratum(size - n + 1))
         out.append(homology_at(d_out, _stratum_boundary(table, stratum(size - n - 1), mid)).is_trivial)
@@ -250,9 +225,10 @@ def test_summand_verdicts_match_homology_at_on_every_window():
         for mults in _patterns(size):
             counts = {f"w{i}": c for i, c in enumerate(mults)}
             n_hi = size - max(mults[0], ceil(size / len(mults)))
-            expected = _position_verdicts(counts, _generic_table(len(mults)), n_hi)
+            table = _generic_codes(len(mults))
+            expected = _position_verdicts(counts, table, n_hi)
             for lo in range(n_hi + 1):
-                assert _pattern_verdicts(mults, lo, n_hi) == tuple(expected[lo:]), (mults, lo)
+                assert _summand_verdicts(counts, table, lo, n_hi) == tuple(expected[lo:]), (mults, lo)
             if len(mults) > 1:
                 images = bundle_images([Generator(name, 0, 2) for name in counts])
                 sphere = _Codes(images, [letter for letter in images if len(bundle_factors(letter)) < len(mults)])
@@ -260,6 +236,43 @@ def test_summand_verdicts_match_homology_at_on_every_window():
                 assert expected.count(False) == 1
                 for lo in range(size):
                     assert _summand_verdicts(counts, sphere, lo, size - 1) == tuple(expected[lo:]), (mults, lo)
+
+
+@st.composite
+def presentations(draw):
+    """1-4 generators of degree 2, 4 or 6, and m in 1..10."""
+    degrees = {f"x{i}": draw(st.sampled_from([2, 4, 6])) for i in range(draw(st.integers(1, 4)))}
+    return degrees, draw(st.integers(1, 10))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(presentations())
+@example(({"a": 2, "b": 4, "c": 2, "d": 6}, 10))  # {a, b, c} and {a, b, d} share a pattern at lo 0 and 2
+def test_certify_walks_each_pattern_once_on_the_resolutions_own_letters(case):
+    degrees, m = case
+    r = build_resolution(CgaPresentation.of(degrees, m))
+    walked, walk = {}, resolution._summand_verdicts
+
+    def recorded(counts, table, lo, hi):
+        pattern = tuple(sorted(counts.values(), reverse=True))
+        assert pattern not in walked
+        walked[pattern] = walk(counts, table, lo, hi)
+        return walked[pattern]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(resolution, "_summand_verdicts", recorded)
+        report = certify_resolution(r)
+    direct = Resolution(r.presentation, r.m, r.plain, r.bundles, r.images, canonical=False)
+    assert certify_resolution(direct).degrees == report.degrees
+    # each window's slice of its pattern's walk, against homology_at on a
+    # table that also holds the bundles of total degree above m
+    full = _Codes(bundle_images(r.plain))
+    for counts in _resolution_multisets(r.plain, m):
+        size, j = sum(counts.values()), sum(degrees[name] * c for name, c in counts.items())
+        lo, n_hi = max(0, j - m), size - max(max(counts.values()), ceil(size / len(counts)))
+        if lo <= n_hi:
+            got = walked[tuple(sorted(counts.values(), reverse=True))][lo - n_hi - 1:]
+            assert got == tuple(_position_verdicts(counts, full, n_hi, lo)), (counts, lo, n_hi)
 
 
 def _letter_boundary(images, src, tgt):
@@ -459,16 +472,15 @@ def _solve_s0(r, g, target_elt):
 
 
 def test_extend_homotopy_constructed_instance():
-    # beta derived from alpha along a nonzero s0, then s0 re-solved by
-    # exact linear algebra and the recursion re-verified
-    from cupone.resolution import derivation_homotopic_map
-
+    # beta forced from alpha along a nonzero s0 is a chain map; then s0 is
+    # re-solved by exact linear algebra and the recursion re-verified
     r = build_resolution(CgaPresentation.of({"w": 4, "x": 2, "y": 2}, 8))
     alpha = ResolutionMap.identity(r)
     w = r.letter("w")
     xy = r.letter("x⌣₁y")
     chosen_s0 = {"w": TensorElement.of(xy, coeff=2)}
-    beta = derivation_homotopic_map(alpha, chosen_s0)
+    beta = ResolutionMap(r, r, _forced_beta(r, alpha, chosen_s0))
+    assert beta.verify_chain_map() == (True, None)
     diff = alpha(TensorElement.of(w)) - beta(TensorElement.of(w))
     assert not diff.is_zero()
     s0 = {"w": _solve_s0(r, w, diff), "x": TensorElement.zero(), "y": TensorElement.zero()}
