@@ -2,12 +2,14 @@
 
 A twisting element is a = a^2 + a^3 + ... with a^r of bidegree (r, 1−r),
 satisfying da = −aa degreewise: ∇(a^r) = −Σ_{i+j=r+1} a^i a^j.  Gauge
-elements p = 1 + p^1 + ... act by a∗p = p⁻¹ap + p⁻¹dp; p⁻¹ is the finite
-geometric series because p′ raises the perturbation degree.  Everything
-is truncated at an explicit level N: all statements hold in perturbation
-degrees <= N.  Twisting elements and gauge perturbations share one base
-for their level components; derivation homotopies reuse the dga maps'
-linear extension and bidegree check.
+elements p = 1 + p^1 + ... act by a∗p = p⁻¹ap + p⁻¹dp.  Since p′ raises
+the perturbation degree, p·(a∗p) = ap + ∇p′ can be solved for a∗p one
+level at a time, so p⁻¹ is never formed.  Everything is truncated at an
+explicit level N: all statements hold in perturbation degrees <= N, and
+the action and the twisting law are evaluated level by level on term
+maps, never above N.  Twisting elements and gauge perturbations share
+one base for their level components; derivation homotopies reuse the
+dga maps' linear extension and bidegree check.
 
 Orbits are decided exactly.  For fixed a and b the relation
 b − a = ap′ − p′b + ∇p′ is a linear system over Z in the coordinates of
@@ -20,7 +22,7 @@ Its `budget` keyword is ignored.
 
 from __future__ import annotations
 
-from .algebra import _merge
+from .algebra import _linear, _merge
 from .dga import (
     DgaElement,
     DgaMap,
@@ -125,24 +127,12 @@ class GaugeElement(_LevelElement):
     def as_element(self):
         return self.dga.unit + self.perturbation()
 
-    def inverse_element(self):
-        """p⁻¹ = Σ (−p′)^k; terminates since p′ raises the first degree."""
-        prime = self.perturbation()
-        out = self.dga.unit
-        power = self.dga.unit
-        for _ in range(self.truncation + 1):
-            power = power * prime
-            if power.is_zero():
-                break
-            out = out + power.scale(-1 if _ % 2 == 0 else 1)
-        return out
-
     def multiply(self, other):
         """Group law: (1+p′)(1+q′) = 1 + (p′ + q′ + p′q′)."""
         if self.dga is not other.dga or self.truncation != other.truncation:
             raise DomainError("gauge elements of different dgas or truncations")
-        prime = self.perturbation() + other.perturbation() + self.perturbation() * other.perturbation()
-        return GaugeElement.from_perturbation(self.dga, self.truncation, prime)
+        p, q = self.perturbation(), other.perturbation()
+        return GaugeElement.from_perturbation(self.dga, self.truncation, p + q + p * q)
 
     def __repr__(self):
         return f"<gauge N={self.truncation}: 1 + {self.perturbation()}>"
@@ -161,42 +151,62 @@ class TwistingReport(Record):
         return f"twisting equation fails at level r={self.failed_level}: residual {self.residual}"
 
 
+def _levels(x):
+    return {r: comp.terms for r, comp in x.components.items()}
+
+
 def is_twisting(a):
     """Verify ∇(a^r) = −Σ_{i+j=r+1} a^i a^j for every r <= N."""
+    rows, diff, levels = a.dga.rows, a.dga.diff, _levels(a)
     for r in range(2, a.truncation + 1):
-        residual = a.component(r).d()
+        residual = _linear(levels.get(r, {}), diff.get)
         for i in range(2, r):
-            j = r + 1 - i
-            if j >= 2:
-                residual = residual + a.component(i) * a.component(j)
-        if not residual.is_zero():
-            return TwistingReport(False, a.truncation, r, residual)
+            if i in levels and r + 1 - i in levels:
+                _merge(residual, _product(rows, levels[i], levels[r + 1 - i]).items())
+        if residual:
+            return TwistingReport(False, a.truncation, r, a.dga.element()._like(residual))
     return TwistingReport(True, a.truncation)
 
 
+def _moved(dga, a, p, c, r):
+    """a^r + ∇p^{r−1} + Σ_{1<=j<=r−2} (a^{r−j}·p^j − p^j·c^{r−j}), the level-r
+    part of ap + ∇p′ − p′c, on the level term maps a, p and c."""
+    out = dict(a.get(r, {}))
+    _merge(out, _linear(p.get(r - 1, {}), dga.diff.get).items())
+    for j in range(1, r - 1):
+        if p.get(j):
+            if a.get(r - j):
+                _merge(out, _product(dga.rows, a[r - j], p[j]).items())
+            if c.get(r - j):
+                _merge(out, _product(dga.rows, p[j], c[r - j]).items(), -1)
+    return out
+
+
 def gauge_act(a, p):
-    """a∗p = p⁻¹ap + p⁻¹dp, truncated at level N."""
+    """a∗p = p⁻¹ap + p⁻¹dp, truncated at level N, by forward substitution.
+
+    c = a∗p solves p·c = ap + ∇p′.  Its level-r part gives c^r from the
+    levels below it, for r = 2..N in turn:
+    c^r = a^r + ∇p^{r−1} + Σ_{1<=j<=r−2} (a^{r−j}·p^j − p^j·c^{r−j}).
+    So p⁻¹ is never formed, nothing above level N is computed, and at
+    most (N−1)(N−2) products of level components are taken."""
     if a.dga is not p.dga:
         raise DomainError("twisting and gauge elements live in different dgas")
     if a.truncation != p.truncation:
         raise DomainError("twisting and gauge truncations differ")
-    pinv = p.inverse_element()
-    moved = pinv * a.as_element() * p.as_element() + pinv * p.perturbation().d()
-    return TwistingElement(a.dga, a.truncation, _twisting_part(moved, a.truncation))
-
-
-def _twisting_part(element, truncation):
-    """The components of an element on the twisting diagonal at levels 2..N."""
-    parts = element.by_degree(element.dga.bidegrees.get)
-    return {r: comp for (r, t), comp in parts.items() if t == 1 - r and 2 <= r <= truncation}
+    levels, gauge, c = _levels(a), _levels(p), {}
+    for r in range(2, a.truncation + 1):
+        c[r] = _moved(a.dga, levels, gauge, c, r)
+    return TwistingElement(a.dga, a.truncation, {r: a.dga.element()._like(t) for r, t in c.items()})
 
 
 def orbit_relation_holds(a, b, p):
-    """The equivalent form b − a = ap′ − p′b + dp′, degreewise to level N."""
-    pa = p.perturbation()
-    lhs = b.as_element() - a.as_element()
-    rhs = a.as_element() * pa - pa * b.as_element() + pa.d()
-    return not _twisting_part(lhs - rhs, a.truncation)
+    """The equivalent form b − a = ap′ − p′b + dp′, level by level to N:
+    b solves the forward substitution of `gauge_act`."""
+    if not (a.dga is b.dga is p.dga):
+        raise DomainError("elements of different dgas")
+    levels, gauge, other = _levels(a), _levels(p), _levels(b)
+    return all(_moved(a.dga, levels, gauge, other, r) == other.get(r, {}) for r in range(2, a.truncation + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from cupone.cli import (
     render_machine,
     run_command,
 )
+from cupone.dga import free_truncated_dga
 from cupone.permutohedron import complex_description, iter_cells
 
 DOC = {
@@ -430,6 +431,40 @@ def test_orbit_exits_0_1_or_2_without_traceback(text, a, b, fmt):
     assert "Traceback" not in err.getvalue()
 
 
+# ORBIT_DOC plus gauges p in A and q in N, for the commands that act by them
+GAUGE_DOC = {**ORBIT_DOC, "gauges": {**DOC["gauges"], "q": {"dga": "N", "truncation": 2, "components": {}}}}
+
+
+@st.composite
+def drawn_gauges(draw):
+    """GAUGE_DOC with the twistings a and b drawn as in `drawn_twistings`
+    and the gauge p redrawn in A, at truncation 2 or 3."""
+    doc = json.loads(draw(drawn_twistings()))
+    doc["gauges"] = {**GAUGE_DOC["gauges"], "p": {"dga": "A", "truncation": draw(st.sampled_from([2, 3])),
+                                                  "components": {"1": [[draw(st.integers(-3, 3)), "u"]]}}}
+    return json.dumps(doc)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.one_of(drawn_gauges(), st.sampled_from(["twistings", "gauges"]).flatmap(
+           lambda section: mutated_documents(GAUGE_DOC, section, ORBIT_VALUES, st.integers(0, 2)))),
+       st.sampled_from(["gauge", "twisting-check"]), ORBIT_NAMES, st.sampled_from(["p", "q", "missing"]),
+       st.sampled_from(["text", "machine"]))
+def test_gauge_and_twisting_check_exit_0_1_or_2_without_traceback(text, command, twisting, gauge, fmt):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--input", path, "--command", command, "--twisting", twisting, "--gauge", gauge,
+                         "--format", fmt])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+
+
 RANGE_OPTIONS = st.one_of(st.none(), st.integers(-2, 8))
 
 
@@ -469,9 +504,47 @@ def test_unknown_dga_label_exits_2_naming_the_table_entry(tmp_path, capsys, dga,
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+def _free_dga_spec(F):
+    """The workspace entry of a library dga: its bases, tables and unit."""
+    def pairs(table):
+        return [[c, label] for label, c in sorted(table.items())]
+
+    return {
+        "basis": [[label, r, t] for label, (r, t) in sorted(F.bidegrees.items())],
+        "differential": {label: pairs(table) for label, table in sorted(F.diff.items())},
+        "products": [[l1, l2, pairs(table)] for (l1, l2), table in sorted(F.products.items())],
+        "unit": pairs(F.unit_coeffs),
+    }
+
+
+# The free dga on u1 (1,-1), x2 and y2 (2,-1) with ∇u1 = y2, words of first
+# degree <= 4.  a and b are twisting at N = 4 and b = a∗p; c is b moved off
+# a's orbit by the ∇-cycle x2·u1·u1 at level 4; x = x2 fails at level 3.
+PINNED_DOC = {
+    "cgas": {"T3": {"generators": {"x": 2, "y": 2, "z": 4}, "m": 8}},
+    "dgas": {"F": _free_dga_spec(free_truncated_dga([("u1", 1, -1), ("x2", 2, -1), ("y2", 2, -1)],
+                                                    {"u1": [(1, ("y2",))]}, 4))},
+    "twistings": {
+        "a": {"dga": "F", "truncation": 4, "components": {
+            "2": [[2, "y2"]], "3": [[-3, "u1·y2"], [1, "y2·u1"]],
+            "4": [[3, "u1·u1·y2"], [-3, "u1·y2·u1"], [-1, "y2·u1·u1"]]}},
+        "b": {"dga": "F", "truncation": 4, "components": {
+            "2": [[1, "y2"]], "3": [[1, "u1·y2"], [2, "y2·u1"]],
+            "4": [[1, "u1·u1·y2"], [2, "u1·y2·u1"], [4, "y2·u1·u1"]]}},
+        "c": {"dga": "F", "truncation": 4, "components": {
+            "2": [[1, "y2"]], "3": [[1, "u1·y2"], [2, "y2·u1"]],
+            "4": [[1, "u1·u1·y2"], [2, "u1·y2·u1"], [1, "x2·u1·u1"], [4, "y2·u1·u1"]]}},
+        "x": {"dga": "F", "truncation": 4, "components": {"2": [[1, "x2"]]}},
+    },
+    "gauges": {"p": {"dga": "F", "truncation": 4, "components": {"1": [[-1, "u1"]], "2": [[3, "u1·u1"]]}}},
+    "spaces": DOC["spaces"],
+}
+
+
 # SHA-256 of the stdout of each run, recorded before P_n and the resolution
-# summands shared one enumerator and one boundary builder; `{doc}` is a
-# workspace holding the presentation T3.
+# summands shared one enumerator and one boundary builder, and for the gauge
+# calculus before `gauge_act` solved for a∗p level by level; `{doc}` is
+# PINNED_DOC.  Runs that exit 1 are listed in PINNED_EXIT.
 PINNED_STDOUT = [
     ("--command permutohedron --n 4 --format text", "d002986fa3cf3274bed3ac00609ee207328f753c5d742579fc0c53af0480e3b0"),
     ("--command permutohedron --n 4 --format machine", "bfd72b225cb321836ce307966008c923173956c7dab4077340e3eac1010c75ee"),
@@ -486,7 +559,40 @@ PINNED_STDOUT = [
     ("--input {doc} --command certify --cga T3 --format machine", "726081986cdc4f064cb376c5ff1039879db759952dd231652321bcc8f535d7e1"),
     ("--input {doc} --command resolve --cga T3 --format text", "2db9c00dc8846981caff22f3a855579ba713ee3fcac68825d125bc5c680222a4"),
     ("--input {doc} --command resolve --cga T3 --format machine", "b5519244d9e9462c1caf311c416a55f99efa364610bdc228f47d4f624460b26e"),
+    ("--input {doc} --command gauge --twisting a --gauge p --format text",
+     "702e062876683d45c92026df914238564c7294d661f93e5993ae42c4f1ab6250"),
+    ("--input {doc} --command twisting-check --twisting a --format text",
+     "396b78f47ca76a918f61509fe8b8ea5e3b6c29ecce712985bb21f0566ca27812"),
+    ("--input {doc} --command twisting-check --twisting x --format text",
+     "1c9d5bdb4f892fc93a5fd9a953b9dd4b961becf4c863f26229dd3ac2aeb2495d"),
+    ("--input {doc} --command orbit --a a --b b --format text",
+     "cc12fe22b2900f5fb66480052e7f0362400e95317998965d055f61fe4c82c6ee"),
+    ("--input {doc} --command orbit --a a --b c --format text",
+     "cd02933887bd671d270b648cb11f6d7da793f800cb9948194925200b0c620eed"),
+    ("--input {doc} --command d-x --space circle --homology Z,Z/2 --format text",
+     "a6a0165af87927050be04dff45adfa97cd6827584620698eb546e0da6eaf8090"),
+    ("--input {doc} --command gauge --twisting a --gauge p --format machine",
+     "9e9bc012b68128243f2ebc96d86a87b827fd2272d3c9a434f2ba11efe6d3a420"),
+    ("--input {doc} --command twisting-check --twisting a --format machine",
+     "82e9b079466d2d293cc767376de1ad168e20d93b0e19809970b25b7147685ee5"),
+    ("--input {doc} --command twisting-check --twisting x --format machine",
+     "77e3a8dc5aa7f7710a2a3db920fb9b5ebec9ebc92c206500663765dea0b2e512"),
+    ("--input {doc} --command orbit --a a --b b --format machine",
+     "39acfdb86016cf572950cee720079dbc00ba8824918a636a08638fefe2514d58"),
+    ("--input {doc} --command orbit --a a --b c --format machine",
+     "81aad1e2e43d25c44849408ec54ba1a9cd4e103e5f0a09b8d613fbf7c40e7ce2"),
+    ("--input {doc} --command d-x --space circle --homology Z,Z/2 --format machine",
+     "96c0310941de8929dc8e0453585fe9f15f7d221175ff328e0eb2a832f7fcc719"),
+    ("--input {doc} --command gauge --twisting x --gauge p --format machine",
+     "7d64a15fdfe8c359b810303d639bb8834a02900e4f1508c80e1bf728950683c7"),
 ]
+
+PINNED_EXIT = {
+    "--input {doc} --command twisting-check --twisting x --format text": 1,
+    "--input {doc} --command twisting-check --twisting x --format machine": 1,
+    "--input {doc} --command orbit --a a --b c --format text": 1,
+    "--input {doc} --command orbit --a a --b c --format machine": 1,
+}
 
 
 @pytest.mark.parametrize("argv, digest", PINNED_STDOUT)
@@ -494,8 +600,8 @@ def test_cli_stdout_is_byte_identical_to_the_pinned_runs(tmp_path, capsys, argv,
     import hashlib
 
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps({"cgas": {"T3": {"generators": {"x": 2, "y": 2, "z": 4}, "m": 8}}}), encoding="utf-8")
-    assert main([arg.replace("{doc}", str(path)) for arg in argv.split()]) == 0
+    path.write_text(json.dumps(PINNED_DOC), encoding="utf-8")
+    assert main([arg.replace("{doc}", str(path)) for arg in argv.split()]) == PINNED_EXIT.get(argv, 0)
     captured = capsys.readouterr()
     assert captured.err == ""
     assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == digest

@@ -1,9 +1,11 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cupone.dga import BigradedDGA, DgaMap, free_truncated_dga, simplicial_cochain_dga
+from cupone.errors import DomainError
 from cupone.linalg import FGAbelianGroup, _eliminate, kernel_basis, solve
 from cupone.twisting import (
     GaugeElement,
@@ -114,12 +116,126 @@ def test_gauge_multiply_is_associative(p, q, s):
     assert p.multiply(q).multiply(s) == p.multiply(q.multiply(s))
 
 
+def series_inverse(p):
+    """p⁻¹ = Σ (−p′)^k as a dga element; it ends because p′ raises the
+    first degree, so the powers vanish past the dga's top level."""
+    prime = p.perturbation()
+    out = power = p.dga.unit
+    for k in range(1, p.truncation + 2):
+        power = power * prime
+        if power.is_zero():
+            break
+        out = out + power.scale((-1) ** k)
+    return out
+
+
+def oracle_act(a, p):
+    """a∗p = p⁻¹ap + p⁻¹∇p′ from whole dga elements and the series inverse,
+    keeping the parts on the twisting diagonal at levels 2..N."""
+    pinv = series_inverse(p)
+    moved = pinv * a.as_element() * p.as_element() + pinv * p.perturbation().d()
+    parts = moved.by_degree(a.dga.bidegrees.get)
+    return TwistingElement(a.dga, a.truncation,
+                           {r: comp for (r, t), comp in parts.items() if t == 1 - r and 2 <= r <= a.truncation})
+
+
+def oracle_report(a):
+    """(ok, failed_level, residual) of ∇a^r + Σ_{i+j=r+1} a^i·a^j on whole elements."""
+    for r in range(2, a.truncation + 1):
+        residual = a.component(r).d()
+        for i in range(2, r):
+            residual = residual + a.component(i) * a.component(r + 1 - i)
+        if not residual.is_zero():
+            return False, r, residual
+    return True, 0, None
+
+
 @settings(max_examples=30, deadline=None, database=None)
 @given(gauges())
 def test_gauge_one_is_a_two_sided_unit_and_inverses_are_two_sided(p):
     F, one = p.dga, GaugeElement.one(p.dga, p.truncation)
     assert one.multiply(p) == p == p.multiply(one)
-    assert p.as_element() * p.inverse_element() == F.unit == p.inverse_element() * p.as_element()
+    assert p.as_element() * series_inverse(p) == F.unit == series_inverse(p) * p.as_element()
+
+
+def sphere_dga():
+    """D(S²; Z, Z/2) on the boundary of the tetrahedron: a second dga, with
+    a nonzero ∇ from level 1 to level 2."""
+    if "sphere" not in _DGA_CACHE:
+        _DGA_CACHE["sphere"] = build_DX([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
+                                        [FGAbelianGroup(1), FGAbelianGroup.from_divisors([2])])
+    return _DGA_CACHE["sphere"]
+
+
+@st.composite
+def level_elements(draw, cls, dga, N):
+    """An element of class `cls` at truncation N; each level is left out
+    one time in three, or drawn with coefficients in -2..2, mostly nonzero."""
+    coefficient = st.sampled_from((1, -1, 2, -2, 0))
+    comps = {}
+    for r in range(cls.SHIFT + 1, N + cls.SHIFT):
+        if draw(st.sampled_from((True, True, False))):
+            comps[r] = {l: draw(coefficient) for l in dga.basis_of(r, cls.SHIFT - r)}
+    return cls(dga, N, comps)
+
+
+@st.composite
+def actions(draw):
+    """(a, p, q) at a drawn N = 2..5 on the 84-element dga or on D(S²; Z, Z/2)."""
+    dga = draw(st.sampled_from([diagonal_free_dga, sphere_dga]))()
+    N = draw(st.integers(2, 5))
+    return (draw(level_elements(TwistingElement, dga, N)), draw(level_elements(GaugeElement, dga, N)),
+            draw(level_elements(GaugeElement, dga, N)))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(actions())
+def test_gauge_act_equals_the_series_inverse_formula(action):
+    a, p, q = action
+    zero, one = TwistingElement.zero(a.dga, a.truncation), GaugeElement.one(a.dga, a.truncation)
+    assert gauge_act(a, p) == oracle_act(a, p)
+    assert gauge_act(zero, p) == oracle_act(zero, p)
+    assert gauge_act(a, one) == a == oracle_act(a, one)
+    assert gauge_act(gauge_act(a, p), q) == gauge_act(a, p.multiply(q))
+    assert orbit_relation_holds(a, gauge_act(a, p), p)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(actions())
+def test_is_twisting_reports_the_element_formula(action):
+    a, p, _q = action
+    for t in (a, gauge_act(TwistingElement.zero(a.dga, a.truncation), p)):
+        report = is_twisting(t)
+        assert (report.ok, report.failed_level, report.residual) == oracle_report(t)
+
+
+def test_gauge_act_takes_at_most_n1_n2_products_and_none_above_level_n(monkeypatch):
+    """Every product of one gauge_act at N = 4, whichever module calls it,
+    goes through the spy: at most (N−1)(N−2) = 6 products of level
+    components, each with its factors' levels and its result at level <= N."""
+    import cupone.dga as dga_module
+    import cupone.twisting as twisting
+
+    F, N = diagonal_free_dga(), 4
+    rng = random.Random(21)
+    a = gauge_act(TwistingElement.zero(F, N), random_gauge(F, N, rng))
+    p = random_gauge(F, N, rng)
+    assert set(a.components) == {2, 3, 4} and set(p.components) == {1, 2, 3}
+    levels, original = [], dga_module._product
+
+    def spy(rows, left, right):
+        out = original(rows, left, right)
+        top = [max((F.bidegrees[l][0] for l in terms), default=0) for terms in (left, right, out)]
+        levels.append((top[0] + top[1], top[2]))
+        return out
+
+    for module in (dga_module, twisting):
+        monkeypatch.setattr(module, "_product", spy)
+    moved = gauge_act(a, p)
+    monkeypatch.undo()
+    assert moved == oracle_act(a, p)
+    assert 0 < len(levels) <= (N - 1) * (N - 2)
+    assert all(factors <= N and result <= N for factors, result in levels)
 
 
 def test_gauge_additivity_identity():
@@ -273,6 +389,14 @@ def test_refuted_at_level_two():
     assert verdict.status == "refuted"
     assert verdict.refutation_level == 2
     assert certificate_holds(a, b, verdict)
+
+
+def test_orbit_relation_rejects_elements_of_different_dgas():
+    A, B, _phi = _two_level_pair()
+    a = TwistingElement(A, 2, {2: {"e": 1}})
+    for b, p in ((TwistingElement(B, 2, {2: {"e": 1}}), GaugeElement.one(A, 2)), (a, GaugeElement.one(B, 2))):
+        with pytest.raises(DomainError, match="elements of different dgas"):
+            orbit_relation_holds(a, b, p)
 
 
 def test_push_twisting_identity_and_functoriality():
