@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .algebra import Combination, _linear, _merge
+from .algebra import Combination, _linear, _merge, _splice
 from .errors import DegreeError, DomainError, SizeError
 from .linalg import IntMatrix
 
@@ -519,7 +519,10 @@ def free_truncated_dga(generators, diffs, max_r=None, min_t=None, name=None):
     second degree; an r-window drops d at its top edge.
 
     `generators`: list of (name, r, t); `diffs`: name -> list of
-    (coeff, word) with word a tuple of generator names.
+    (coeff, word) with word a tuple of generator names, where the
+    coefficients of repeated words add up.  A word's differential is the
+    Koszul-signed Leibniz extension `_splice` of these images, with the
+    terms outside the window dropped.
     """
     if max_r is None and min_t is None:
         raise DomainError("free truncated dga needs a window bound")
@@ -566,24 +569,12 @@ def free_truncated_dga(generators, diffs, max_r=None, min_t=None, name=None):
             if in_window(r1 + r2, t1 + t2):
                 products[(l1, l2)] = {wlabel(w1 + w2): 1}
 
-    gen_images = {nm: list(terms) for nm, terms in diffs.items()}
-
-    def d_word(w):
-        image = {}
-        sign = 1
-        for pos, nm in enumerate(w):
-            for coeff, img_word in gen_images.get(nm, ()):  # image of one letter
-                new_word = w[:pos] + tuple(img_word) + w[pos + 1:]
-                if fits(new_word):
-                    _merge(image, [(wlabel(new_word), sign * coeff)])
-            if (gens[nm][0] + gens[nm][1]) % 2:
-                sign = -sign
-        return image
-
-    diff = {}
+    # name -> (image term map on words, total degree odd), the form `_splice` reads
+    entries = {nm: ({}, (r + t) % 2) for nm, (r, t) in gens.items()}
+    for nm, (image, _odd) in entries.items():
+        _merge(image, ((tuple(img_word), coeff) for coeff, img_word in diffs.get(nm, ())))
+    diff = {wlabel(w): {} for w in words}  # BigradedDGA drops the empty images
     for w in words:
-        image = d_word(w)
-        if image:
-            diff[wlabel(w)] = image
+        _merge(diff[wlabel(w)], ((wlabel(v), c) for v, c in _splice(entries, {w: 1}).items() if fits(v)))
 
     return BigradedDGA(name or "T(V)/window", bidegrees, diff, products, {"1": 1})

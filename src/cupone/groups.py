@@ -20,7 +20,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import DomainError
-from .linalg import FGAbelianGroup, IntMatrix, group_at, invariant_factors, kernel_basis, solve
+from .linalg import FGAbelianGroup, IntMatrix, homology, kernel_basis, solve
 from .record import Record
 
 Z = FGAbelianGroup(1)
@@ -103,8 +103,7 @@ def tor(a, b):
 
 def cokernel(h):
     """target / im(h) in canonical form: the cokernel of [matrix | target relations]."""
-    m = _with_target_relations(h)
-    return group_at(m.rows, 0, invariant_factors(m))
+    return homology([_with_target_relations(h)])[0]
 
 
 def is_injective(h):

@@ -404,8 +404,11 @@ def homology(boundaries):
 
     `boundaries` is a list [d1, d2, ...] with d_k : C_k -> C_{k-1}; the
     chain groups are inferred from the matrix shapes.  Returns
-    [H_0, H_1, ...] with H_k = ker d_k / im d_{k+1}.  Raises DomainError
-    if consecutive boundaries do not compose to zero, naming the degree.
+    [H_0, H_1, ...] with H_k = ker d_k / im d_{k+1}, read off ranks and
+    invariant factors: rank C_k − rank d_k − rank d_{k+1} copies of Z and
+    Z/d for each invariant factor d >= 2 of d_{k+1}; each map is
+    eliminated once.  Raises DomainError if consecutive boundaries do not
+    compose to zero, naming the degree.
     """
     mats = [b if isinstance(b, IntMatrix) else IntMatrix(b) for b in boundaries]
     for k in range(len(mats) - 1):
@@ -416,15 +419,8 @@ def homology(boundaries):
 
     dims = [mats[0].rows if mats else 0] + [m.cols for m in mats]
     facts = [()] + [invariant_factors(m) for m in mats] + [()]
-    # H_k from the rank of d_k and the invariant factors of d_{k+1}
-    return [group_at(dim, len(facts[k]), facts[k + 1]) for k, dim in enumerate(dims)]
-
-
-def group_at(dim, rank_out, in_factors):
-    """ker(d_out)/im(d_in) at a free module of rank `dim`, from the rank
-    of the outgoing map and the invariant factors of the incoming one."""
-    free = dim - rank_out - len(in_factors)
-    return FGAbelianGroup.from_divisors([0] * free + [d for d in in_factors if d >= 2])
+    return [FGAbelianGroup.from_divisors([0] * (dim - len(facts[k]) - len(facts[k + 1])) + list(facts[k + 1]))
+            for k, dim in enumerate(dims)]
 
 
 def homology_at(d_out, d_in):

@@ -14,8 +14,8 @@ keyed by the name tuple of its plain factors, and per code the image on
 code words, so cells are int tuples and ∂ splices them with the loop of
 `extend_derivation`; letters are decoded only for texts and labels.
 `certify_resolution` compiles the resolution's own table once and asks
-each summand for one window of positions, getting its verdicts from one
-walk down the strata.  A summand's homology only depends on the
+each summand for one window of positions, getting its verdicts from
+`homology` on the window's maps.  A summand's homology only depends on the
 multiplicity pattern, so for a resolution from build_resolution each
 pattern is walked once, on its multiset with the lowest window, and the
 other multisets of the pattern read their windows off those verdicts;
@@ -39,7 +39,7 @@ from operator import sub
 from .algebra import FreeDGA, Generator, TensorElement, _merge, _splice, check_d_squared, format_word, word_multiply
 from .cup1 import Cup1Monomial, bundle_factors, closed_images, cup1_pair
 from .errors import DegreeError, DomainError, PreconditionError
-from .linalg import IntMatrix, group_at, invariant_factors
+from .linalg import IntMatrix, homology
 from .record import Record
 
 INFINITY = None  # marker for the polynomial (m = ∞) case
@@ -288,27 +288,26 @@ def _summand_verdicts(counts, table, lo, hi):
     """Whether the homology of the summand on the multiset `counts` of
     plain generator names, over the letters of the `_Codes` table
     `table`, vanishes at resolution degree −n, for n = lo..hi in that
-    order.  One walk down the strata holds only the ∂ on each side of the
-    current position; each ∂ is built and eliminated once.  At n = 0 the
-    augmentation, which sums the coefficients on the ordering stratum,
-    takes the place of the outgoing ∂, so the verdict is exactness
-    ker(ρ) = im(d).  Each outgoing map composed with the incoming ∂ is
-    checked to vanish."""
+    order.  The window's maps, out of positions n = lo..hi + 1, go to
+    `homology` as one complex, so each is built and eliminated once and
+    each composite is checked to vanish; its inner groups are the
+    positions lo..hi.  At n = 0 the augmentation, which sums the
+    coefficients on the ordering stratum, takes the place of the outgoing
+    ∂, so the verdict is exactness ker(ρ) = im(d).  A nonzero composite
+    is named with the summand and the window."""
     size = sum(counts.values())
     stratum = _stratum_walk(counts, table.code)  # k -> code words of k blocks, resolution degree k − size
-    d_in = _stratum_boundary(table, stratum(size - hi - 1), stratum(size - hi))
-    in_factors = invariant_factors(d_in)
-    verdicts = []
-    for n in range(hi, lo - 1, -1):
-        mid = stratum(size - n)
-        d_out = IntMatrix([[1] * len(mid)]) if n == 0 else _stratum_boundary(table, mid, stratum(size - n + 1))
-        out_factors = (1,) if n == 0 else invariant_factors(d_out)
-        if d_out.mul(d_in).sparse_rows:
-            composite = "ρ∘d" if n == 0 else "d∘d"
-            raise DomainError(f"{composite} is nonzero on the summand {dict(counts)} at resolution degree {-n}")
-        verdicts.append(group_at(len(mid), len(out_factors), in_factors).is_trivial)
-        d_in, in_factors = d_out, out_factors
-    return tuple(reversed(verdicts))
+    maps = [
+        _stratum_boundary(table, stratum(size - n), stratum(size - n + 1)) if n else IntMatrix([[1] * len(stratum(size))])
+        for n in range(lo, hi + 2)
+    ]
+    try:
+        groups = homology(maps)
+    except DomainError as exc:
+        rho = " (d_1 = ρ)" if lo == 0 else ""
+        raise DomainError(f"summand {dict(counts)}, window {-hi}..{-lo}, maps d_1, d_2, ... out of resolution "
+                          f"degrees {-lo}, {-lo - 1}, ...{rho}: {exc}") from None
+    return tuple(group.is_trivial for group in groups[1:-1])
 
 
 def _resolution_multisets(plain, m):
@@ -437,39 +436,31 @@ def certify_resolution(r):
 # ---------------------------------------------------------------------------
 # induced maps RH(f) and derivation homotopies
 
-# Words whose images one ResolutionMap keeps.  The identity map's chain-map
-# check and homotopy extension on 6 generators of degree 2 at m = 10 meet
-# 665 distinct words (211 on 5 generators), so 1024 keeps such a run whole.
-WORD_CACHE_SIZE = 1024
+def _word_image(images, word):
+    """The image of `word` under the multiplicative map with letter images
+    `images`: the product of its letters' images, in order."""
+    try:
+        factors = [images[letter] for letter in word]
+    except KeyError as missing:
+        raise DomainError(f"map has no image for {missing.args[0].label()}") from None
+    return reduce(word_multiply, factors) if factors else TensorElement.unit()
 
 
 class ResolutionMap:
-    """A multiplicative map between resolutions, given by letter images.
-
-    The images of the words it has met are kept in an LRU cache of
-    `WORD_CACHE_SIZE` entries, so a long-lived map holds a bounded amount."""
+    """A multiplicative map between resolutions, given by letter images; a
+    word's image is formed by `_word_image` where it is needed, not kept."""
 
     def __init__(self, source, target, images):
         self.source = source
         self.target = target
         self.images = dict(images)
-        self._word_cache = lru_cache(maxsize=WORD_CACHE_SIZE)(self._word_image)
 
     @classmethod
     def identity(cls, r):
         return cls(r, r, {letter: TensorElement.of(letter) for letter in r.letters})
 
-    def _word_image(self, word):
-        img = TensorElement.unit()
-        for letter in word:
-            try:
-                img = word_multiply(img, self.images[letter])
-            except KeyError:
-                raise DomainError(f"map has no image for {letter.label()}") from None
-        return img
-
     def apply(self, element):
-        return element.linear(lambda word: self._word_cache(word).terms)
+        return element.linear(lambda word: _word_image(self.images, word).terms)
 
     __call__ = apply
 
@@ -547,9 +538,8 @@ def _homotopy(alpha, s_plain):
         if not word:
             return TensorElement.zero()
         head, rest = word[0], word[1:]
-        beta_rest = reduce(word_multiply, (beta[letter] for letter in rest), TensorElement.unit())
         out = word_multiply(alpha(TensorElement.of(head)).scale(-1 if head.total_degree % 2 else 1), s_word(rest))
-        return out + word_multiply(s_letter[head], beta_rest)
+        return out + word_multiply(s_letter[head], _word_image(beta, rest))
 
     def s(element):
         return element.linear(lambda word: s_word(word).terms)

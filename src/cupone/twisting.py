@@ -6,10 +6,10 @@ elements p = 1 + p^1 + ... act by a∗p = p⁻¹ap + p⁻¹dp.  Since p′ raise
 the perturbation degree, p·(a∗p) = ap + ∇p′ can be solved for a∗p one
 level at a time, so p⁻¹ is never formed.  Everything is truncated at an
 explicit level N: all statements hold in perturbation degrees <= N, and
-the action and the twisting law are evaluated level by level on term
-maps, never above N.  Twisting elements and gauge perturbations share
-one base for their level components; derivation homotopies reuse the
-dga maps' linear extension and bidegree check.
+the action, the group law and the twisting law are evaluated level by
+level on term maps, never above N.  Twisting elements and gauge
+perturbations share one base for their level components; derivation
+homotopies reuse the dga maps' linear extension and bidegree check.
 
 Orbits are decided exactly.  For fixed a and b the relation
 b − a = ap′ − p′b + ∇p′ is a linear system over Z in the coordinates of
@@ -109,18 +109,6 @@ class GaugeElement(_LevelElement):
     def one(cls, dga, truncation):
         return cls(dga, truncation, {})
 
-    @classmethod
-    def from_perturbation(cls, dga, truncation, element):
-        """Split a perturbation along the diagonal t = −r, keeping the
-        components inside the level range; anything off it is an error."""
-        components = {}
-        for (r, t), comp in element.by_degree(element.dga.bidegrees.get).items():
-            if t != -r:
-                raise DegreeError(f"component at bidegree {(r, t)} is off the gauge diagonal")
-            if 1 <= r < truncation:
-                components[r] = comp
-        return cls(dga, truncation, components)
-
     def perturbation(self):
         return self._component_sum()
 
@@ -128,11 +116,21 @@ class GaugeElement(_LevelElement):
         return self.dga.unit + self.perturbation()
 
     def multiply(self, other):
-        """Group law: (1+p′)(1+q′) = 1 + (p′ + q′ + p′q′)."""
+        """Group law (1+p′)(1+q′) = 1 + (p′ + q′ + p′q′), level by level:
+        (pq)^r = p^r + q^r + Σ_{i+j=r} p^i·q^j for r = 1..N−1, so nothing
+        at level N or above is formed, and at most (N−1)(N−2)/2 products
+        of level components are taken."""
         if self.dga is not other.dga or self.truncation != other.truncation:
             raise DomainError("gauge elements of different dgas or truncations")
-        p, q = self.perturbation(), other.perturbation()
-        return GaugeElement.from_perturbation(self.dga, self.truncation, p + q + p * q)
+        dga, p, q = self.dga, _levels(self), _levels(other)
+        components = {}
+        for r in range(1, self.truncation):
+            out = dict(p.get(r, {}))
+            _merge(out, q.get(r, {}).items())
+            for i in range(1, r):
+                _merge(out, _product(dga.rows, p.get(i, {}), q.get(r - i, {})).items())
+            components[r] = out
+        return GaugeElement(dga, self.truncation, components)
 
     def __repr__(self):
         return f"<gauge N={self.truncation}: 1 + {self.perturbation()}>"
@@ -366,7 +364,8 @@ def homotopy_orbit_check(f, g, s_images, a):
 
     fa = push_twisting(f, a)
     ga = push_twisting(g, a)
-    p = GaugeElement.from_perturbation(B, a.truncation, s_apply(a.as_element()).scale(-1))
+    # s has bidegree (−1, 0), so −s(a^r) is the gauge level r − 1
+    p = GaugeElement(B, a.truncation, {r - 1: s_apply(comp).scale(-1) for r, comp in a.components.items()})
     if gauge_act(fa, p) != ga or not orbit_relation_holds(fa, ga, p):
         return OrbitHomotopyReport(False, "gauge witness p′=−s(a)", "final verification")
     return OrbitHomotopyReport(True, witness=p)

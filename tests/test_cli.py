@@ -416,19 +416,36 @@ def drawn_twistings(draw):
     return json.dumps(doc)
 
 
+def _options(*pairs):
+    """The flags of `pairs` (flag, value) whose value is not None, each
+    followed by its value as text."""
+    return [arg for flag, value in pairs if value is not None for arg in (flag, str(value))]
+
+
+def _exits_0_1_or_2_without_traceback(text, argv):
+    """Run `main` on `argv`, with `text` as the --input document unless it
+    is None: the exit code is 0, 1 or 2, no traceback is printed, and an
+    exit 2 prints nothing to stdout."""
+    with tempfile.TemporaryDirectory() as directory:
+        if text is not None:
+            path = os.path.join(directory, "doc.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            argv = ["--input", path, *argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(st.one_of(drawn_twistings(), mutated_documents(ORBIT_DOC, "twistings", ORBIT_VALUES, st.integers(0, 2))),
        ORBIT_NAMES, ORBIT_NAMES, st.sampled_from(["text", "machine"]))
 def test_orbit_exits_0_1_or_2_without_traceback(text, a, b, fmt):
-    with tempfile.TemporaryDirectory() as directory:
-        path = os.path.join(directory, "doc.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["--input", path, "--command", "orbit", "--a", a, "--b", b, "--format", fmt])
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    _exits_0_1_or_2_without_traceback(text, ["--command", "orbit", "--a", a, "--b", b, "--format", fmt])
 
 
 # ORBIT_DOC plus gauges p in A and q in N, for the commands that act by them
@@ -451,18 +468,8 @@ def drawn_gauges(draw):
        st.sampled_from(["gauge", "twisting-check"]), ORBIT_NAMES, st.sampled_from(["p", "q", "missing"]),
        st.sampled_from(["text", "machine"]))
 def test_gauge_and_twisting_check_exit_0_1_or_2_without_traceback(text, command, twisting, gauge, fmt):
-    with tempfile.TemporaryDirectory() as directory:
-        path = os.path.join(directory, "doc.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["--input", path, "--command", command, "--twisting", twisting, "--gauge", gauge,
-                         "--format", fmt])
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
-    if code == 2:
-        assert out.getvalue() == ""
+    _exits_0_1_or_2_without_traceback(
+        text, ["--command", command, "--twisting", twisting, "--gauge", gauge, "--format", fmt])
 
 
 RANGE_OPTIONS = st.one_of(st.none(), st.integers(-2, 8))
@@ -473,20 +480,112 @@ RANGE_OPTIONS = st.one_of(st.none(), st.integers(-2, 8))
        st.sampled_from(["P2", "Q", "missing"]), RANGE_OPTIONS, RANGE_OPTIONS, st.sampled_from(["text", "machine"]))
 def test_certify_and_resolve_exit_0_1_or_2_without_traceback(text, command, cga, m, truncation, fmt):
     argv = ["--command", command, "--cga", cga, "--format", fmt]
-    for flag, value in (("--m", m), ("--truncation", truncation)):
-        if value is not None:
-            argv += [flag, str(value)]
-    with tempfile.TemporaryDirectory() as directory:
-        path = os.path.join(directory, "doc.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["--input", path, *argv])
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
-    if code == 2:
-        assert out.getvalue() == ""
+    _exits_0_1_or_2_without_traceback(text, argv + _options(("--m", m), ("--truncation", truncation)))
+
+
+FORMATS = st.sampled_from(["text", "machine"])
+
+
+@st.composite
+def faces(draw):
+    """An ordered partition of {1..k}, k = 1..6, in the --face syntax."""
+    order = draw(st.permutations(range(1, draw(st.integers(1, 6)) + 1)))
+    cuts = sorted(draw(st.sets(st.integers(1, len(order) - 1))) | {0, len(order)}) if len(order) > 1 else [0, 1]
+    return "(" + ",".join("{" + ",".join(map(str, order[i:j])) + "}" for i, j in zip(cuts, cuts[1:])) + ")"
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(st.sampled_from([None, "1", "2", "3", "4", "0", "-3", "8", "1000000", "x", "", "2.5"]), FORMATS)
+def test_permutohedron_exits_0_1_or_2_without_traceback(n, fmt):
+    # P_n stays at n <= 4 here, so that each run is quick
+    _exits_0_1_or_2_without_traceback(None, ["--command", "permutohedron", "--format", fmt] + _options(("--n", n)))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.one_of(faces(), st.none(), st.text(alphabet="{}(),-0123456789 ", max_size=14),
+                 st.sampled_from(["({1},{1})", "()", "({})", "({1,2,3,4,5,6,7,8})"])),
+       st.sampled_from([None, None, None, "3", "x"]), FORMATS)
+def test_boundary_exits_0_1_or_2_without_traceback(face, n, fmt):
+    argv = ["--command", "boundary", "--format", fmt] + _options(("--face", face), ("--n", n))
+    _exits_0_1_or_2_without_traceback(None, argv)
+
+
+# Values that name the objects of DOC or parse as its group literals
+DOC_VALUES = st.one_of(st.integers(-3, 8), st.sampled_from(["infinity", "P2", "Q", "u", "x", "Z", "Z/2", "u1", "u5"]),
+                       JSON_VALUES)
+
+
+@st.composite
+def drawn_maps(draw):
+    """DOC with the images of x and y under `collapse` redrawn as c·u^k,
+    k = 0..2: degree 2 passes, other degrees fail."""
+    doc = copy.deepcopy(DOC)
+    doc["cga_maps"]["collapse"]["images"] = {
+        name: [[draw(st.integers(-3, 3)), ["u"] * draw(st.sampled_from([1, 1, 0, 2]))]] for name in ("x", "y")}
+    return json.dumps(doc)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.one_of(drawn_maps(), st.sampled_from(["cgas", "cga_maps"]).flatmap(
+           lambda section: mutated_documents(DOC, section, DOC_VALUES, st.integers(0, 2)))),
+       st.sampled_from(["collapse", "collapse", "missing"]), RANGE_OPTIONS, FORMATS)
+def test_rh_map_exits_0_1_or_2_without_traceback(text, name, truncation, fmt):
+    argv = ["--command", "rh-map", "--map", name, "--format", fmt] + _options(("--truncation", truncation))
+    _exits_0_1_or_2_without_traceback(text, argv)
+
+
+GROUP_LITERALS = st.one_of(
+    st.lists(st.sampled_from(["Z", "Z/2", "Z/4", "Z/6", "Z^2", "0"]), min_size=1, max_size=3).map(" + ".join),
+    st.text(alphabet="Z0123456789/^+ ", max_size=8),
+    st.sampled_from(["Z/0", "Z/-2", "Z^" + "9" * 5000]),
+)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.one_of(GROUP_LITERALS, st.none()), GROUP_LITERALS, FORMATS)
+def test_tor_exits_0_1_or_2_without_traceback(a, b, fmt):
+    _exits_0_1_or_2_without_traceback(None, ["--command", "tor", "--format", fmt] + _options(("--a", a), ("--b", b)))
+
+
+@st.composite
+def drawn_instances(draw):
+    """DOC with the instance `good` redrawn: m = 1..6, H^k(X) for some
+    k = 1..6, and the Hurewicz map u1 or u5 in some degrees."""
+    doc = copy.deepcopy(DOC)
+    degrees = st.integers(1, 6).map(str)
+    doc["hypotheses"]["good"] = {
+        "m": draw(st.integers(1, 6)),
+        "cohomology": draw(st.dictionaries(degrees, st.sampled_from(["Z", "Z/2", "Z/4 + Z", "0"]), max_size=3)),
+        "hurewicz": draw(st.dictionaries(degrees, st.sampled_from(["u1", "u5"]), max_size=3)),
+    }
+    return json.dumps(doc)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.one_of(drawn_instances(), st.sampled_from(["homs", "hypotheses"]).flatmap(
+           lambda section: mutated_documents(DOC, section, DOC_VALUES, st.integers(0, 2)))),
+       st.sampled_from(["good", "good", "bad", "missing"]), FORMATS)
+def test_hypotheses_exit_0_1_or_2_without_traceback(text, instance, fmt):
+    _exits_0_1_or_2_without_traceback(text, ["--command", "hypotheses", "--instance", instance, "--format", fmt])
+
+
+@st.composite
+def drawn_spaces(draw):
+    """DOC with the space `circle` redrawn as 1..4 simplices on the
+    vertices 0..3."""
+    doc = copy.deepcopy(DOC)
+    simplex = st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True)
+    doc["spaces"]["circle"] = {"simplices": draw(st.lists(simplex, min_size=1, max_size=4))}
+    return json.dumps(doc)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.one_of(drawn_spaces(), mutated_documents(DOC, "spaces", DOC_VALUES, st.integers(0, 2))),
+       st.sampled_from(["Z", "Z,Z/2", "Z/2,0,Z", "0", None, "", "Z,", "Z/0", "q", "Z^40", ",".join(["Z"] * 10)]),
+       st.sampled_from([None, 2, 3, 5, 1, -2]), FORMATS)
+def test_d_x_exits_0_1_or_2_without_traceback(text, homology, truncation, fmt):
+    argv = ["--command", "d-x", "--space", "circle", "--format", fmt]
+    _exits_0_1_or_2_without_traceback(text, argv + _options(("--homology", homology), ("--truncation", truncation)))
 
 
 @pytest.mark.parametrize("dga, message", [
@@ -522,6 +621,12 @@ def _free_dga_spec(F):
 # a's orbit by the ∇-cycle x2·u1·u1 at level 4; x = x2 fails at level 3.
 PINNED_DOC = {
     "cgas": {"T3": {"generators": {"x": 2, "y": 2, "z": 4}, "m": 8}},
+    "cga_maps": {
+        "shift": {"source": "T3", "target": "T3",
+                  "images": {"x": [[1, ["x"]], [2, ["y"]]], "y": [[-1, ["y"]]], "z": [[1, ["x", "y"]], [3, ["z"]]]}},
+        # z has degree 4 but its image degree 2, so the induced map fails
+        "off_degree": {"source": "T3", "target": "T3", "images": {"x": [[1, ["y"]]], "y": [[1, ["x"]]], "z": [[1, ["x"]]]}},
+    },
     "dgas": {"F": _free_dga_spec(free_truncated_dga([("u1", 1, -1), ("x2", 2, -1), ("y2", 2, -1)],
                                                     {"u1": [(1, ("y2",))]}, 4))},
     "twistings": {
@@ -543,7 +648,8 @@ PINNED_DOC = {
 
 # SHA-256 of the stdout of each run, recorded before P_n and the resolution
 # summands shared one enumerator and one boundary builder, and for the gauge
-# calculus before `gauge_act` solved for a∗p level by level; `{doc}` is
+# calculus before `gauge_act` solved for a∗p level by level, and for `rh-map`
+# before the induced map's word images lost their cache; `{doc}` is
 # PINNED_DOC.  Runs that exit 1 are listed in PINNED_EXIT.
 PINNED_STDOUT = [
     ("--command permutohedron --n 4 --format text", "d002986fa3cf3274bed3ac00609ee207328f753c5d742579fc0c53af0480e3b0"),
@@ -585,6 +691,14 @@ PINNED_STDOUT = [
      "96c0310941de8929dc8e0453585fe9f15f7d221175ff328e0eb2a832f7fcc719"),
     ("--input {doc} --command gauge --twisting x --gauge p --format machine",
      "7d64a15fdfe8c359b810303d639bb8834a02900e4f1508c80e1bf728950683c7"),
+    ("--input {doc} --command rh-map --map shift --format text",
+     "fbe84cdde84dd96b70bbcf343cd2133bb927d96e37347aff32a67bb6363b9e22"),
+    ("--input {doc} --command rh-map --map shift --format machine",
+     "7655f90067cb3a98e33f02355ec087df90166ff04515d5cb41203807d05bcbba"),
+    ("--input {doc} --command rh-map --map off_degree --format text",
+     "dfee518b0d43494c2b5efac8fa02f491796335642d7ee4f96ca91875cfa7c0d2"),
+    ("--input {doc} --command rh-map --map off_degree --format machine",
+     "a8ea79990402db1b10d34394f8c9dff5452bba1e2f2b85676a77d27f24c1765f"),
 ]
 
 PINNED_EXIT = {
@@ -592,6 +706,8 @@ PINNED_EXIT = {
     "--input {doc} --command twisting-check --twisting x --format machine": 1,
     "--input {doc} --command orbit --a a --b c --format text": 1,
     "--input {doc} --command orbit --a a --b c --format machine": 1,
+    "--input {doc} --command rh-map --map off_degree --format text": 1,
+    "--input {doc} --command rh-map --map off_degree --format machine": 1,
 }
 
 

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cupone import dga as dga_module
 from cupone.dga import (
     BigradedDGA,
     DgaMap,
@@ -120,6 +123,84 @@ def test_free_truncated_dga_words_and_leibniz():
     assert xx == F.basis_element("x·x")
     # d(x·x) = y·x - x·y (x has odd total degree 0? no: |x| = 1 + (-1) = 0 even)
     assert xx.d() == F.basis_element("y·x") + F.basis_element("x·y")
+
+
+def leibniz_oracle(generators, diffs, max_r=None, min_t=None):
+    """The differential table of the free truncated dga, built word by
+    word as the constructor first did: each image of a letter put in its
+    place, with the Koszul sign of the letters before it, and kept when
+    the new word lies in the window.  Words without a differential are
+    left out."""
+    gens = {nm: (r, t) for nm, r, t in generators}
+
+    def fits(w):
+        r, t = sum(gens[nm][0] for nm in w), sum(gens[nm][1] for nm in w)
+        return (max_r is None or r <= max_r) and (min_t is None or t >= min_t)
+
+    def wlabel(w):
+        return "·".join(w) if w else "1"
+
+    words, frontier = [()], [()]
+    while frontier:
+        frontier = [w + (nm,) for w in frontier for nm in gens if fits(w + (nm,))]
+        words.extend(frontier)
+    table = {}
+    for w in words:
+        image, sign = {}, 1
+        for pos, nm in enumerate(w):
+            for coeff, img_word in diffs.get(nm, ()):
+                new_word = w[:pos] + tuple(img_word) + w[pos + 1:]
+                if fits(new_word):
+                    image[wlabel(new_word)] = image.get(wlabel(new_word), 0) + sign * coeff
+            if sum(gens[nm]) % 2:
+                sign = -sign
+        image = {label: c for label, c in image.items() if c}
+        if image:
+            table[wlabel(w)] = image
+    return table
+
+
+@st.composite
+def free_generator_sets(draw):
+    """(generators, diffs, window) for 1..3 generators a, b, c: a max_r
+    window of first degrees 1..2, or a min_t window of second degrees
+    −2..−1.  Each image is 0..3 words of 0..3 letters, repeats and zero
+    coefficients allowed, with no regard to bidegree or d² = 0."""
+    names = "abc"[:draw(st.integers(1, 3))]
+    if draw(st.booleans()):
+        window = {"max_r": draw(st.integers(1, 3))}
+        generators = [(nm, draw(st.integers(1, 2)), draw(st.integers(-2, 1))) for nm in names]
+    else:
+        window = {"min_t": draw(st.integers(-3, -1))}
+        generators = [(nm, draw(st.integers(-1, 2)), draw(st.integers(-2, -1))) for nm in names]
+    word = st.lists(st.sampled_from(names), max_size=3).map(tuple)
+    image = st.lists(st.tuples(st.integers(-2, 2), word), max_size=3)
+    diffs = draw(st.dictionaries(st.sampled_from(names), image, max_size=3))
+    return generators, diffs, window
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(free_generator_sets())
+def test_free_truncated_differential_equals_the_word_by_word_leibniz_rule(case):
+    # the table the constructor hands to BigradedDGA, before validation,
+    # which random images would fail
+    generators, diffs, window = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dga_module, "BigradedDGA", lambda name, bidegrees, diff, products, unit: diff)
+        table = free_truncated_dga(generators, diffs, **window)
+    assert {label: image for label, image in table.items() if image} == leibniz_oracle(generators, diffs, **window)
+
+
+@pytest.mark.parametrize("generators, diffs, window", [
+    # the 84-element dga of the twisting tests, an r-window
+    ([("u1", 1, -1), ("u2", 2, -2), ("x2", 2, -1), ("y2", 2, -1), ("x3", 3, -2)], {"u1": [(1, ("y2",))]}, {"max_r": 5}),
+    # a t-window with u odd and v even: the three images of u add up to d(u) = 2v,
+    # and d(u·u) = 2(v·u − u·v)
+    ([("u", 0, -1), ("v", 1, -1), ("w", 1, -2)], {"u": [(1, ("v",)), (2, ("v",)), (-1, ("v",))]}, {"min_t": -3}),
+])
+def test_validated_free_dgas_carry_the_word_by_word_differential(generators, diffs, window):
+    F = free_truncated_dga(generators, diffs, **window)
+    assert F.diff == leibniz_oracle(generators, diffs, **window)
 
 
 def test_free_truncated_requires_positive_first_degree():

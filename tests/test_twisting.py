@@ -238,6 +238,51 @@ def test_gauge_act_takes_at_most_n1_n2_products_and_none_above_level_n(monkeypat
     assert all(factors <= N and result <= N for factors, result in levels)
 
 
+def oracle_multiply(p, q):
+    """The group law on whole elements: p′ + q′ + p′q′, split by level
+    along the gauge diagonal, with the levels N and above cut off."""
+    whole = p.perturbation() + q.perturbation() + p.perturbation() * q.perturbation()
+    parts = whole.by_degree(p.dga.bidegrees.get)
+    assert all(t == -r for r, t in parts)
+    return GaugeElement(p.dga, p.truncation, {r: comp for (r, _t), comp in parts.items() if r < p.truncation})
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(actions())
+def test_gauge_multiply_equals_the_truncated_whole_product(action):
+    _a, p, q = action
+    assert p.multiply(q) == oracle_multiply(p, q)
+    assert q.multiply(p) == oracle_multiply(q, p)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_gauge_multiply_takes_at_most_n1_n2_half_products_and_none_at_level_n(monkeypatch, N):
+    """Every product of one multiply, whichever module calls it, goes
+    through the spy: at most (N−1)(N−2)/2 products of level components,
+    each with its factors' levels and its result below level N."""
+    import cupone.dga as dga_module
+    import cupone.twisting as twisting
+
+    F, rng = diagonal_free_dga(), random.Random(N + 5)
+    p, q = random_gauge(F, N, rng), random_gauge(F, N, rng)
+    assert set(p.components) == set(q.components) == set(range(1, N))
+    levels, original = [], dga_module._product
+
+    def spy(rows, left, right):
+        out = original(rows, left, right)
+        top = [max((F.bidegrees[l][0] for l in terms), default=0) for terms in (left, right, out)]
+        levels.append((top[0] + top[1], top[2]))
+        return out
+
+    for module in (dga_module, twisting):
+        monkeypatch.setattr(module, "_product", spy)
+    product = p.multiply(q)
+    monkeypatch.undo()
+    assert product == oracle_multiply(p, q)
+    assert 0 < len(levels) <= (N - 1) * (N - 2) // 2
+    assert all(factors < N and result < N for factors, result in levels)
+
+
 def test_gauge_additivity_identity():
     # a vanishing in degrees 2..n, p = 1 + p^n: (a*p)^{n+1} = a^{n+1} + ∇(p^n)
     F = diagonal_free_dga()
