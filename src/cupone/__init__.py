@@ -57,7 +57,6 @@ from .resolution import (
     build_rh_map,
     certify_resolution,
     extend_homotopy,
-    validate_presentation,
 )
 from .twisting import (
     GaugeElement,

@@ -41,7 +41,6 @@ from .resolution import (
     build_resolution,
     build_rh_map,
     certify_resolution,
-    validate_presentation,
 )
 from .twisting import GaugeElement, TwistingElement, build_DX, gauge_act, gauge_equivalent, is_twisting
 
@@ -192,11 +191,7 @@ def parse_input(text, source_name="<input>"):
         gens = {k: _integer(v, f"{where}: generator {k} degree") for k, v in generators.items()}
         m = spec.get("m", "infinity")
         m = INFINITY if m in ("infinity", "inf", None) else _integer(m, f"{where}: m")
-        p = CgaPresentation.of(gens, m)
-        report = validate_presentation(p)
-        if not report.ok:
-            raise InputError(f"{where}: {report}")
-        return p
+        return CgaPresentation.of(gens, m)
 
     def level_element(cls):
         def load(where, spec):
@@ -317,10 +312,10 @@ def _resolve_args(w, args):
     p = _need(w, "cgas", args.cga, "cga")
     where = f"cgas.{args.cga}"
     if args.m is not None:
-        p = CgaPresentation(p.generators, args.m)
-        report = validate_presentation(p)
-        if not report.ok:
-            raise InputError(f"{where} with m={args.m}: {report}")
+        try:
+            p = CgaPresentation(p.generators, args.m)
+        except DomainError as exc:
+            raise InputError(f"{where} with m={args.m}: {exc}") from None
         where += " with --m"
     _truncation_acts(args.truncation, {where: p})
     return build_resolution(p, truncation=args.truncation)

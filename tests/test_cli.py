@@ -6,6 +6,7 @@ import os
 import random
 import re
 import tempfile
+import time
 import types
 
 import pytest
@@ -255,6 +256,7 @@ def _cga_text(generators, m):
 
 
 CERTIFY_C = ["--command", "certify", "--cga", "c"]
+RESOLVE_C = ["--command", "resolve", "--cga", "c"]
 
 
 # (argv, message) run on OUT_OF_DOMAIN_DOC
@@ -339,6 +341,25 @@ OUT_OF_DOMAIN_ARGV = [
      ["--command", "rh-map", "--map", "f"], "cga_maps.f.images.x: bad word letter {'cup1': 'u'}"),
     ({"dgas": {"d": {"basis": [["a", 0, 0]], "unit": [[1, 5]]}}}, CERTIFY_C,
      "dgas.d: unit: an element must be a JSON list of [coefficient, label] pairs"),
+    # a generator must be even throughout the range that m forces: degrees up
+    # to 2⌊(m+2)/2⌋ − 1, every degree when m = ∞; the message is the whole of stderr
+    (_cga_text('{"x": 3}', "4"), CERTIFY_C,
+     "error: cgas.c: odd-degree generator x (degree 3) inside the range forced even by m=4\n"),
+    (_cga_text('{"x": 3}', "4"), RESOLVE_C,
+     "error: cgas.c: odd-degree generator x (degree 3) inside the range forced even by m=4\n"),
+    (_cga_text('{"x": 2, "y": 3}', '"infinity"'), [*CERTIFY_C, "--truncation", "4"],
+     "error: cgas.c: odd-degree generator y (degree 3) in the polynomial case\n"),
+    (_cga_text('{"x": 2, "t": 3, "s": 5}', "8"), RESOLVE_C,
+     "error: cgas.c: odd-degree generator s (degree 5) inside the range forced even by m=8; "
+     "odd-degree generator t (degree 3) inside the range forced even by m=8\n"),
+    # an --m override that moves t (degree 9) into the range
+    (_cga_text('{"x": 2, "t": 9}', "4"), [*CERTIFY_C, "--m", "8"],
+     "error: cgas.c with m=8: odd-degree generator t (degree 9) inside the range forced even by m=8\n"),
+    (_cga_text('{"x": 2, "t": 9}', "4"), [*RESOLVE_C, "--m", "8"],
+     "error: cgas.c with m=8: odd-degree generator t (degree 9) inside the range forced even by m=8\n"),
+    # any other bad --m is named the same way
+    (_cga_text('{"x": 2}', "4"), [*CERTIFY_C, "--m", "0"],
+     "error: cgas.c with m=0: m must be a positive integer or the ∞ marker\n"),
 ])
 def test_out_of_domain_input_exits_2_without_traceback(tmp_path, capsys, doc, argv, message):
     path = tmp_path / "doc.json"
@@ -582,7 +603,7 @@ def drawn_spaces(draw):
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.one_of(drawn_spaces(), mutated_documents(DOC, "spaces", DOC_VALUES, st.integers(0, 2))),
        st.sampled_from(["Z", "Z,Z/2", "Z/2,0,Z", "0", None, "", "Z,", "Z/0", "q", "Z^40", ",".join(["Z"] * 10)]),
-       st.sampled_from([None, 2, 3, 5, 1, -2]), FORMATS)
+       st.sampled_from([None, 2, 3, 5, 1, -2, 100000]), FORMATS)
 def test_d_x_exits_0_1_or_2_without_traceback(text, homology, truncation, fmt):
     argv = ["--command", "d-x", "--space", "circle", "--format", fmt]
     _exits_0_1_or_2_without_traceback(text, argv + _options(("--homology", homology), ("--truncation", truncation)))
@@ -619,8 +640,10 @@ def _free_dga_spec(F):
 # The free dga on u1 (1,-1), x2 and y2 (2,-1) with ∇u1 = y2, words of first
 # degree <= 4.  a and b are twisting at N = 4 and b = a∗p; c is b moved off
 # a's orbit by the ∇-cycle x2·u1·u1 at level 4; x = x2 fails at level 3.
+# T9's odd generator t lies above the degrees that m forces even: up to 5 at
+# m = 4 and up to 7 at m = 7.
 PINNED_DOC = {
-    "cgas": {"T3": {"generators": {"x": 2, "y": 2, "z": 4}, "m": 8}},
+    "cgas": {"T3": {"generators": {"x": 2, "y": 2, "z": 4}, "m": 8}, "T9": {"generators": {"x": 2, "t": 9}, "m": 4}},
     "cga_maps": {
         "shift": {"source": "T3", "target": "T3",
                   "images": {"x": [[1, ["x"]], [2, ["y"]]], "y": [[-1, ["y"]]], "z": [[1, ["x", "y"]], [3, ["z"]]]}},
@@ -648,8 +671,9 @@ PINNED_DOC = {
 
 # SHA-256 of the stdout of each run, recorded before P_n and the resolution
 # summands shared one enumerator and one boundary builder, and for the gauge
-# calculus before `gauge_act` solved for a∗p level by level, and for `rh-map`
-# before the induced map's word images lost their cache; `{doc}` is
+# calculus before `gauge_act` solved for a∗p level by level, for `rh-map`
+# before the induced map's word images lost their cache, and for T9 before
+# presentations checked their range discipline on construction; `{doc}` is
 # PINNED_DOC.  Runs that exit 1 are listed in PINNED_EXIT.
 PINNED_STDOUT = [
     ("--command permutohedron --n 4 --format text", "d002986fa3cf3274bed3ac00609ee207328f753c5d742579fc0c53af0480e3b0"),
@@ -699,6 +723,12 @@ PINNED_STDOUT = [
      "dfee518b0d43494c2b5efac8fa02f491796335642d7ee4f96ca91875cfa7c0d2"),
     ("--input {doc} --command rh-map --map off_degree --format machine",
      "a8ea79990402db1b10d34394f8c9dff5452bba1e2f2b85676a77d27f24c1765f"),
+    ("--input {doc} --command certify --cga T9 --format text", "008b999d7ba00cc81c8481f604a9099efde6ae8734256675984fee0226a21312"),
+    ("--input {doc} --command certify --cga T9 --format machine", "db6d533a61c6ec8e9b6e7114442681f5e7760327543e49bcb08f08c62dcfd40d"),
+    ("--input {doc} --command resolve --cga T9 --format text", "5dec59deaaa7e4dcf600c473fe0cee33cc00606ef19c2f646347d143e5bef1c4"),
+    ("--input {doc} --command resolve --cga T9 --format machine", "b5bb4ab25cb3e63d07daaee3ede1abc3b3e025ab69d52104b0487587ea0782dc"),
+    ("--input {doc} --command certify --cga T9 --m 7 --format text", "ea89341bf6111ad47cf67b9514c554699f34a82125cddeb4ac600d1ab7eccb64"),
+    ("--input {doc} --command certify --cga T9 --m 7 --format machine", "42b38baa585f408f93556033c5e9d59a9051be422fc05fbbc153eb524acbc94d"),
 ]
 
 PINNED_EXIT = {
@@ -721,6 +751,28 @@ def test_cli_stdout_is_byte_identical_to_the_pinned_runs(tmp_path, capsys, argv,
     captured = capsys.readouterr()
     assert captured.err == ""
     assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("--command d-x --space circle --homology Z,Z/2 --truncation 100000", 0),
+    ("--command twisting-check --twisting a", 0),
+    ("--command twisting-check --twisting x", 1),
+    ("--command gauge --twisting a --gauge p", 0),
+    ("--command orbit --a a --b b", 0),
+    ("--command orbit --a a --b c", 1),
+])
+def test_level_loops_do_not_grow_quadratically_with_the_truncation(tmp_path, capsys, argv, code):
+    # every level element of PINNED_DOC at N = 100000; the level loops run
+    # over the levels an element has, not over every level up to N
+    doc = copy.deepcopy(PINNED_DOC)
+    for entry in [*doc["twistings"].values(), *doc["gauges"].values()]:
+        entry["truncation"] = 100000
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["--input", str(path), *argv.split()]) == code
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().err == ""
 
 
 def _dumps(value):

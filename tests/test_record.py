@@ -24,7 +24,7 @@ from cupone.linalg import FGAbelianGroup, IntMatrix
 from cupone.permutohedron import Face
 from cupone.record import Record
 from cupone.resolution import (
-    CertifyReport, CgaPresentation, DegreeCertificate, HomotopyReport, ValidationReport,
+    CertifyReport, CgaPresentation, DegreeCertificate, HomotopyReport,
 )
 from cupone.twisting import OrbitHomotopyReport, OrbitVerdict, TwistingReport
 
@@ -70,7 +70,6 @@ RECORDS = {
         [("generators", REQUIRED), ("m", None)],
         [((a,),), ((a,), None), ((c, a), 10), ((a, c), 10)],
     ),
-    ValidationReport: ([("ok", REQUIRED), ("violations", ())], [(True,), (True, ()), (False, ("odd degree",))]),
     DegreeCertificate: (
         [("total_degree", REQUIRED), ("negative_positions", REQUIRED), ("negative_ok", REQUIRED),
          ("exact_at_zero", REQUIRED)],
@@ -125,7 +124,7 @@ def outcome(call):
 
 
 def test_every_record_class_has_a_twin():
-    assert set(Record.__subclasses__()) == set(RECORDS) and len(RECORDS) == 17
+    assert set(Record.__subclasses__()) == set(RECORDS) and len(RECORDS) == 16
 
 
 @pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)

@@ -25,18 +25,29 @@ from cupone.resolution import (
     build_rh_map,
     certify_resolution,
     extend_homotopy,
-    validate_presentation,
 )
 
 
-def test_validate_examples():
-    assert validate_presentation(CgaPresentation.of({"x": 2, "y": 4}, 8)).ok
-    report = validate_presentation(CgaPresentation.of({"x": 3}, 4))
-    assert not report.ok and "odd" in str(report)
-    assert validate_presentation(CgaPresentation.of({"x": 2}, INFINITY)).ok
-    assert not validate_presentation(CgaPresentation.of({"x": 3}, INFINITY)).ok
-    # an odd generator far outside the range is tolerated for finite m
-    assert validate_presentation(CgaPresentation.of({"x": 2, "t": 9}, 4)).ok
+@pytest.mark.parametrize("degrees, m, message", [
+    ({"x": 3}, 4, "odd-degree generator x (degree 3) inside the range forced even by m=4"),
+    ({"x": 2, "t": 5}, 4, "odd-degree generator t (degree 5) inside the range forced even by m=4"),
+    ({"x": 3}, INFINITY, "odd-degree generator x (degree 3) in the polynomial case"),
+    ({"x": 2, "t": 3, "s": 5}, 8, "odd-degree generator s (degree 5) inside the range forced even by m=8; "
+                                  "odd-degree generator t (degree 3) inside the range forced even by m=8"),
+])
+def test_presentation_rejects_odd_generators_in_range(degrees, m, message):
+    with pytest.raises(PreconditionError) as caught:
+        CgaPresentation.of(degrees, m)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("degrees, m", [
+    ({"x": 2, "y": 4}, 8), ({"x": 2}, INFINITY),
+    # an odd generator above 2⌊(m+2)/2⌋ − 1 is tolerated for finite m
+    ({"x": 2, "t": 9}, 4), ({"x": 2, "t": 7}, 4), ({"t": 5}, 3),
+])
+def test_presentation_keeps_odd_generators_above_the_range(degrees, m):
+    assert CgaPresentation.of(degrees, m).m == m
 
 
 def test_build_one_generator():
@@ -108,6 +119,18 @@ def test_certify_detects_corrupted_rho_d():
     rep = certify_resolution(bad)
     assert not rep.ok
     assert "ρ∘d" in rep.failure
+
+
+def test_certify_reports_a_missing_plain_generator():
+    # without z, ρ misses the presentation generator z of degree 2 <= m
+    good = build_resolution(CgaPresentation.of({"x": 2, "y": 2, "z": 2}, 6))
+    plain = [g for g in good.plain if g.name != "z"]
+    bundles = [b for b in good.bundles if all(f.name != "z" for f in b.factors)]
+    bad = Resolution(good.presentation, good.m, plain, bundles, {l: good.images[l] for l in plain + bundles})
+    rep = certify_resolution(bad)
+    assert not rep.ok and rep.rho_d_zero and not rep.rho_surjective
+    assert rep.failure == "augmentation not surjective in range"
+    assert all(c.ok for c in rep.degrees)
 
 
 def test_certify_per_multiset_matches_per_pattern():
