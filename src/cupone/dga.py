@@ -136,6 +136,12 @@ class BigradedDGA:
     def basis_of(self, r, t):
         return list(self._labels_by_bidegree.get((r, t), ()))
 
+    @property
+    def top_level(self):
+        """The highest first degree of a basis element, 0 for none: every
+        A^{r,t} above it is zero."""
+        return max(self._labels_by_bidegree, default=(0, 0))[0]
+
     def components(self):
         return {deg: list(labels) for deg, labels in sorted(self._labels_by_bidegree.items())}
 

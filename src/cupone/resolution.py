@@ -16,12 +16,14 @@ code words, so cells are int tuples and ∂ splices them with the loop of
 `extend_derivation`; letters are decoded only for texts and labels.
 `certify_resolution` compiles the resolution's own table once and asks
 each summand for one window of positions, getting its verdicts from
-`homology` on the window's maps.  A summand's homology only depends on the
-multiplicity pattern, so for a resolution from build_resolution each
-pattern is walked once, on its multiset with the lowest window, and the
-other multisets of the pattern read their windows off those verdicts;
-any other resolution walks every multiset.  Nothing is kept between
-calls.
+`homology` on the window's maps.  On the resolution that build_resolution
+makes of its presentation, a summand's homology only depends on the
+multiplicity pattern.  So when `certify_resolution` sees that its
+resolution equals that rebuild (m, plain generators, bundles and images),
+each pattern is walked once, on its multiset with the lowest window, and
+the other multisets of the pattern read their windows off those verdicts.
+Any other resolution, or one that cannot be rebuilt, walks every
+multiset.  Nothing is kept between calls.
 
 Maps of resolutions extend letter data along one bundle walk, fewest
 factors first, splitting each bundle as a0⌣₁z: RH(f), and derivation
@@ -91,12 +93,11 @@ class Resolution(FreeDGA):
     """The minimal multiplicative resolution, truncated at total degree m:
     a free dga on the plain generators and the bundles."""
 
-    def __init__(self, presentation, m, plain, bundles, images, canonical=False):
+    def __init__(self, presentation, m, plain, bundles, images):
         self.presentation = presentation
         self.m = m
         self.plain = list(plain)
         self.bundles = list(bundles)
-        self.canonical = canonical
         super().__init__(self.plain + self.bundles, images)
         self._letters = {letter.label(): letter for letter in self.letters}
 
@@ -143,7 +144,7 @@ def build_resolution(p, truncation=None):
             if 1 <= total <= m:
                 bundles.append(Cup1Monomial(combo))
     bundles.sort(key=lambda b: b.sort_key())
-    return Resolution(p, m, plain, bundles, closed_images(plain, bundles), canonical=True)
+    return Resolution(p, m, plain, bundles, closed_images(plain, bundles))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +191,10 @@ def _stratum_walk(counts, letters):
     blocks have distinct members and come from `letters` (name tuple ->
     code, or letter).  The walk is memoized on the remaining multiset and
     the number of blocks left, so each stratum is enumerated once and
-    shares its sub-walks with the others."""
+    shares its sub-walks with the others.  Each state is a generator
+    that yields the key of a sub-walk it still needs and finds it in the
+    memo when resumed; a loop over a stack of them drives the walk, so
+    its depth does not grow with the number of blocks."""
     names = sorted(counts)
     # (bitmask of the names in the block, one count per name it takes, code), by size, then in name order
     blocks = [
@@ -200,24 +204,37 @@ def _stratum_walk(counts, letters):
         if (key := tuple(names[i] for i in combo)) in letters
     ]
     within = {}  # remaining multiset -> the blocks on names it still holds
-    memo = {}
+    memo = {}  # (remaining multiset, blocks left) -> its words
+
+    def state(remaining, k):
+        found = memo[(remaining, k)] = []
+        size = sum(remaining)
+        if k == 0:
+            if size == 0:
+                found.append(())
+        elif k <= size <= k * (len(remaining) - remaining.count(0)) and max(remaining) <= k:
+            fits = within.get(remaining)
+            if fits is None:
+                left = sum(1 << i for i, c in enumerate(remaining) if c)
+                fits = within[remaining] = [(taken, letter) for mask, taken, letter in blocks if mask & left == mask]
+            for taken, letter in fits:
+                key = (tuple(map(sub, remaining, taken)), k - 1)
+                tails = memo.get(key)
+                if tails is None:
+                    yield key
+                    tails = memo[key]
+                found.extend((letter,) + tail for tail in tails)
 
     def words(remaining, k):
-        found = memo.get((remaining, k))
-        if found is None:
-            found = memo[(remaining, k)] = []
-            size = sum(remaining)
-            if k == 0:
-                if size == 0:
-                    found.append(())
-            elif k <= size <= k * (len(remaining) - remaining.count(0)) and max(remaining) <= k:
-                fits = within.get(remaining)
-                if fits is None:
-                    left = sum(1 << i for i, c in enumerate(remaining) if c)
-                    fits = within[remaining] = [(taken, letter) for mask, taken, letter in blocks if mask & left == mask]
-                for taken, letter in fits:
-                    found.extend((letter,) + tail for tail in words(tuple(map(sub, remaining, taken)), k - 1))
-        return found
+        if (remaining, k) not in memo:
+            stack = [state(remaining, k)]
+            while stack:
+                for key in stack[-1]:
+                    stack.append(state(*key))
+                    break
+                else:
+                    stack.pop()
+        return memo[(remaining, k)]
 
     whole = tuple(counts[name] for name in names)
     return lambda k: words(whole, k)
@@ -329,7 +346,20 @@ def certify_resolution(r):
     """Certify d² = 0, ρ∘d = 0, ρ surjectivity, acyclicity in negative
     resolution degrees and exactness at degree zero, through total
     degree m, on the compiled letters of `r`; nothing is kept between
-    calls.  d² failures raise; everything else is report-valued."""
+    calls.  d² failures raise; everything else is report-valued.
+
+    Each multiplicity pattern is walked once only when `r` equals
+    `build_resolution(r.presentation, truncation=r.m)` in m, plain
+    generators, bundles and images; any other `r` walks every multiset,
+    so a changed image is seen in whichever summand it breaks:
+
+    >>> r = build_resolution(CgaPresentation.of(dict.fromkeys("abcd", 2), 4))
+    >>> print(certify_resolution(r))
+    resolution exact in range (total degree <= 4)
+    >>> images = {**r.images, r.letter("a⌣₁c⌣₁d"): TensorElement.zero()}
+    >>> print(certify_resolution(Resolution(r.presentation, r.m, r.plain, r.bundles, images)))
+    certification failed: homology does not vanish in range at total degree 4
+    """
     squared = check_d_squared(r, r.m)
     if not squared.ok:
         raise DomainError(str(squared))
@@ -354,11 +384,18 @@ def certify_resolution(r):
         lo = max(0, j - r.m)
         if lo <= n_hi:
             windows.append((counts, j, lo, n_hi))
+    try:
+        built = build_resolution(r.presentation, truncation=r.m)
+    except DomainError:  # m < 1 has no rebuild
+        rebuilt = False
+    else:
+        rebuilt = (built.m, built.plain, built.bundles, built.images) == (r.m, r.plain, r.bundles, r.images)
     table = _Codes(r.images, r.letters)
     degree_map = {}  # total degree -> negative positions, all of them exact, exact at zero
     walked = {}  # summand key -> its verdicts at lo..n_hi, for the lowest lo of the key
-    # The homology of a canonical resolution's summand only depends on its
-    # multiplicity pattern, so that is its key; otherwise the multiset is.
+    # The homology of a summand of build_resolution's output only depends
+    # on its multiplicity pattern, so when `r` equals its rebuild the
+    # pattern is the summand's key; otherwise the multiset is.
     # Lowest lo first, each key is walked once, on its lowest window, and
     # its other windows slice those verdicts.  The walk meets only letters
     # of `r`, as a letter has total degree >= 1: the cells at positions
@@ -366,7 +403,7 @@ def certify_resolution(r):
     # otherwise), and for lo > 0 those at lo − 1 have m + 1 and
     # s − lo + 1 >= 2 blocks (lo <= n_hi < s).
     for counts, j, lo, n_hi in sorted(windows, key=lambda window: window[2]):
-        key = tuple(sorted(counts.values(), reverse=True)) if r.canonical else tuple(sorted(counts.items()))
+        key = tuple(sorted(counts.values(), reverse=True)) if rebuilt else tuple(sorted(counts.items()))
         if key not in walked:
             walked[key] = _summand_verdicts(counts, table, lo, n_hi)
         verdicts = walked[key][lo - n_hi - 1:]  # the last n_hi − lo + 1

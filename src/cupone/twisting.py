@@ -7,9 +7,11 @@ the perturbation degree, p·(a∗p) = ap + ∇p′ can be solved for a∗p one
 level at a time, so p⁻¹ is never formed.  Everything is truncated at an
 explicit level N: all statements hold in perturbation degrees <= N, and
 the action, the group law and the twisting law are evaluated level by
-level on term maps, never above N.  Twisting elements and gauge
-perturbations share one base for their level components; derivation
-homotopies reuse the dga maps' linear extension and bidegree check.
+level on term maps, never above N nor above the dga's top level, where
+every component vanishes, so no loop grows with N.  Twisting elements
+and gauge perturbations share one base for their level components;
+derivation homotopies reuse the dga maps' linear extension and bidegree
+check.
 
 Orbits are decided exactly.  For fixed a and b the relation
 b − a = ap′ − p′b + ∇p′ is a linear system over Z in the coordinates of
@@ -119,12 +121,13 @@ class GaugeElement(_LevelElement):
         """Group law (1+p′)(1+q′) = 1 + (p′ + q′ + p′q′), level by level:
         (pq)^r = p^r + q^r + Σ_{i+j=r} p^i·q^j for r = 1..N−1, with i over
         the levels of p, so nothing at level N or above is formed, and at
-        most (N−1)(N−2)/2 products of level components are taken."""
+        most (N−1)(N−2)/2 products of level components are taken.  No
+        level above the dga's top level is visited: it holds no basis."""
         if self.dga is not other.dga or self.truncation != other.truncation:
             raise DomainError("gauge elements of different dgas or truncations")
         dga, p, q = self.dga, _levels(self), _levels(other)
         components = {}
-        for r in range(1, self.truncation):
+        for r in range(1, min(self.truncation - 1, dga.top_level) + 1):
             out = dict(p.get(r, {}))
             _merge(out, q.get(r, {}).items())
             for i in p:
@@ -192,13 +195,15 @@ def gauge_act(a, p):
     levels below it, for r = 2..N in turn:
     c^r = a^r + ∇p^{r−1} + Σ_{1<=j<=r−2} (a^{r−j}·p^j − p^j·c^{r−j}).
     So p⁻¹ is never formed, nothing above level N is computed, and at
-    most (N−1)(N−2) products of level components are taken."""
+    most (N−1)(N−2) products of level components are taken.  Levels above
+    the dga's top level hold no basis, so c is zero there and the
+    substitution stops at the lower of N and that level."""
     if a.dga is not p.dga:
         raise DomainError("twisting and gauge elements live in different dgas")
     if a.truncation != p.truncation:
         raise DomainError("twisting and gauge truncations differ")
     levels, gauge, c = _levels(a), _levels(p), {}
-    for r in range(2, a.truncation + 1):
+    for r in range(2, min(a.truncation, a.dga.top_level) + 1):
         c[r] = _moved(a.dga, levels, gauge, c, r)
     return TwistingElement(a.dga, a.truncation, {r: a.dga.element()._like(t) for r, t in c.items()})
 
@@ -249,8 +254,9 @@ def gauge_equivalent(a, b, budget=None):
         if not rep.ok:
             raise DomainError(f"{name} is not twisting: {rep}")
     dga, N, rows = a.dga, a.truncation, a.dga.rows
-    unknowns = [(j, label) for j in range(1, N) for label in dga.basis_of(j, -j)]
-    equations = [label for k in range(2, N + 1) for label in dga.basis_of(k, 1 - k)]
+    top = dga.top_level  # no unknown or equation lies above it
+    unknowns = [(j, label) for j in range(1, min(N - 1, top) + 1) for label in dga.basis_of(j, -j)]
+    equations = [label for k in range(2, min(N, top) + 1) for label in dga.basis_of(k, 1 - k)]
     levels = sorted(a.components.keys() | b.components.keys())
 
     def column(j, label):

@@ -754,7 +754,7 @@ def test_cli_stdout_is_byte_identical_to_the_pinned_runs(tmp_path, capsys, argv,
 
 
 @pytest.mark.parametrize("argv, code", [
-    ("--command d-x --space circle --homology Z,Z/2 --truncation 100000", 0),
+    ("--command d-x --space circle --homology Z,Z/2 --truncation 10000000", 0),
     ("--command twisting-check --twisting a", 0),
     ("--command twisting-check --twisting x", 1),
     ("--command gauge --twisting a --gauge p", 0),
@@ -762,11 +762,12 @@ def test_cli_stdout_is_byte_identical_to_the_pinned_runs(tmp_path, capsys, argv,
     ("--command orbit --a a --b c", 1),
 ])
 def test_level_loops_do_not_grow_quadratically_with_the_truncation(tmp_path, capsys, argv, code):
-    # every level element of PINNED_DOC at N = 100000; the level loops run
-    # over the levels an element has, not over every level up to N
+    # every level element of PINNED_DOC at N = 10^7; the level loops run
+    # over the levels an element has, or up to its dga's top level, not
+    # over every level up to N
     doc = copy.deepcopy(PINNED_DOC)
     for entry in [*doc["twistings"].values(), *doc["gauges"].values()]:
-        entry["truncation"] = 100000
+        entry["truncation"] = 10_000_000
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     start = time.perf_counter()

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations, product
 from math import ceil, comb
 
@@ -14,6 +15,7 @@ from cupone.linalg import IntMatrix, homology_at, solve
 from cupone.resolution import (
     INFINITY,
     CgaPresentation,
+    DegreeCertificate,
     Resolution,
     ResolutionMap,
     _Codes,
@@ -133,14 +135,83 @@ def test_certify_reports_a_missing_plain_generator():
     assert all(c.ok for c in rep.degrees)
 
 
+def _windows(r):
+    """(multiset, j, lo, n_hi) of each summand of `r` that meets the
+    range, as `certify_resolution` reads them off `_resolution_multisets`."""
+    degrees, out = {g.name: g.int_degree for g in r.plain}, []
+    for counts in _resolution_multisets(r.plain, r.m):
+        size, j = sum(counts.values()), sum(degrees[name] * c for name, c in counts.items())
+        lo, n_hi = max(0, j - r.m), size - max(max(counts.values()), ceil(size / len(counts)))
+        if lo <= n_hi:
+            out.append((counts, j, lo, n_hi))
+    return out
+
+
+def _degree_certificates(windows):
+    """The report's `degrees` from (j, lo, verdicts at lo, lo + 1, ...) of
+    every window, each walked on its own multiset."""
+    entries = {}  # total degree -> [negative positions, all of them exact, exact at zero]
+    for j, lo, verdicts in windows:
+        for n, ok in enumerate(verdicts, lo):
+            entry = entries.setdefault(j - n, [0, True, True])
+            if n:
+                entry[0] += 1
+                entry[1] = entry[1] and ok
+            else:
+                entry[2] = entry[2] and ok
+    return tuple(DegreeCertificate(t, *entry) for t, entry in sorted(entries.items()))
+
+
 def test_certify_per_multiset_matches_per_pattern():
-    # same resolution; with the canonical flag off each multiset is walked
+    # the pattern walk on build_resolution's output against every window
+    # walked on its own multiset
     r = build_resolution(CgaPresentation.of({"x": 2, "y": 4}, 8))
-    direct = Resolution(r.presentation, r.m, r.plain, r.bundles, r.images, canonical=False)
-    rep_a = certify_resolution(r)
-    rep_b = certify_resolution(direct)
-    assert rep_a.ok and rep_b.ok
-    assert rep_a.degrees == rep_b.degrees
+    table = _Codes(r.images, r.letters)
+    windows = _windows(r)
+    assert len(windows) > len({tuple(sorted(counts.values())) for counts, *_ in windows})
+    reference = _degree_certificates((j, lo, _summand_verdicts(counts, table, lo, n_hi))
+                                     for counts, j, lo, n_hi in windows)
+    report = certify_resolution(r)
+    assert report.ok and all(c.ok for c in reference)
+    assert report.degrees == reference
+
+
+ABCD = CgaPresentation.of(dict.fromkeys("abcd", 2), 4)
+
+
+@pytest.mark.parametrize("tampered", ["a⌣₁b⌣₁c", "a⌣₁b⌣₁d", "a⌣₁c⌣₁d", "b⌣₁c⌣₁d"])
+def test_certify_fails_on_each_zeroed_three_factor_bundle(tampered):
+    # the four summands of pattern (1, 1, 1) are each walked: one walk per
+    # pattern meets only {b, c, d} and passes the other three tampers
+    r = build_resolution(ABCD)
+    images = {**r.images, r.letter(tampered): TensorElement.zero()}
+    report = certify_resolution(Resolution(r.presentation, r.m, r.plain, r.bundles, images))
+    assert not report.ok and report.rho_d_zero and report.rho_surjective
+    assert report.failure == "homology does not vanish in range at total degree 4"
+
+
+def test_certify_walks_per_pattern_only_what_equals_its_rebuild(monkeypatch):
+    r = build_resolution(ABCD)
+    walks, walk = [], resolution._summand_verdicts
+
+    def spy(counts, table, lo, hi):
+        walks.append((counts, lo, hi))
+        return walk(counts, table, lo, hi)
+
+    monkeypatch.setattr(resolution, "_summand_verdicts", spy)
+    windows = _windows(r)
+    patterns = {tuple(sorted(counts.values(), reverse=True)) for counts, *_ in windows}
+    assert certify_resolution(Resolution(r.presentation, r.m, r.plain, r.bundles, r.images)).ok
+    assert len(walks) == len(patterns) < len(windows)
+    assert {tuple(sorted(counts.values(), reverse=True)) for counts, _, _ in walks} == patterns
+    walks.clear()
+    images = {**r.images, r.letter("a⌣₁b⌣₁c"): TensorElement.zero()}
+    assert not certify_resolution(Resolution(r.presentation, r.m, r.plain, r.bundles, images)).ok
+    assert walks == [(counts, lo, n_hi) for counts, _, lo, n_hi in sorted(windows, key=lambda w: w[2])]
+    # m = 0 has no rebuild at m = ∞: nothing to walk, and no error
+    walks.clear()
+    p = CgaPresentation.of({"x": 2})
+    assert certify_resolution(Resolution(p, 0, [], [], {})).ok and walks == []
 
 
 def _counting(monkeypatch, module, name):
@@ -289,17 +360,15 @@ def test_certify_walks_each_pattern_once_on_the_resolutions_own_letters(case):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(resolution, "_summand_verdicts", recorded)
         report = certify_resolution(r)
-    direct = Resolution(r.presentation, r.m, r.plain, r.bundles, r.images, canonical=False)
-    assert certify_resolution(direct).degrees == report.degrees
     # each window's slice of its pattern's walk, against homology_at on a
-    # table that also holds the bundles of total degree above m
-    full = _Codes(bundle_images(r.plain))
-    for counts in _resolution_multisets(r.plain, m):
-        size, j = sum(counts.values()), sum(degrees[name] * c for name, c in counts.items())
-        lo, n_hi = max(0, j - m), size - max(max(counts.values()), ceil(size / len(counts)))
-        if lo <= n_hi:
-            got = walked[tuple(sorted(counts.values(), reverse=True))][lo - n_hi - 1:]
-            assert got == tuple(_position_verdicts(counts, full, n_hi, lo)), (counts, lo, n_hi)
+    # table that also holds the bundles of total degree above m; the
+    # report's degrees against those per-multiset verdicts
+    full, reference = _Codes(bundle_images(r.plain)), []
+    for counts, j, lo, n_hi in _windows(r):
+        expected = tuple(_position_verdicts(counts, full, n_hi, lo))
+        assert walked[tuple(sorted(counts.values(), reverse=True))][lo - n_hi - 1:] == expected, (counts, lo, n_hi)
+        reference.append((j, lo, expected))
+    assert report.degrees == _degree_certificates(reference)
 
 
 def _letter_boundary(images, src, tgt):
@@ -379,6 +448,15 @@ def test_stratum_walk_matches_brute_force(case):
             assert all(len(set(b)) == len(b) for b in blocks)
             used = {n: sum(b.count(n) for b in blocks) for n in counts}
             assert used == counts and len(word) == k
+
+
+def test_stratum_walk_depth_does_not_grow_with_the_blocks():
+    # one name of 3,000 copies: one cell of 3,000 blocks, more than the
+    # interpreter's recursion limit
+    assert 3000 > sys.getrecursionlimit()
+    walk = _stratum_walk({"x": 3000}, {("x",): 0})
+    assert walk(3000) == [(0,) * 3000]
+    assert walk(2999) == walk(3001) == []
 
 
 def test_certify_random_presentations():
