@@ -31,7 +31,7 @@ from json.encoder import encode_basestring
 from .algebra import TensorElement, _merge
 from .cup1 import Cup1Monomial, normalize_cup1
 from .dga import BigradedDGA, SimplicialComplex
-from .errors import DomainError
+from .errors import DomainError, SizeError
 from .groups import GroupHom, HypothesisInstance, check_hypotheses, tor
 from .linalg import FGAbelianGroup, IntMatrix
 from .permutohedron import Face, face_boundary, iter_cells
@@ -343,7 +343,10 @@ def cmd_resolve(w, args):
 
 def cmd_certify(w, args):
     r = _resolve_args(w, args)
-    rep = certify_resolution(r)
+    try:
+        rep = certify_resolution(r)
+    except SizeError as exc:
+        raise InputError(f"cgas.{args.cga}: {exc}") from None
     report = {
         "command": "certify",
         "parameters": {"cga": args.cga, "m": r.m},

@@ -18,12 +18,16 @@ plain term maps: a dga stores its product table only by rows
 left labels that have a row.  `DgaElement.__mul__` calls it, and so
 does validation, which works on term maps without building elements.
 
-Construction validates d² = 0 and the unit laws label by label, and the
-Leibniz rule and associativity over the nonzero structure constants: only
-the pairs and triples where some term of a law can be nonzero are
-evaluated, in the sorted order of the all-basis loops, so the first
-failure is the same.  Dga maps and derivation homotopies check their
-product laws the same way.
+Construction from tables validates d² = 0 and the unit laws label by
+label, and the Leibniz rule and associativity over the nonzero structure
+constants: only the pairs and triples where some term of a law can be
+nonzero are evaluated, in the sorted order of the all-basis loops, so the
+first failure is the same.  Dga maps and derivation homotopies check
+their product laws the same way.  A tensor product B ⊗ C is the one
+exception: the tensor product of two dgas under the Koszul formulas is a
+dga (Félix–Halperin–Thomas, Rational Homotopy Theory, GTM 205, §3), so
+once B and C are validated, the tensor's tables are only checked to be
+those formulas, entry by entry, in time linear in the tables.
 
 Constructors: simplicial cochains with the front/back-face cup product,
 the two-stage Hom dga of a graded abelian group, tensor products
@@ -39,11 +43,18 @@ from .errors import DegreeError, DomainError, SizeError
 from .linalg import IntMatrix
 
 # Validation time grows with the structure constants.  On a 2-core Xeon
-# with Python 3.11.7, the densest dga here at 256 basis elements, the
-# two-stage Hom dga of 16 free coordinates, validates in about 0.15 s, and
-# D(X;H) of the solid tetrahedron with H = (Z, Z/2, Z), 240 elements, in
-# about 0.05 s.
+# with Python 3.11.7, the densest dgas here at 256 basis elements, the
+# two-stage Hom dgas of 16 coordinates (4,096 products), build and
+# validate in about 0.3 s, and the cochains of the solid 7-simplex (255
+# elements) in about 0.03 s.
 MAX_VALIDATED_BASIS = 256
+# A tensor B ⊗ C is checked against its factors in time linear in its
+# tables, so its guard is set by time and memory, not by validation.  On
+# the same host `build_DX` takes 1.6 s on RP² with H = Z^16 (7,936
+# elements, 270,336 products), 1.0 s on ΣRP² with (Z/2)^5 (9,500), 1.7 s
+# on T² with Z^16 (10,752, at 216 MB max RSS) and 1.7 s on the solid
+# 6-simplex with (Z/2)^5 (12,700): about 2 s at this bound.
+MAX_TENSOR_BASIS = 12_000
 
 
 class DgaElement(Combination):
@@ -473,46 +484,125 @@ def tensor_dga(B, C, name=None):
     """B ⊗̂ C with components A^{r,t} = ⊕_{r=i+j} B^i ⊗ C^{j,t}.
 
     B must be concentrated in second degree 0.  The differential is
-    d^B⊗1 + 1⊗d^C with the Koszul sign; the product carries the sign
-    (−1)^{|c||b'|} on (b⊗c)(b'⊗c')."""
+    d(b⊗c) = db⊗c + (−1)^{|b|} b⊗dc and the product is
+    (b⊗c)(b′⊗c′) = (−1)^{|c||b′|} bb′⊗cc′.  With these formulas the tensor
+    product of two dgas is a dga (Félix–Halperin–Thomas, Rational
+    Homotopy Theory, GTM 205, §3), so the tensor's laws follow from its
+    factors' laws.  B and C must be valid dgas, as every constructor
+    checks; one built with `validate=False` is taken on trust.  The
+    tensor's own tables are not validated as raw tables: `_check_tensor`
+    compares its bases, tables and unit with the formulas entry by entry,
+    in time linear in the tables, under the guard `MAX_TENSOR_BASIS`."""
     for label, (r, t) in B.bidegrees.items():
         if t != 0:
             raise DomainError("the left tensor factor must be a singly graded dga")
-    _check_basis_size(len(B.bidegrees) * len(C.bidegrees))
+    n = len(B.bidegrees) * len(C.bidegrees)
+    if n > MAX_TENSOR_BASIS:
+        raise SizeError(f"basis of size {n} exceeds the validation guard")
+    labels = {bl: {cl: tensor_label(bl, cl) for cl in C.bidegrees} for bl in B.bidegrees}
     bidegrees = {}
-    for bl, (i, _z) in B.bidegrees.items():
-        for cl, (j, t) in C.bidegrees.items():
-            bidegrees[tensor_label(bl, cl)] = (i + j, t)
-
     diff = {}
     for bl, (i, _z) in B.bidegrees.items():
+        row, bd = labels[bl], B.diff.get(bl, {})
+        sign = -1 if i % 2 else 1
         for cl, (j, t) in C.bidegrees.items():
-            image = {}
-            for bl2, c in B.diff.get(bl, {}).items():
-                _merge(image, [(tensor_label(bl2, cl), c)])
-            sign = -1 if i % 2 else 1
-            for cl2, c in C.diff.get(cl, {}).items():
-                _merge(image, [(tensor_label(bl, cl2), sign * c)])
+            bidegrees[row[cl]] = (i + j, t)
+            # db⊗c and b⊗dc have distinct labels, as d raises a degree
+            image = {labels[bl2][cl]: c for bl2, c in bd.items() if c}
+            image.update((row[cl2], sign * c) for cl2, c in C.diff.get(cl, {}).items() if c)
             if image:
-                diff[tensor_label(bl, cl)] = image
+                diff[row[cl]] = image
 
     products = {}
     for (bl1, bl2), btable in _product_items(B.rows):
         tb = B.total_degree(bl2)
         for (cl1, cl2), ctable in _product_items(C.rows):
             sign = -1 if (C.total_degree(cl1) * tb) % 2 else 1
-            out = {}
-            for bl3, cb in btable.items():
-                for cl3, cc in ctable.items():
-                    _merge(out, [(tensor_label(bl3, cl3), sign * cb * cc)])
+            out = {labels[bl3][cl3]: sign * cb * cc for bl3, cb in btable.items() for cl3, cc in ctable.items() if cb * cc}
             if out:
-                products[(tensor_label(bl1, cl1), tensor_label(bl2, cl2))] = out
+                products[(labels[bl1][cl1], labels[bl2][cl2])] = out
 
-    unit = {}
-    for bl, cb in B.unit_coeffs.items():
-        for cl, cc in C.unit_coeffs.items():
-            unit[tensor_label(bl, cl)] = cb * cc
-    return BigradedDGA(name or f"{B.name}⊗{C.name}", bidegrees, diff, products, unit)
+    unit = {labels[bl][cl]: cb * cc for bl, cb in B.unit_coeffs.items() for cl, cc in C.unit_coeffs.items() if cb * cc}
+    A = BigradedDGA(name or f"{B.name}⊗{C.name}", bidegrees, diff, products, unit, validate=False)
+    _check_tensor(A, B, C)
+    return A
+
+
+def _nonzero(table):
+    return sum(1 for c in table.values() if c)
+
+
+def _check_tensor(A, B, C):
+    """Check that the dga A is B ⊗ C by the formulas of `tensor_dga`.
+
+    The walk runs over A's own labels and entries, each label decoded to
+    its factor pair, and compares every bidegree, differential image,
+    product table and the unit with the formulas read from the factor
+    tables.  An entry the formulas do not give is named with its
+    coefficient and theirs; a table with fewer entries than the factors
+    predict is named with a term it lacks.  The cost is linear in A's
+    tables."""
+    pair_of = {tensor_label(bl, cl): (bl, cl) for bl in B.bidegrees for cl in C.bidegrees}
+    stray = sorted(A.bidegrees.keys() ^ pair_of.keys())
+    if stray:
+        if stray[0] in A.bidegrees:
+            raise DomainError(f"{A.name} has the basis label {stray[0]!r}, which is no pair of factor labels")
+        raise DomainError(f"{A.name} lacks the basis label {stray[0]!r} of a pair of factor labels")
+
+    def sizes(F):
+        """Per label of F: the nonzero terms of its differential and the
+        nonzero products in its row."""
+        return ({l: _nonzero(t) for l, t in F.diff.items()},
+                {l: sum(1 for t in row.values() if _nonzero(t)) for l, row in F.rows.items()})
+
+    (b_terms, b_products), (c_terms, c_products) = sizes(B), sizes(C)
+    for label, deg in A.bidegrees.items():
+        bl, cl = pair_of[label]
+        i, (j, t) = B.bidegrees[bl][0], C.bidegrees[cl]
+        if deg != (i + j, t):
+            raise DegreeError(f"{label} has bidegree {deg} where the factors give {(i + j, t)}")
+
+        bd, cd = B.diff.get(bl, {}), C.diff.get(cl, {})
+        sign = -1 if i % 2 else 1
+        image = A.diff.get(label, {})
+        for l2, c in image.items():
+            bl2, cl2 = pair_of[l2]
+            want = (bd.get(bl2, 0) if cl2 == cl else 0) + (sign * cd.get(cl2, 0) if bl2 == bl else 0)
+            if c != want or not want:
+                raise DomainError(f"d({label}) has {c} at {l2} where the Koszul formula gives {want}")
+        if len(image) != b_terms.get(bl, 0) + c_terms.get(cl, 0):
+            terms = [tensor_label(b2, cl) for b2, c in bd.items() if c] + [tensor_label(bl, c2) for c2, c in cd.items() if c]
+            lost = next(l2 for l2 in terms if l2 not in image)
+            raise DomainError(f"d({label}) lacks the term {lost} that the Koszul formula gives")
+
+        brow, crow = B.rows.get(bl, {}), C.rows.get(cl, {})
+        row = A.rows.get(label, {})
+        odd = (j + t) % 2
+        for l2, table in row.items():
+            bl2, cl2 = pair_of[l2]
+            btable, ctable = brow.get(bl2, {}), crow.get(cl2, {})
+            sign = -1 if odd and B.bidegrees[bl2][0] % 2 else 1
+            for l3, c in table.items():
+                bl3, cl3 = pair_of[l3]
+                want = sign * btable.get(bl3, 0) * ctable.get(cl3, 0)
+                if c != want or not want:
+                    raise DomainError(f"{label}·{l2} has {c} at {l3} where the tensor formula gives {want}")
+            # the entries are distinct nonzero terms of the formula, so at most
+            # its number; that is the tables' sizes unless they hold zeros
+            if len(table) != len(btable) * len(ctable) and len(table) != _nonzero(btable) * _nonzero(ctable):
+                lost = next(l3 for b3, cb in btable.items() for c3, cc in ctable.items()
+                            if cb * cc and (l3 := tensor_label(b3, c3)) not in table)
+                raise DomainError(f"{label}·{l2} lacks the term {lost} that the tensor formula gives")
+        if len(row) != b_products.get(bl, 0) * c_products.get(cl, 0):
+            lost = next(l2 for b2, bt in brow.items() for c2, ct in crow.items()
+                        if _nonzero(bt) and _nonzero(ct) and (l2 := tensor_label(b2, c2)) not in row)
+            raise DomainError(f"{label}·{lost} is zero where the tensor formula gives a product")
+
+    unit = {tensor_label(bl, cl): cb * cc for bl, cb in B.unit_coeffs.items() for cl, cc in C.unit_coeffs.items() if cb * cc}
+    wrong = sorted(l for l in unit.keys() | A.unit_coeffs.keys() if unit.get(l, 0) != A.unit_coeffs.get(l, 0))
+    if wrong:
+        raise DomainError(f"the unit has {A.unit_coeffs.get(wrong[0], 0)} at {wrong[0]} where the factors give "
+                          f"{unit.get(wrong[0], 0)}")
 
 
 def free_truncated_dga(generators, diffs, max_r=None, min_t=None, name=None):

@@ -36,16 +36,24 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from itertools import combinations
-from math import ceil
+from math import ceil, comb, prod
 from operator import sub
 
 from .algebra import FreeDGA, Generator, TensorElement, _merge, _splice, check_d_squared, format_word, word_multiply
 from .cup1 import Cup1Monomial, bundle_factors, closed_images, cup1_pair
-from .errors import DegreeError, DomainError, PreconditionError
+from .errors import DegreeError, DomainError, PreconditionError, SizeError
 from .linalg import IntMatrix, homology
 from .record import Record
 
 INFINITY = None  # marker for the polynomial (m = ∞) case
+
+# `certify_resolution` refuses a resolution whose summand walks would
+# build more cells than this (`_window_cells`).  On a 2-core Xeon with
+# Python 3.11.7, {x: 2, y: 2} at m = ∞ walks 289,724 cells in 7–8 s at
+# truncation 26 and 761,240 in 27 s at 28; {x: 2, y: 2, z: 2} walks
+# 195,747 in 4.5 s at 17, and six generators of degree 2 at m = 12
+# walk 158,704 in 3.3 s.  So the walk takes about 10 s at this bound.
+MAX_CERTIFY_CELLS = 300_000
 
 
 class CgaPresentation(Record):
@@ -288,20 +296,20 @@ def _summand_verdicts(counts, table, lo, hi):
 
 
 def _resolution_multisets(plain, m):
-    """Multisets of plain generators that can meet the range: the minimal
-    total degree j − (s − 1) of a word on the multiset must be <= m.
-    Adding a copy of any generator raises j − (s − 1), so pruning is safe."""
-    out = []
+    """Yield the multisets of plain generators that can meet the range: the
+    minimal total degree j − (s − 1) of a word on the multiset must be
+    <= m.  Adding a copy of any generator raises j − (s − 1), so pruning
+    is safe."""
 
     def walk(idx, counts, size, j):
         if size and j - (size - 1) > m:
             return
         if idx == len(plain):
             if size:
-                out.append(dict(counts))
+                yield dict(counts)
             return
         g = plain[idx]
-        walk(idx + 1, counts, size, j)
+        yield from walk(idx + 1, counts, size, j)
         c = 0
         while True:
             c += 1
@@ -310,11 +318,28 @@ def _resolution_multisets(plain, m):
             if new_j - (new_size - 1) > m:
                 break
             counts[g.name] = c
-            walk(idx + 1, counts, new_size, new_j)
+            yield from walk(idx + 1, counts, new_size, new_j)
         counts.pop(g.name, None)
 
-    walk(0, {}, 0, 0)
-    return out
+    return walk(0, {}, 0, 0)
+
+
+def _window_cells(counts, lo, n_hi):
+    """The cells that the walk of a summand's window builds: the words of
+    k blocks on the multiset `counts` for k = s − n_hi − 1 .. s − lo + 1,
+    the strata of the maps out of positions lo..n_hi + 1, where s is the
+    multiset's size.  Every set of distinct names is taken to be a block,
+    as it is in a resolution that build_resolution makes, so for any
+    other this is an upper bound.  A word of k blocks puts each name into
+    n of k slots, none left empty, so by inclusion–exclusion over the
+    empty slots there are Σ_j (−1)^{k−j} C(k, j) Π C(j, n) of them."""
+    ns = counts.values()
+    s, top = sum(ns), max(ns)
+    return sum(
+        (-1) ** (k - j) * comb(k, j) * prod(comb(j, n) for n in ns)
+        for k in range(s - n_hi - 1, s - lo + 2)
+        for j in range(top, k + 1)
+    )
 
 
 class DegreeCertificate(Record):
@@ -346,7 +371,10 @@ def certify_resolution(r):
     """Certify d² = 0, ρ∘d = 0, ρ surjectivity, acyclicity in negative
     resolution degrees and exactness at degree zero, through total
     degree m, on the compiled letters of `r`; nothing is kept between
-    calls.  d² failures raise; everything else is report-valued.
+    calls.  d² failures raise, and so does an `r` whose summand walks
+    would build more than `MAX_CERTIFY_CELLS` cells, a SizeError; the
+    cells are counted from the window sizes (`_window_cells`) before any
+    check.  Everything else is report-valued.
 
     Each multiplicity pattern is walked once only when `r` equals
     `build_resolution(r.presentation, truncation=r.m)` in m, plain
@@ -360,6 +388,37 @@ def certify_resolution(r):
     >>> print(certify_resolution(Resolution(r.presentation, r.m, r.plain, r.bundles, images)))
     certification failed: homology does not vanish in range at total degree 4
     """
+    try:
+        built = build_resolution(r.presentation, truncation=r.m)
+    except DomainError:  # m < 1 has no rebuild
+        rebuilt = False
+    else:
+        rebuilt = (built.m, built.plain, built.bundles, built.images) == (r.m, r.plain, r.bundles, r.images)
+    # The homology of a summand of build_resolution's output only depends
+    # on its multiplicity pattern, so when `r` equals its rebuild the
+    # pattern is the summand's key; otherwise the multiset is.
+    degrees_by_name = {g.name: g.int_degree for g in r.plain}
+    windows = []  # (summand key, multiset, its degree j, positions lo..n_hi in range) of each summand that meets the range
+    lowest = {}  # summand key -> its lowest lo so far and the cells its walk there builds
+    cells = 0  # their sum, counted before anything is checked or walked
+    for counts in _resolution_multisets(r.plain, r.m):
+        s = sum(counts.values())
+        j = sum(degrees_by_name[n] * c for n, c in counts.items())
+        n_hi = s - max(max(counts.values()), ceil(s / len(counts)))
+        lo = max(0, j - r.m)
+        if lo <= n_hi:
+            key = tuple(sorted(counts.values(), reverse=True)) if rebuilt else tuple(sorted(counts.items()))
+            windows.append((key, counts, j, lo, n_hi))
+            seen_lo, seen_cells = lowest.get(key, (None, 0))
+            if seen_lo is None or lo < seen_lo:
+                lowest[key] = lo, _window_cells(counts, lo, n_hi)
+                cells += lowest[key][1] - seen_cells
+                if cells > MAX_CERTIFY_CELLS:
+                    gens = ", ".join(f"{g.name}: {g.int_degree}" for g in r.presentation.generators)
+                    where = f"m = ∞ truncated at total degree {r.m}" if r.presentation.m is INFINITY else f"m = {r.m}"
+                    raise SizeError(f"certify on {{{gens}}} at {where} would walk at least {cells} cells, "
+                                    f"above the guard of {MAX_CERTIFY_CELLS}")
+
     squared = check_d_squared(r, r.m)
     if not squared.ok:
         raise DomainError(str(squared))
@@ -374,36 +433,16 @@ def certify_resolution(r):
     # ρ is multiplicative, so it is onto through degree m exactly when every
     # presentation generator of degree <= m is a plain generator of r
     surjective = all(g.int_degree > r.m or g in r.plain for g in r.presentation.generators)
-
-    degrees_by_name = {g.name: g.int_degree for g in r.plain}
-    windows = []  # (multiset, its degree j, positions lo..n_hi in range) of each summand that meets the range
-    for counts in _resolution_multisets(r.plain, r.m):
-        s = sum(counts.values())
-        j = sum(degrees_by_name[n] * c for n, c in counts.items())
-        n_hi = s - max(max(counts.values()), ceil(s / len(counts)))
-        lo = max(0, j - r.m)
-        if lo <= n_hi:
-            windows.append((counts, j, lo, n_hi))
-    try:
-        built = build_resolution(r.presentation, truncation=r.m)
-    except DomainError:  # m < 1 has no rebuild
-        rebuilt = False
-    else:
-        rebuilt = (built.m, built.plain, built.bundles, built.images) == (r.m, r.plain, r.bundles, r.images)
     table = _Codes(r.images, r.letters)
     degree_map = {}  # total degree -> negative positions, all of them exact, exact at zero
     walked = {}  # summand key -> its verdicts at lo..n_hi, for the lowest lo of the key
-    # The homology of a summand of build_resolution's output only depends
-    # on its multiplicity pattern, so when `r` equals its rebuild the
-    # pattern is the summand's key; otherwise the multiset is.
     # Lowest lo first, each key is walked once, on its lowest window, and
     # its other windows slice those verdicts.  The walk meets only letters
     # of `r`, as a letter has total degree >= 1: the cells at positions
     # lo..n_hi + 1 have total degree <= m (j <= m when lo = 0, lo = j − m
     # otherwise), and for lo > 0 those at lo − 1 have m + 1 and
     # s − lo + 1 >= 2 blocks (lo <= n_hi < s).
-    for counts, j, lo, n_hi in sorted(windows, key=lambda window: window[2]):
-        key = tuple(sorted(counts.values(), reverse=True)) if rebuilt else tuple(sorted(counts.items()))
+    for key, counts, j, lo, n_hi in sorted(windows, key=lambda window: window[3]):
         if key not in walked:
             walked[key] = _summand_verdicts(counts, table, lo, n_hi)
         verdicts = walked[key][lo - n_hi - 1:]  # the last n_hi − lo + 1

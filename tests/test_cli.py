@@ -24,7 +24,7 @@ from cupone.cli import (
     render_machine,
     run_command,
 )
-from cupone.dga import free_truncated_dga
+from cupone.dga import MAX_VALIDATED_BASIS, free_truncated_dga, simplicial_cochain_dga, two_stage_hom_dga
 from cupone.permutohedron import complex_description, iter_cells
 
 DOC = {
@@ -217,6 +217,27 @@ def test_cli_dx(doc_path, capsys):
     assert "zero_element_twisting: yes" in out
 
 
+RP2 = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 1, 5], [1, 2, 4], [2, 3, 5], [1, 3, 4], [2, 4, 5], [1, 3, 5]]
+
+
+def test_d_x_builds_rp2_above_the_validation_guard(tmp_path, capsys):
+    # 31 simplices times the 25 elements of Hom(R_H, R_H): 775 > MAX_VALIDATED_BASIS
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"spaces": {"rp2": {"simplices": RP2}}}), encoding="utf-8")
+    assert main(["--input", str(path), "--command", "d-x", "--space", "rp2", "--homology", "Z,Z/2,Z/2",
+                 "--format", "machine"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    B = simplicial_cochain_dga(RP2).components()
+    C = two_stage_hom_dga([parse_group(g) for g in ["Z", "Z/2", "Z/2"]]).components()
+    ranks = {}
+    for (i, _z), b in B.items():
+        for (j, t), c in C.items():
+            ranks[(i + j, t)] = ranks.get((i + j, t), 0) + len(b) * len(c)
+    assert {tuple(entry["bidegree"]): entry["rank"] for entry in report["components"]} == ranks
+    assert sum(ranks.values()) == 775 > MAX_VALIDATED_BASIS
+    assert report["zero_element_twisting"] is True
+
+
 def test_reports_are_deterministic(doc_path, capsys):
     for _ in range(2):
         assert main(["--input", doc_path, "--command", "certify", "--cga", "P2",
@@ -275,6 +296,10 @@ OUT_OF_DOMAIN_ARGV = [
      "--truncation acts only where m = infinity, but cgas.Pinf with --m has m=4"),
     (["--command", "rh-map", "--map", "collapse", "--truncation", "-2"],
      "--truncation acts only where m = infinity, but cgas.P2 has m=6 and cgas.Q has m=6"),
+    # the walk would build far more cells than the guard admits: refused before it starts
+    (["--command", "certify", "--cga", "Pinf", "--truncation", "1000"],
+     "cgas.Pinf: certify on {x: 2, y: 2} at m = ∞ truncated at total degree 1000 would walk at least 303512 cells, "
+     "above the guard of 300000"),
     (["--command", "d-x", "--space", "circle", "--homology", "Z", "--truncation", "0"], "truncation"),
     (["--command", "d-x", "--space", "circle", "--homology", "Z", "--truncation", "1"], "truncation"),
     (["--command", "boundary", "--face", "({1}junk,{2})"], "'j' outside a block"),
@@ -665,7 +690,7 @@ PINNED_DOC = {
         "x": {"dga": "F", "truncation": 4, "components": {"2": [[1, "x2"]]}},
     },
     "gauges": {"p": {"dga": "F", "truncation": 4, "components": {"1": [[-1, "u1"]], "2": [[3, "u1·u1"]]}}},
-    "spaces": DOC["spaces"],
+    "spaces": {**DOC["spaces"], "sphere": {"simplices": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]}},
 }
 
 
@@ -673,8 +698,9 @@ PINNED_DOC = {
 # summands shared one enumerator and one boundary builder, and for the gauge
 # calculus before `gauge_act` solved for a∗p level by level, for `rh-map`
 # before the induced map's word images lost their cache, and for T9 before
-# presentations checked their range discipline on construction; `{doc}` is
-# PINNED_DOC.  Runs that exit 1 are listed in PINNED_EXIT.
+# presentations checked their range discipline on construction, and for
+# `d-x` on the sphere before D(X;H) was validated from its factors; `{doc}`
+# is PINNED_DOC.  Runs that exit 1 are listed in PINNED_EXIT.
 PINNED_STDOUT = [
     ("--command permutohedron --n 4 --format text", "d002986fa3cf3274bed3ac00609ee207328f753c5d742579fc0c53af0480e3b0"),
     ("--command permutohedron --n 4 --format machine", "bfd72b225cb321836ce307966008c923173956c7dab4077340e3eac1010c75ee"),
@@ -729,6 +755,14 @@ PINNED_STDOUT = [
     ("--input {doc} --command resolve --cga T9 --format machine", "b5bb4ab25cb3e63d07daaee3ede1abc3b3e025ab69d52104b0487587ea0782dc"),
     ("--input {doc} --command certify --cga T9 --m 7 --format text", "ea89341bf6111ad47cf67b9514c554699f34a82125cddeb4ac600d1ab7eccb64"),
     ("--input {doc} --command certify --cga T9 --m 7 --format machine", "42b38baa585f408f93556033c5e9d59a9051be422fc05fbbc153eb524acbc94d"),
+    ("--input {doc} --command d-x --space sphere --homology Z,Z/2 --format text",
+     "7851c0de468383ddebe13bbaa30b38cccba12694a1558ed624adb905a410be43"),
+    ("--input {doc} --command d-x --space sphere --homology Z,Z/2 --format machine",
+     "b28def2950f7965db6d7db5e49079582c83163305fb0032e2a2c86cc9d4c71d2"),
+    ("--input {doc} --command d-x --space sphere --homology Z,Z/2,Z --format text",
+     "6221935fc423492049d248442ec559a493e9628bf33c99a5378aa8416dd4e6db"),
+    ("--input {doc} --command d-x --space sphere --homology Z,Z/2,Z --format machine",
+     "06e1fdd93af854017de7003e0edea262a4b925c0304dea40b51e4db252bd0fa1"),
 ]
 
 PINNED_EXIT = {

@@ -25,6 +25,7 @@ from cupone.dga import (
     linear_extension,
     simplicial_cochain_dga,
     tensor_dga,
+    tensor_label,
     two_stage_hom_dga,
 )
 from cupone.errors import DegreeError, DomainError, SizeError
@@ -328,6 +329,189 @@ def test_unknown_labels_in_tables_are_named(diff, products, message):
     assert str(info.value) == message
 
 
+# ---------------------------------------------------------------------------
+# a tensor checked against its factors
+
+RP2 = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 1, 5], [1, 2, 4], [2, 3, 5], [1, 3, 4], [2, 4, 5], [1, 3, 5]]
+TORUS = [sorted([i, (i + 1) % 7, (i + 3) % 7]) for i in range(7)] + [sorted([i, (i + 2) % 7, (i + 3) % 7]) for i in range(7)]
+
+
+def _factors(complex_, groups):
+    return simplicial_cochain_dga(complex_), two_stage_hom_dga(groups)
+
+
+def _rebuilt(A, diff=None, products=None, unit=None, bidegrees=None):
+    """A with some of its tables replaced, unvalidated."""
+    return BigradedDGA(A.name, bidegrees or A.bidegrees, A.diff if diff is None else diff,
+                       A.products if products is None else products, unit or A.unit_coeffs, validate=False)
+
+
+def _swapped(B, C):
+    """The tables of C ⊗ B under the labels of B ⊗ C: the Koszul sign of
+    d goes on db⊗c and the product sign is (−1)^{|b||c′|}."""
+    A = tensor_dga(B, C)
+    diff = {}
+    for bl in B.bidegrees:
+        for cl in C.bidegrees:
+            image = {}
+            sign = -1 if C.total_degree(cl) % 2 else 1
+            for bl2, c in B.diff.get(bl, {}).items():
+                image[tensor_label(bl2, cl)] = sign * c
+            for cl2, c in C.diff.get(cl, {}).items():
+                image[tensor_label(bl, cl2)] = c
+            diff[tensor_label(bl, cl)] = image
+    products = {}
+    for (b1, b2), btable in B.products.items():
+        for (c1, c2), ctable in C.products.items():
+            sign = -1 if B.total_degree(b1) * C.total_degree(c2) % 2 else 1
+            products[(tensor_label(b1, c1), tensor_label(b2, c2))] = {
+                tensor_label(b3, c3): sign * cb * cc for b3, cb in btable.items() for c3, cc in ctable.items()}
+    return _rebuilt(A, diff, products)
+
+
+def _flip_one_product(A):
+    (l1, l2), table = min(A.products.items())
+    l3 = min(table)
+    products = {**A.products, (l1, l2): {**table, l3: -table[l3]}}
+    return _rebuilt(A, products=products), f"{l1}·{l2} has {-table[l3]} at {l3} where the tensor formula gives {table[l3]}"
+
+
+def _drop_one_differential_term(A):
+    label, image = next((l, t) for l, t in sorted(A.diff.items()) if len(t) > 1)
+    lost = min(image)
+    diff = {**A.diff, label: {l: c for l, c in image.items() if l != lost}}
+    return _rebuilt(A, diff=diff), f"d({label}) lacks the term {lost} that the Koszul formula gives"
+
+
+def _drop_one_differential_entry(A):
+    label = next(l for l, t in sorted(A.diff.items()) if len(t) == 1)
+    diff = {l: t for l, t in A.diff.items() if l != label}
+    return _rebuilt(A, diff=diff), f"d({label}) lacks the term {min(A.diff[label])} that the Koszul formula gives"
+
+
+def _add_one_product(A):
+    # two degree-one labels whose product is zero, given a coefficient in
+    # a label of the right bidegree, so only the formula can see it
+    products = A.products
+    pairs = ((l1, l2) for l1 in sorted(A.bidegrees) for l2 in sorted(A.bidegrees)
+             if A.bidegrees[l1][0] == A.bidegrees[l2][0] == 1 and (l1, l2) not in products)
+    for l1, l2 in pairs:
+        (r1, t1), (r2, t2) = A.bidegrees[l1], A.bidegrees[l2]
+        targets = A.basis_of(r1 + r2, t1 + t2)
+        if targets:
+            table = {targets[0]: 1}
+            return (_rebuilt(A, products={**products, (l1, l2): table}),
+                    f"{l1}·{l2} has 1 at {targets[0]} where the tensor formula gives 0")
+    raise AssertionError("no zero product of degree-one labels")
+
+
+def _drop_one_product(A):
+    l1, l2 = max(A.products)
+    products = {key: t for key, t in A.products.items() if key != (l1, l2)}
+    return _rebuilt(A, products=products), f"{l1}·{l2} is zero where the tensor formula gives a product"
+
+
+def _add_one_label(A):
+    return (_rebuilt(A, bidegrees={**A.bidegrees, "x": (0, 0)}),
+            f"{A.name} has the basis label 'x', which is no pair of factor labels")
+
+
+def _wrong_unit(A):
+    label = min(A.unit_coeffs)
+    unit = {l: c for l, c in A.unit_coeffs.items() if l != label}
+    return _rebuilt(A, unit=unit), f"the unit has 0 at {label} where the factors give 1"
+
+
+def _moved_bidegree(A):
+    label = max(A.bidegrees)
+    r, t = A.bidegrees[label]
+    return _rebuilt(A, bidegrees={**A.bidegrees, label: (r, t - 1)}), f"{label} has bidegree {(r, t - 1)} where the factors give {(r, t)}"
+
+
+@pytest.mark.parametrize("mutate", [
+    _flip_one_product, _drop_one_differential_term, _drop_one_differential_entry, _add_one_product, _drop_one_product,
+    _add_one_label, _wrong_unit, _moved_bidegree,
+])
+def test_a_tampered_tensor_fails_the_factor_check_at_the_named_entry(mutate):
+    B, C = _factors(SPHERE, [Z, Z2])
+    tampered, message = mutate(tensor_dga(B, C))
+    with pytest.raises(DomainError) as info:
+        dga_module._check_tensor(tampered, B, C)
+    assert str(info.value) == message
+    assert isinstance(info.value, DegreeError) == (mutate is _moved_bidegree)
+
+
+@st.composite
+def planted_tensors(draw):
+    """Factors B, C and their tensor with one structure constant or unit
+    coefficient moved by a nonzero amount, in a label of any bidegree."""
+    B = simplicial_cochain_dga(draw(complexes(vertices=3, max_dim=1)))
+    C = draw(st.sampled_from([two_stage_hom_dga([Z2]), free_truncated_dga(*FREE_WINDOWS[-1])]))
+    A = tensor_dga(B, C)
+    labels = sorted(A.bidegrees)
+    where = draw(st.sampled_from(["diff", "products", "unit"]))
+    target, delta = draw(st.sampled_from(labels)), draw(st.sampled_from([-2, -1, 1, 2]))
+    diff, products, unit = A.diff, A.products, dict(A.unit_coeffs)
+    if where == "diff":
+        key = draw(st.sampled_from(labels))
+        diff = {**diff, key: {**diff.get(key, {}), target: diff.get(key, {}).get(target, 0) + delta}}
+    elif where == "products":
+        key = (draw(st.sampled_from(labels)), draw(st.sampled_from(labels)))
+        products = {**products, key: {**products.get(key, {}), target: products.get(key, {}).get(target, 0) + delta}}
+    else:
+        unit[target] = unit.get(target, 0) + delta
+    return B, C, _rebuilt(A, diff, products, unit)
+
+
+@settings(max_examples=100, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(planted_tensors())
+def test_every_planted_change_fails_the_factor_check(planted_tensor):
+    B, C, A = planted_tensor
+    with pytest.raises(DomainError):
+        dga_module._check_tensor(A, B, C)
+
+
+def test_the_factors_in_the_other_order_fail_the_factor_check():
+    # C ⊗ B is a dga too, so the raw validation accepts it; only the
+    # formulas of B ⊗ C tell the two apart
+    B, C = _factors(SPHERE, [Z, Z2])
+    swapped = _swapped(B, C)
+    assert outcome(BigradedDGA._validate, swapped) is None
+    with pytest.raises(DomainError, match=r"(^d\(.*\)|·.*) has -?\d+ at \S+ where the (Koszul|tensor) formula gives -?\d+$"):
+        dga_module._check_tensor(swapped, B, C)
+
+
+@pytest.mark.parametrize("complex_, groups, size", [
+    (SPHERE, [Z, Z2], 126),
+    (SPHERE, [Z, Z2, Z], 224),
+    (RP2, [Z, Z2], 279),
+    (TORUS, [Z, Z2], 378),
+])
+def test_the_raw_validation_accepts_what_the_factor_check_accepts(monkeypatch, complex_, groups, size):
+    B, C = _factors(complex_, groups)
+    A = tensor_dga(B, C)
+    assert len(A.bidegrees) == size
+    assert dga_module._check_tensor(A, B, C) is None
+    monkeypatch.setattr(dga_module, "MAX_VALIDATED_BASIS", size)
+    assert outcome(BigradedDGA._validate, A) is None
+
+
+def test_building_d_x_never_multiplies_by_the_tensors_rows(monkeypatch):
+    seen = []
+    product = dga_module._product
+
+    def spy(rows, left, right):
+        seen.append(rows)
+        return product(rows, left, right)
+
+    monkeypatch.setattr(dga_module, "_product", spy)
+    D = build_DX(SPHERE, [Z, Z2])
+    assert seen
+    assert all(rows is not D.rows for rows in seen)
+    # only the factors' rows: no tensor label is a left factor
+    assert not any("⊗" in label for rows in seen for label in rows)
+
+
 def test_validation_work_on_the_sphere_is_far_below_cubic(monkeypatch):
     # validation multiplies term maps with the product kernel, not elements
     calls = [0]
@@ -367,10 +551,11 @@ def test_constructors_check_the_basis_size_before_building(monkeypatch):
     with pytest.raises(SizeError, match=f"basis of size {10 ** 18} exceeds"):
         two_stage_hom_dga([FGAbelianGroup(10 ** 9)])
     monkeypatch.undo()
-    B = simplicial_cochain_dga(SPHERE)  # 14 simplices
-    C = two_stage_hom_dga([Z, Z2, Z2])  # 25 basis elements
+    n = dga_module.MAX_TENSOR_BASIS + 1
+    B = simplicial_cochain_dga([[0]])  # 1 simplex
+    C = BigradedDGA("C", {f"e{i}": (0, 0) for i in range(n)}, {}, {}, {"e0": 1}, validate=False)
     monkeypatch.setattr(dga_module, "tensor_label", _refuse)
-    with pytest.raises(SizeError, match="basis of size 350 exceeds the validation guard"):
+    with pytest.raises(SizeError, match=f"basis of size {n} exceeds the validation guard"):
         tensor_dga(B, C)
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cupone import cup1, linalg, resolution
 from cupone.algebra import Generator, ImageTable, TensorElement, extend_derivation
 from cupone.cup1 import Cup1Monomial, bundle_factors, bundle_images
-from cupone.errors import DomainError, PreconditionError
+from cupone.errors import DomainError, PreconditionError, SizeError
 from cupone.linalg import IntMatrix, homology_at, solve
 from cupone.resolution import (
     INFINITY,
@@ -212,6 +212,59 @@ def test_certify_walks_per_pattern_only_what_equals_its_rebuild(monkeypatch):
     walks.clear()
     p = CgaPresentation.of({"x": 2})
     assert certify_resolution(Resolution(p, 0, [], [], {})).ok and walks == []
+
+
+def _walked_cells(monkeypatch, r):
+    """The number of words every stratum walk of `certify_resolution(r)`
+    builds, each stratum counted once."""
+    sizes, walk = [], resolution._stratum_walk
+
+    def spy(counts, letters):
+        stratum, built = walk(counts, letters), {}
+        sizes.append(built)
+
+        def counted(k):
+            built[k] = len(words := stratum(k))
+            return words
+
+        return counted
+
+    monkeypatch.setattr(resolution, "_stratum_walk", spy)
+    assert certify_resolution(r).ok
+    monkeypatch.undo()
+    return sum(sum(built.values()) for built in sizes)
+
+
+@pytest.mark.parametrize("presentation, truncation", [
+    (CgaPresentation.of({"x": 2, "y": 2}), 12),
+    (CgaPresentation.of({"x": 2, "y": 4, "z": 2}), 9),
+    (ABCD, None),
+])
+def test_the_cell_count_is_the_number_of_words_the_walk_builds(monkeypatch, presentation, truncation):
+    r = build_resolution(presentation, truncation=truncation)
+    cells = _walked_cells(monkeypatch, r)
+    # the guard admits exactly the resolutions of at most that many cells
+    monkeypatch.setattr(resolution, "MAX_CERTIFY_CELLS", cells)
+    assert certify_resolution(r).ok
+    monkeypatch.setattr(resolution, "MAX_CERTIFY_CELLS", cells - 1)
+    with pytest.raises(SizeError, match=f"would walk at least {cells} cells, above the guard of {cells - 1}$"):
+        certify_resolution(r)
+
+
+def _refuse(*args):
+    raise AssertionError("checked or walked before the size guard")
+
+
+@pytest.mark.parametrize("degrees, truncation", [({"x": 2, "y": 2}, 28), ({"x": 2, "y": 2, "z": 2}, 10 ** 5)])
+def test_certify_refuses_a_walk_above_the_guard_before_anything_else(monkeypatch, degrees, truncation):
+    # at truncation 28, {x: 2, y: 2} walks 761,240 cells, which took 27 s on a 2-core Xeon
+    r = build_resolution(CgaPresentation.of(degrees), truncation=truncation)
+    for name in ("check_d_squared", "_Codes", "_summand_verdicts"):
+        monkeypatch.setattr(resolution, name, _refuse)
+    gens = ", ".join(f"{name}: 2" for name in degrees)
+    with pytest.raises(SizeError, match=rf"^certify on \{{{gens}\}} at m = ∞ truncated at total degree {truncation} "
+                                        rf"would walk at least \d+ cells, above the guard of 300000$"):
+        certify_resolution(r)
 
 
 def _counting(monkeypatch, module, name):
