@@ -138,15 +138,21 @@ def _load_dga(where, spec):
     bidegrees = {}
     for entry in spec.get("basis", []):
         label, r, t = entry
-        if label in bidegrees:
+        if str(label) in bidegrees:
             raise InputError(f"{where}: duplicate basis label {label!r}")
         degree = f"{where}: basis label {label!r}: degree"
         bidegrees[str(label)] = (_integer(r, degree), _integer(t, degree))
     differential = _object(spec.get("differential", {}), f"{where}: differential")
-    diff = {l: _label_table(p, f"{where}: d({l})") for l, p in sorted(differential.items())}
-    products = {(str(a), str(b)): _label_table(p, f"{where}: {a}·{b}") for a, b, p in spec.get("products", [])}
+    diff = {l: t for l, p in sorted(differential.items()) if (t := _label_table(p, f"{where}: d({l})"))}
+    rows, listed = {}, set()
+    for a, b, p in spec.get("products", []):
+        if (str(a), str(b)) in listed:
+            raise InputError(f"{where}: product {a}·{b} listed twice")
+        listed.add((str(a), str(b)))
+        if table := _label_table(p, f"{where}: {a}·{b}"):
+            rows.setdefault(str(a), {})[str(b)] = table
     unit = _label_table(spec.get("unit", []), f"{where}: unit")
-    return BigradedDGA(where.removeprefix("dgas."), bidegrees, diff, products, unit)
+    return BigradedDGA(where.removeprefix("dgas."), bidegrees, diff, rows, unit)
 
 
 def _load_section(doc, section, load):

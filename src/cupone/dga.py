@@ -17,6 +17,9 @@ plain term maps: a dga stores its product table only by rows
 (`rows[l1][l2]` is the table of l1·l2), so a product visits only the
 left labels that have a row.  `DgaElement.__mul__` calls it, and so
 does validation, which works on term maps without building elements.
+Constructors write this row index and the differential table directly,
+with no empty table or image, and the dga takes both over without a
+copy: a caller must not change them afterwards.
 
 Construction from tables validates d² = 0 and the unit laws label by
 label, and the Leibniz rule and associativity over the nonzero structure
@@ -42,17 +45,18 @@ from .algebra import Combination, _linear, _merge, _splice
 from .errors import DegreeError, DomainError, SizeError
 from .linalg import IntMatrix
 
-# Validation time grows with the structure constants.  On a 2-core Xeon
-# with Python 3.11.7, the densest dgas here at 256 basis elements, the
-# two-stage Hom dgas of 16 coordinates (4,096 products), build and
-# validate in about 0.3 s, and the cochains of the solid 7-simplex (255
-# elements) in about 0.03 s.
-MAX_VALIDATED_BASIS = 256
+# Validation walks the product pairs (l1, l2) that have a table.  On a
+# 2-core Xeon with Python 3.11.7, build plus validation takes 0.58 s for
+# the densest dgas here, the two-stage Hom dgas, at 20 coordinates (8,000
+# pairs) and 0.9–1.2 s at 22 (10,648); the cochains of Σ⁴RP² (12,258
+# pairs) take 0.44 s and those of the solid simplex on 11 vertices
+# (11,264) 0.48 s.  So validation takes about 1 s at this bound.
+MAX_VALIDATED_PAIRS = 10_000
 # A tensor B ⊗ C is checked against its factors in time linear in its
 # tables, so its guard is set by time and memory, not by validation.  On
 # the same host `build_DX` takes 1.6 s on RP² with H = Z^16 (7,936
 # elements, 270,336 products), 1.0 s on ΣRP² with (Z/2)^5 (9,500), 1.7 s
-# on T² with Z^16 (10,752, at 216 MB max RSS) and 1.7 s on the solid
+# on T² with Z^16 (10,752, at 102 MB max RSS) and 1.7 s on the solid
 # 6-simplex with (Z/2)^5 (12,700): about 2 s at this bound.
 MAX_TENSOR_BASIS = 12_000
 
@@ -104,16 +108,17 @@ class DgaElement(Combination):
 
 
 class BigradedDGA:
-    """Bigraded dga given by bases, differential table and product table."""
+    """Bigraded dga given by bases, a differential table (label -> image)
+    and a product row index `rows` (l1 -> l2 -> the table of l1·l2).
 
-    def __init__(self, name, bidegrees, diff, products, unit, validate=True):
+    The dga keeps the `diff` and `rows` it is given, not copies, so the
+    caller must not change them afterwards."""
+
+    def __init__(self, name, bidegrees, diff, rows, unit, validate=True):
         self.name = name
         self.bidegrees = dict(bidegrees)
-        self.diff = {l: dict(t) for l, t in diff.items() if t}
-        self.rows = {}  # l1 -> l2 -> the table of l1·l2
-        for (l1, l2), table in products.items():
-            if table:
-                self.rows.setdefault(l1, {})[l2] = dict(table)
+        self.diff = diff
+        self.rows = rows  # l1 -> l2 -> the table of l1·l2
         self.unit_coeffs = dict(unit)
         self._labels_by_bidegree = {}
         for label, deg in sorted(self.bidegrees.items()):
@@ -129,7 +134,8 @@ class BigradedDGA:
     @property
     def products(self):
         """The product table as (l1, l2) -> the table of l1·l2, a new dict
-        read from `rows`, which the library itself walks."""
+        over the tables of `rows`, which the library itself walks; the
+        tables are the dga's own, to be read only."""
         return dict(_product_items(self.rows))
 
     # -- helpers -----------------------------------------------------------
@@ -168,7 +174,7 @@ class BigradedDGA:
     # -- validation --------------------------------------------------------
 
     def _validate(self):
-        _check_basis_size(len(self.bidegrees))
+        _check_pairs(sum(map(len, self.rows.values())))
         for label, table in self.diff.items():
             r, t = self.bidegrees[label]
             for l2 in table:
@@ -267,10 +273,10 @@ class DgaMap:
         return cls(dga, dga, {l: {l: 1} for l in dga.bidegrees}, name="id")
 
 
-def _check_basis_size(n):
-    """The validation guard, also run by constructors before they build any table."""
-    if n > MAX_VALIDATED_BASIS:
-        raise SizeError(f"basis of size {n} exceeds the validation guard")
+def _check_pairs(n):
+    """The validation guard on n product pairs, also run by constructors before they build any table."""
+    if n > MAX_VALIDATED_PAIRS:
+        raise SizeError(f"{n} product pairs exceed the validation guard")
 
 
 def _product(rows, left, right):
@@ -359,8 +365,8 @@ class SimplicialComplex:
                 raise DomainError("empty simplex")
             if len(s) < len(vertices):
                 raise DomainError(f"simplex {vertices} repeats a vertex")
-            if 2 ** len(s) - 1 > MAX_VALIDATED_BASIS:
-                raise SizeError(f"a simplex on {len(s)} vertices has more faces than the validation guard allows")
+            if len(s) * 2 ** (len(s) - 1) > MAX_VALIDATED_PAIRS:  # its faces' front/back pairs
+                raise SizeError(f"a simplex on {len(s)} vertices has more product pairs than the validation guard allows")
             for k in range(1, len(s) + 1):
                 for face in combinations(s, k):
                     closed.add(face)
@@ -388,16 +394,15 @@ def simplicial_cochain_dga(complex_, name=None):
             for pos in range(len(t)):  # the facet without vertex pos
                 diff.setdefault(_simplex_label(t[:pos] + t[pos + 1:]), {})[_simplex_label(t)] = -1 if pos % 2 else 1
 
-    products = {}
+    rows = {}
     for rho in X.simplices:
         for cut in range(len(rho)):
-            front = rho[: cut + 1]
-            back = rho[cut:]
-            key = (_simplex_label(front), _simplex_label(back))
-            products.setdefault(key, {})[_simplex_label(rho)] = 1
+            front = _simplex_label(rho[: cut + 1])
+            back = _simplex_label(rho[cut:])
+            rows.setdefault(front, {}).setdefault(back, {})[_simplex_label(rho)] = 1
 
     unit = {_simplex_label(s): 1 for s in X.simplices if len(s) == 1}
-    return BigradedDGA(name or "C*(X)", bidegrees, diff, products, unit)
+    return BigradedDGA(name or "C*(X)", bidegrees, diff, rows, unit)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +429,7 @@ def two_stage_hom_dga(graded_group, name=None):
     sizes = {q: _stage_sizes(g) for q, g in groups.items()}
     orders = {q: list(g.torsion) for q, g in groups.items()}
 
-    _check_basis_size(sum(n0 + n1 for n0, n1 in sizes.values()) ** 2)
+    _check_pairs(sum(n0 + n1 for n0, n1 in sizes.values()) ** 3)
     coords = []  # (q, j, b)
     for q, (n0, n1) in sorted(sizes.items()):
         coords.extend((q, 0, b) for b in range(n0))
@@ -459,17 +464,15 @@ def two_stage_hom_dga(graded_group, name=None):
             if image:
                 diff[label] = image
 
-    products = {}
+    rows = {}
     for (q, j, b) in coords:
         for (q2, j2, b2) in coords:
-            left = _hom_label(q, j, b, q2, j2, b2)
-            for (q3, j3, b3) in coords:
-                right = _hom_label(q3, j3, b3, q, j, b)
-                # left ∘ right: right feeds (q, j, b) into left
-                products[(left, right)] = {_hom_label(q3, j3, b3, q2, j2, b2): 1}
+            # f ∘ g for f = E(q,j,b|q2,j2,b2) and each g = E(q3,j3,b3|q,j,b), which feeds (q, j, b) into f
+            rows[_hom_label(q, j, b, q2, j2, b2)] = {
+                _hom_label(q3, j3, b3, q, j, b): {_hom_label(q3, j3, b3, q2, j2, b2): 1} for (q3, j3, b3) in coords}
 
     unit = {_hom_label(q, j, b, q, j, b): 1 for (q, j, b) in coords}
-    return BigradedDGA(name or "Hom(R,R)", bidegrees, diff, products, unit)
+    return BigradedDGA(name or "Hom(R,R)", bidegrees, diff, rows, unit)
 
 
 # ---------------------------------------------------------------------------
@@ -513,17 +516,17 @@ def tensor_dga(B, C, name=None):
             if image:
                 diff[row[cl]] = image
 
-    products = {}
+    rows = {}
     for (bl1, bl2), btable in _product_items(B.rows):
         tb = B.total_degree(bl2)
         for (cl1, cl2), ctable in _product_items(C.rows):
             sign = -1 if (C.total_degree(cl1) * tb) % 2 else 1
             out = {labels[bl3][cl3]: sign * cb * cc for bl3, cb in btable.items() for cl3, cc in ctable.items() if cb * cc}
             if out:
-                products[(labels[bl1][cl1], labels[bl2][cl2])] = out
+                rows.setdefault(labels[bl1][cl1], {})[labels[bl2][cl2]] = out
 
     unit = {labels[bl][cl]: cb * cc for bl, cb in B.unit_coeffs.items() for cl, cc in C.unit_coeffs.items() if cb * cc}
-    A = BigradedDGA(name or f"{B.name}⊗{C.name}", bidegrees, diff, products, unit, validate=False)
+    A = BigradedDGA(name or f"{B.name}⊗{C.name}", bidegrees, diff, rows, unit, validate=False)
     _check_tensor(A, B, C)
     return A
 
@@ -659,18 +662,15 @@ def free_truncated_dga(generators, diffs, max_r=None, min_t=None, name=None):
     labelled = [(w, wlabel(w), *bidegree(w)) for w in words]
     bidegrees = {label: (r, t) for _w, label, r, t in labelled}
 
-    products = {}
-    for w1, l1, r1, t1 in labelled:
-        for w2, l2, r2, t2 in labelled:
-            if in_window(r1 + r2, t1 + t2):
-                products[(l1, l2)] = {wlabel(w1 + w2): 1}
+    # every row holds w·1 = w
+    rows = {l1: {l2: {wlabel(w1 + w2): 1} for w2, l2, r2, t2 in labelled if in_window(r1 + r2, t1 + t2)}
+            for w1, l1, r1, t1 in labelled}
 
     # name -> (image term map on words, total degree odd), the form `_splice` reads
     entries = {nm: ({}, (r + t) % 2) for nm, (r, t) in gens.items()}
     for nm, (image, _odd) in entries.items():
         _merge(image, ((tuple(img_word), coeff) for coeff, img_word in diffs.get(nm, ())))
-    diff = {wlabel(w): {} for w in words}  # BigradedDGA drops the empty images
-    for w in words:
-        _merge(diff[wlabel(w)], ((wlabel(v), c) for v, c in _splice(entries, {w: 1}).items() if fits(v)))
+    diff = {wlabel(w): image for w in words
+            if (image := {wlabel(v): c for v, c in _splice(entries, {w: 1}).items() if fits(v)})}
 
-    return BigradedDGA(name or "T(V)/window", bidegrees, diff, products, {"1": 1})
+    return BigradedDGA(name or "T(V)/window", bidegrees, diff, rows, {"1": 1})

@@ -374,7 +374,7 @@ def certify_resolution(r):
     calls.  d² failures raise, and so does an `r` whose summand walks
     would build more than `MAX_CERTIFY_CELLS` cells, a SizeError; the
     cells are counted from the window sizes (`_window_cells`) before any
-    check.  Everything else is report-valued.
+    check or rebuild.  Everything else is report-valued.
 
     Each multiplicity pattern is walked once only when `r` equals
     `build_resolution(r.presentation, truncation=r.m)` in m, plain
@@ -388,36 +388,44 @@ def certify_resolution(r):
     >>> print(certify_resolution(Resolution(r.presentation, r.m, r.plain, r.bundles, images)))
     certification failed: homology does not vanish in range at total degree 4
     """
+    # The homology of a summand of build_resolution's output only depends
+    # on its multiplicity pattern, so when `r` equals its rebuild the
+    # pattern is the summand's key; otherwise the multiset is.  The cells
+    # of a window depend only on its pattern and lo, so the count by
+    # pattern is never above the count by multiset: it runs first, and
+    # refuses before anything is rebuilt.
+    degrees_by_name = {g.name: g.int_degree for g in r.plain}
+
+    def windows_by(by_pattern):
+        windows = []  # (summand key, multiset, its degree j, positions lo..n_hi in range) of each summand that meets the range
+        lowest = {}  # summand key -> its lowest lo so far and the cells its walk there builds
+        cells = 0  # their sum, counted before anything is checked or walked
+        for counts in _resolution_multisets(r.plain, r.m):
+            s = sum(counts.values())
+            j = sum(degrees_by_name[n] * c for n, c in counts.items())
+            n_hi = s - max(max(counts.values()), ceil(s / len(counts)))
+            lo = max(0, j - r.m)
+            if lo <= n_hi:
+                key = tuple(sorted(counts.values(), reverse=True)) if by_pattern else tuple(sorted(counts.items()))
+                windows.append((key, counts, j, lo, n_hi))
+                seen_lo, seen_cells = lowest.get(key, (None, 0))
+                if seen_lo is None or lo < seen_lo:
+                    lowest[key] = lo, _window_cells(counts, lo, n_hi)
+                    cells += lowest[key][1] - seen_cells
+                    if cells > MAX_CERTIFY_CELLS:
+                        gens = ", ".join(f"{g.name}: {g.int_degree}" for g in r.presentation.generators)
+                        where = f"m = ∞ truncated at total degree {r.m}" if r.presentation.m is INFINITY else f"m = {r.m}"
+                        raise SizeError(f"certify on {{{gens}}} at {where} would walk at least {cells} cells, "
+                                        f"above the guard of {MAX_CERTIFY_CELLS}")
+        return windows
+
+    windows = windows_by(by_pattern=True)
     try:
         built = build_resolution(r.presentation, truncation=r.m)
     except DomainError:  # m < 1 has no rebuild
-        rebuilt = False
-    else:
-        rebuilt = (built.m, built.plain, built.bundles, built.images) == (r.m, r.plain, r.bundles, r.images)
-    # The homology of a summand of build_resolution's output only depends
-    # on its multiplicity pattern, so when `r` equals its rebuild the
-    # pattern is the summand's key; otherwise the multiset is.
-    degrees_by_name = {g.name: g.int_degree for g in r.plain}
-    windows = []  # (summand key, multiset, its degree j, positions lo..n_hi in range) of each summand that meets the range
-    lowest = {}  # summand key -> its lowest lo so far and the cells its walk there builds
-    cells = 0  # their sum, counted before anything is checked or walked
-    for counts in _resolution_multisets(r.plain, r.m):
-        s = sum(counts.values())
-        j = sum(degrees_by_name[n] * c for n, c in counts.items())
-        n_hi = s - max(max(counts.values()), ceil(s / len(counts)))
-        lo = max(0, j - r.m)
-        if lo <= n_hi:
-            key = tuple(sorted(counts.values(), reverse=True)) if rebuilt else tuple(sorted(counts.items()))
-            windows.append((key, counts, j, lo, n_hi))
-            seen_lo, seen_cells = lowest.get(key, (None, 0))
-            if seen_lo is None or lo < seen_lo:
-                lowest[key] = lo, _window_cells(counts, lo, n_hi)
-                cells += lowest[key][1] - seen_cells
-                if cells > MAX_CERTIFY_CELLS:
-                    gens = ", ".join(f"{g.name}: {g.int_degree}" for g in r.presentation.generators)
-                    where = f"m = ∞ truncated at total degree {r.m}" if r.presentation.m is INFINITY else f"m = {r.m}"
-                    raise SizeError(f"certify on {{{gens}}} at {where} would walk at least {cells} cells, "
-                                    f"above the guard of {MAX_CERTIFY_CELLS}")
+        built = None
+    if built is None or (built.m, built.plain, built.bundles, built.images) != (r.m, r.plain, r.bundles, r.images):
+        windows = windows_by(by_pattern=False)
 
     squared = check_d_squared(r, r.m)
     if not squared.ok:

@@ -62,15 +62,27 @@ def test_matrix_counts_read_the_sparse_carrier():
 
 
 def test_dga_size_counts_the_stored_tables():
-    from cupone.dga import simplicial_cochain_dga
+    from cupone.cli import parse_input
+    from cupone.dga import simplicial_cochain_dga, tensor_dga, two_stage_hom_dga
+    from cupone.linalg import FGAbelianGroup
 
-    dga = simplicial_cochain_dga([[0, 1, 2], [2, 3]])
-    tracer = load_tracer().Tracer()
-    tracer._dga_size((dga,), None)
-    constants = sum(len(t) for row in dga.rows.values() for t in row.values()) + sum(map(len, dga.diff.values()))
-    assert constants > 0
-    assert tracer.counts["dga.structure_constants"] == constants
-    assert tracer.counts["dga.basis_size"] == len(dga.bidegrees)
+    cochains = simplicial_cochain_dga([[0, 1, 2], [2, 3]])
+    tensor = tensor_dga(cochains, two_stage_hom_dga([FGAbelianGroup(1), FGAbelianGroup.from_divisors([2])]))
+    # the document lists x·x as zero, which the dga does not store
+    document = {"dgas": {"E": {
+        "basis": [["1", 0, 0], ["x", 1, -1], ["y", 2, -1]], "differential": {"x": [[2, "y"]], "y": []},
+        "products": [["1", "1", [[1, "1"]]], ["1", "x", [[1, "x"]]], ["x", "1", [[1, "x"]]],
+                     ["1", "y", [[1, "y"]]], ["y", "1", [[1, "y"]]], ["x", "x", []]],
+        "unit": [[1, "1"]],
+    }}}
+    loaded = parse_input(json.dumps(document)).dgas["E"]
+    for dga in (cochains, tensor, loaded):
+        tracer = load_tracer().Tracer()
+        tracer._dga_size((dga,), None)
+        constants = sum(len(t) for row in dga.rows.values() for t in row.values()) + sum(map(len, dga.diff.values()))
+        assert constants > 0
+        assert tracer.counts["dga.structure_constants"] == constants
+        assert tracer.counts["dga.basis_size"] == len(dga.bidegrees)
 
 
 def _bench_gate():

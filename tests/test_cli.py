@@ -24,7 +24,7 @@ from cupone.cli import (
     render_machine,
     run_command,
 )
-from cupone.dga import MAX_VALIDATED_BASIS, free_truncated_dga, simplicial_cochain_dga, two_stage_hom_dga
+from cupone.dga import MAX_VALIDATED_PAIRS, free_truncated_dga, simplicial_cochain_dga, two_stage_hom_dga
 from cupone.permutohedron import complex_description, iter_cells
 
 DOC = {
@@ -221,7 +221,7 @@ RP2 = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 1, 5], [1, 2, 4], [2, 3, 
 
 
 def test_d_x_builds_rp2_above_the_validation_guard(tmp_path, capsys):
-    # 31 simplices times the 25 elements of Hom(R_H, R_H): 775 > MAX_VALIDATED_BASIS
+    # 31 simplices times the 25 elements of Hom(R_H, R_H), checked against its factors
     path = tmp_path / "doc.json"
     path.write_text(json.dumps({"spaces": {"rp2": {"simplices": RP2}}}), encoding="utf-8")
     assert main(["--input", str(path), "--command", "d-x", "--space", "rp2", "--homology", "Z,Z/2,Z/2",
@@ -234,8 +234,25 @@ def test_d_x_builds_rp2_above_the_validation_guard(tmp_path, capsys):
         for (j, t), c in C.items():
             ranks[(i + j, t)] = ranks.get((i + j, t), 0) + len(b) * len(c)
     assert {tuple(entry["bidegree"]): entry["rank"] for entry in report["components"]} == ranks
-    assert sum(ranks.values()) == 775 > MAX_VALIDATED_BASIS
+    assert sum(ranks.values()) == 775
     assert report["zero_element_twisting"] is True
+
+
+def test_d_x_builds_the_double_suspension_of_rp2(tmp_path, capsys):
+    # Σ²RP² has 287 simplices, whose cochains validate as raw tables, and
+    # D(X;H) has 978 · 5³ product pairs, which only its factors' check admits
+    suspended = [s + [a] for s in RP2 for a in (6, 7)]
+    suspended = [s + [a] for s in suspended for a in (8, 9)]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"spaces": {"s2rp2": {"simplices": suspended}}}), encoding="utf-8")
+    assert main(["--input", str(path), "--command", "d-x", "--space", "s2rp2", "--homology", "Z,Z/2,Z/2",
+                 "--format", "machine"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert sum(entry["rank"] for entry in report["components"]) == 287 * 25
+    assert report["zero_element_twisting"] is True
+    cochains = simplicial_cochain_dga(suspended)
+    assert len(cochains.bidegrees) == 287
+    assert sum(map(len, cochains.rows.values())) == 978 <= MAX_VALIDATED_PAIRS < 978 * 5 ** 3
 
 
 def test_reports_are_deterministic(doc_path, capsys):
@@ -336,11 +353,11 @@ OUT_OF_DOMAIN_ARGV = [
      ["--command", "d-x", "--space", "s", "--homology", "Z"], "spaces.s: simplex [0, 0] repeats a vertex"),
     # size guards act before anything is built
     ({"spaces": {"pt": {"simplices": [[0]]}}},
-     ["--command", "d-x", "--space", "pt", "--homology", "Z^100"], "basis of size 10000 exceeds the validation guard"),
+     ["--command", "d-x", "--space", "pt", "--homology", "Z^100"], "1000000 product pairs exceed the validation guard"),
     ({"spaces": {"pt": {"simplices": [[0]]}}}, ["--command", "d-x", "--space", "pt", "--homology", "Z^1000000000"],
-     "basis of size 1000000000000000000 exceeds the validation guard"),
+     "1000000000000000000000000000 product pairs exceed the validation guard"),
     ({"spaces": {"s": {"simplices": [list(range(30))]}}}, ["--command", "d-x", "--space", "s", "--homology", "Z"],
-     "spaces.s: a simplex on 30 vertices has more faces than the validation guard allows"),
+     "spaces.s: a simplex on 30 vertices has more product pairs than the validation guard allows"),
     ({}, ["--command", "tor", "--a", "Z^" + "9" * 5000, "--b", "Z/2"],
      "a group literal has more digits than an integer can hold"),
     # every section, and every entry of one, is a JSON object
@@ -385,6 +402,17 @@ OUT_OF_DOMAIN_ARGV = [
     # any other bad --m is named the same way
     (_cga_text('{"x": 2}', "4"), [*CERTIFY_C, "--m", "0"],
      "error: cgas.c with m=0: m must be a positive integer or the ∞ marker\n"),
+    # a simplex just above the product-pair guard
+    ({"spaces": {"s": {"simplices": [list(range(11))]}}}, ["--command", "d-x", "--space", "s", "--homology", "Z"],
+     "spaces.s: a simplex on 11 vertices has more product pairs than the validation guard allows"),
+    # a document that lists a product pair twice: a later entry would replace the earlier one
+    ({"dgas": {"d": {"basis": [["1", 0, 0], ["x", 1, -1]], "unit": [[1, "1"]],
+                     "products": [["1", "1", [[1, "1"]]], ["1", "x", [[2, "x"]]], ["x", "1", [[1, "x"]]],
+                                  ["1", "x", [[1, "x"]]]]}}},
+     CERTIFY_C, "error: dgas.d: product 1·x listed twice\n"),
+    # and so would a basis label written once as a string and once as a number
+    ({"dgas": {"d": {"basis": [["1", 0, 0], [1, 1, -1]], "unit": [[1, "1"]]}}},
+     CERTIFY_C, "error: dgas.d: duplicate basis label 1\n"),
 ])
 def test_out_of_domain_input_exits_2_without_traceback(tmp_path, capsys, doc, argv, message):
     path = tmp_path / "doc.json"

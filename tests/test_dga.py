@@ -15,6 +15,7 @@ from cupone.dga import (
 from cupone.errors import DomainError
 from cupone.linalg import FGAbelianGroup
 from cupone.twisting import TwistingElement, homotopy_orbit_check
+from tables import rows_of
 
 
 def test_validation_catches_broken_leibniz():
@@ -27,14 +28,14 @@ def test_validation_catches_broken_leibniz():
         ("e", "e"): {"ee": 1},
     }
     with pytest.raises(DomainError, match="Leibniz"):
-        BigradedDGA("bad", bidegrees, {"ee": {"h": 1}}, products, {"1": 1})
+        BigradedDGA("bad", bidegrees, {"ee": {"h": 1}}, rows_of(products), {"1": 1})
 
 
 def test_validation_catches_broken_unit():
     bidegrees = {"1": (0, 0), "e": (1, 0)}
     products = {("1", "1"): {"1": 1}}
     with pytest.raises(DomainError, match="unit"):
-        BigradedDGA("bad", bidegrees, {}, products, {"1": 1})
+        BigradedDGA("bad", bidegrees, {}, rows_of(products), {"1": 1})
 
 
 def test_simplicial_cochain_interval():
@@ -84,7 +85,7 @@ def test_hom_dga_trivial_group():
 
 def test_tensor_with_unit_coefficients_is_isomorphic():
     B = simplicial_cochain_dga([[0, 1]])
-    C = BigradedDGA("Z", {"c": (0, 0)}, {}, {("c", "c"): {"c": 1}}, {"c": 1})
+    C = BigradedDGA("Z", {"c": (0, 0)}, {}, rows_of({("c", "c"): {"c": 1}}), {"c": 1})
     A = tensor_dga(B, C)
     assert {deg: len(v) for deg, v in A.components().items()} == {deg: len(v) for deg, v in B.components().items()}
 
@@ -93,7 +94,7 @@ def test_tensor_rank_bookkeeping():
     B = simplicial_cochain_dga([[0, 1]])  # ranks (2, 1)
     C = BigradedDGA(
         "C", {"c0": (0, 0), "c1": (1, 0)}, {},
-        {("c0", "c0"): {"c0": 1}, ("c0", "c1"): {"c1": 1}, ("c1", "c0"): {"c1": 1}},
+        rows_of({("c0", "c0"): {"c0": 1}, ("c0", "c1"): {"c1": 1}, ("c1", "c0"): {"c1": 1}}),
         {"c0": 1},
     )
     A = tensor_dga(B, C)
@@ -106,7 +107,7 @@ def test_tensor_rank_bookkeeping():
 def test_tensor_rejects_bigraded_left_factor():
     C = BigradedDGA(
         "C", {"1": (0, 0), "c": (0, 1)}, {},
-        {("1", "1"): {"1": 1}, ("1", "c"): {"c": 1}, ("c", "1"): {"c": 1}},
+        rows_of({("1", "1"): {"1": 1}, ("1", "c"): {"c": 1}, ("c", "1"): {"c": 1}}),
         {"1": 1},
     )
     B = simplicial_cochain_dga([[0, 1]])
@@ -230,7 +231,7 @@ def test_dga_map_rejects_an_unknown_source_label():
 def test_unvalidated_dga_still_rejects_an_unknown_label(diff, products, message):
     # labels are checked where the tables enter, whatever `validate` says
     with pytest.raises(DomainError) as info:
-        BigradedDGA("t", {"a": (0, 0)}, diff, products, {"a": 1}, validate=False)
+        BigradedDGA("t", {"a": (0, 0)}, diff, rows_of(products), {"a": 1}, validate=False)
     assert str(info.value) == message
 
 

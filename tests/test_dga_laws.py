@@ -10,6 +10,7 @@ no code with the row-indexed product kernel of `cupone.dga` that they
 check.
 """
 
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -31,6 +32,7 @@ from cupone.dga import (
 from cupone.errors import DegreeError, DomainError, SizeError
 from cupone.linalg import FGAbelianGroup
 from cupone.twisting import TwistingElement, build_DX, homotopy_orbit_check, is_twisting
+from tables import rows_of
 
 Z = FGAbelianGroup(1)
 Z2 = FGAbelianGroup.from_divisors([2])
@@ -194,7 +196,7 @@ def planted(draw):
     products = {k: dict(t) for k, t in A.products.items()}
     table = (products if isinstance(key, tuple) else diff).setdefault(key, {})
     table[target] = table.get(target, 0) + draw(st.sampled_from([-2, -1, 1, 2]))
-    return BigradedDGA(A.name, A.bidegrees, diff, products, A.unit_coeffs, validate=False)
+    return BigradedDGA(A.name, A.bidegrees, diff, rows_of(products), A.unit_coeffs, validate=False)
 
 
 @settings(max_examples=100, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
@@ -213,7 +215,7 @@ def element_pairs(draw):
         products = {k: dict(t) for k, t in A.products.items()}
         key = draw(st.sampled_from(sorted(products)))
         products[key][draw(st.sampled_from(sorted(products[key])))] = 0
-        A = BigradedDGA(A.name, A.bidegrees, A.diff, products, A.unit_coeffs, validate=False)
+        A = BigradedDGA(A.name, A.bidegrees, A.diff, rows_of(products), A.unit_coeffs, validate=False)
     terms = st.dictionaries(st.sampled_from(sorted(A.bidegrees)), st.integers(-2, 2), max_size=6)
     return A.element(draw(terms)), A.element(draw(terms))
 
@@ -235,6 +237,7 @@ def test_valid_dgas_pass_both_checks(build):
     A = build()
     assert outcome(dense_validate, A) is None
     assert outcome(BigradedDGA._validate, A) is None
+    assert all(row and all(row.values()) for row in A.rows.values()) and all(A.diff.values())
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +248,7 @@ def _with_unit(bidegrees, products, diff=None):
     table = {("1", l): {l: 1} for l in bidegrees}
     table.update({(l, "1"): {l: 1} for l in bidegrees})
     table.update(products)
-    return BigradedDGA("+".join(bidegrees), bidegrees, diff or {}, table, {"1": 1})
+    return BigradedDGA("+".join(bidegrees), bidegrees, diff or {}, rows_of(table), {"1": 1})
 
 
 def test_associativity_failure_names_the_first_triple():
@@ -254,8 +257,8 @@ def test_associativity_failure_names_the_first_triple():
     products[("b", "a·b")] = {"b·a·b": 2}
     products[("a", "b·a")] = {"a·b·a": 2}
     with pytest.raises(DomainError, match="associativity fails at a·b·a$"):
-        BigradedDGA("bad", F.bidegrees, F.diff, products, F.unit_coeffs)
-    broken = BigradedDGA("bad", F.bidegrees, F.diff, products, F.unit_coeffs, validate=False)
+        BigradedDGA("bad", F.bidegrees, F.diff, rows_of(products), F.unit_coeffs)
+    broken = BigradedDGA("bad", F.bidegrees, F.diff, rows_of(products), F.unit_coeffs, validate=False)
     assert outcome(dense_validate, broken) == (DomainError, "associativity fails at a·b·a")
 
 
@@ -264,8 +267,8 @@ def test_associativity_failure_seen_only_on_the_right():
     F = free_truncated_dga([("a", 1, 0), ("b", 1, 0)], {}, 3)
     products = {k: t for k, t in F.products.items() if k != ("a", "a")}
     with pytest.raises(DomainError, match="associativity fails at a·a·b$"):
-        BigradedDGA("bad", F.bidegrees, F.diff, products, F.unit_coeffs)
-    broken = BigradedDGA("bad", F.bidegrees, F.diff, products, F.unit_coeffs, validate=False)
+        BigradedDGA("bad", F.bidegrees, F.diff, rows_of(products), F.unit_coeffs)
+    broken = BigradedDGA("bad", F.bidegrees, F.diff, rows_of(products), F.unit_coeffs, validate=False)
     assert outcome(dense_validate, broken) == (DomainError, "associativity fails at a·a·b")
 
 
@@ -325,7 +328,7 @@ def test_derivation_law_failure_names_the_first_pair(source, target, s_images, f
 ])
 def test_unknown_labels_in_tables_are_named(diff, products, message):
     with pytest.raises(DomainError) as info:
-        BigradedDGA("t", {"a": (0, 0)}, diff, products, {"a": 1})
+        BigradedDGA("t", {"a": (0, 0)}, diff, rows_of(products), {"a": 1})
     assert str(info.value) == message
 
 
@@ -340,10 +343,15 @@ def _factors(complex_, groups):
     return simplicial_cochain_dga(complex_), two_stage_hom_dga(groups)
 
 
+def _pairs(A):
+    """The product pairs (l1, l2) of A that have a table: what the validation guard counts."""
+    return sum(map(len, A.rows.values()))
+
+
 def _rebuilt(A, diff=None, products=None, unit=None, bidegrees=None):
     """A with some of its tables replaced, unvalidated."""
     return BigradedDGA(A.name, bidegrees or A.bidegrees, A.diff if diff is None else diff,
-                       A.products if products is None else products, unit or A.unit_coeffs, validate=False)
+                       A.rows if products is None else rows_of(products), unit or A.unit_coeffs, validate=False)
 
 
 def _swapped(B, C):
@@ -492,7 +500,7 @@ def test_the_raw_validation_accepts_what_the_factor_check_accepts(monkeypatch, c
     A = tensor_dga(B, C)
     assert len(A.bidegrees) == size
     assert dga_module._check_tensor(A, B, C) is None
-    monkeypatch.setattr(dga_module, "MAX_VALIDATED_BASIS", size)
+    monkeypatch.setattr(dga_module, "MAX_VALIDATED_PAIRS", _pairs(A))
     assert outcome(BigradedDGA._validate, A) is None
 
 
@@ -530,14 +538,37 @@ def test_validation_work_on_the_sphere_is_far_below_cubic(monkeypatch):
 
 def test_sphere_with_three_homology_groups_builds():
     D = build_DX(SPHERE, [Z, Z2, Z])
-    assert len(D.bidegrees) == 224 <= dga_module.MAX_VALIDATED_BASIS
+    assert len(D.bidegrees) == 224
+    assert _pairs(D) == 28 * 4 ** 3 <= dga_module.MAX_VALIDATED_PAIRS
     assert is_twisting(TwistingElement.zero(D, 3)).ok
 
 
 def test_size_guard_still_applies():
-    n = dga_module.MAX_VALIDATED_BASIS + 1
-    with pytest.raises(SizeError):
-        BigradedDGA("big", {f"e{i}": (0, 0) for i in range(n)}, {}, {}, {"e0": 1})
+    n = dga_module.MAX_VALIDATED_PAIRS + 1
+    rows = {"e0": {f"e{i}": {f"e{i}": 1} for i in range(n)}}  # e0 is a left unit
+    with pytest.raises(SizeError, match=f"^{n} product pairs exceed the validation guard$"):
+        BigradedDGA("big", {f"e{i}": (0, 0) for i in range(n)}, {}, rows, {"e0": 1})
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_a_dga_keeps_the_tables_it_is_given(validate):
+    F = free_truncated_dga(*FREE_WINDOWS[1])
+    A = BigradedDGA("A", F.bidegrees, F.diff, F.rows, F.unit_coeffs, validate=validate)
+    assert A.rows is F.rows and A.diff is F.diff
+
+
+def test_tensor_dga_peaks_near_what_the_finished_dga_keeps():
+    B, C = _factors(RP2, [Z, Z2, Z2])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        A = tensor_dga(B, C)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(A.bidegrees) == 775
+    assert peak - before <= 1.3 * (kept - before)
 
 
 def _refuse(*args):
@@ -546,11 +577,12 @@ def _refuse(*args):
 
 def test_constructors_check_the_basis_size_before_building(monkeypatch):
     monkeypatch.setattr(dga_module, "_hom_label", _refuse)
-    with pytest.raises(SizeError, match="basis of size 10000 exceeds the validation guard"):
+    with pytest.raises(SizeError, match="1000000 product pairs exceed the validation guard"):
         two_stage_hom_dga([FGAbelianGroup(100)])
-    with pytest.raises(SizeError, match=f"basis of size {10 ** 18} exceeds"):
+    with pytest.raises(SizeError, match=f"{10 ** 27} product pairs exceed"):
         two_stage_hom_dga([FGAbelianGroup(10 ** 9)])
     monkeypatch.undo()
+    assert _pairs(two_stage_hom_dga([FGAbelianGroup(2), Z2])) == 4 ** 3  # c³ on c coordinates
     n = dga_module.MAX_TENSOR_BASIS + 1
     B = simplicial_cochain_dga([[0]])  # 1 simplex
     C = BigradedDGA("C", {f"e{i}": (0, 0) for i in range(n)}, {}, {}, {"e0": 1}, validate=False)
@@ -560,7 +592,8 @@ def test_constructors_check_the_basis_size_before_building(monkeypatch):
 
 
 def test_a_simplex_with_more_faces_than_the_guard_is_refused_before_closing():
-    assert 2 ** 8 - 1 <= dga_module.MAX_VALIDATED_BASIS < 2 ** 9 - 1
-    assert len(SimplicialComplex([range(8)]).simplices) == 255
-    with pytest.raises(SizeError, match="a simplex on 9 vertices"):
-        SimplicialComplex([[0, 1], range(9)])
+    # a simplex on n vertices has n·2^(n−1) front/back product pairs
+    assert 10 * 2 ** 9 <= dga_module.MAX_VALIDATED_PAIRS < 11 * 2 ** 10
+    assert _pairs(simplicial_cochain_dga([range(10)])) == 10 * 2 ** 9
+    with pytest.raises(SizeError, match="a simplex on 11 vertices"):
+        SimplicialComplex([[0, 1], range(11)])

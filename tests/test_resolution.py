@@ -252,14 +252,14 @@ def test_the_cell_count_is_the_number_of_words_the_walk_builds(monkeypatch, pres
 
 
 def _refuse(*args):
-    raise AssertionError("checked or walked before the size guard")
+    raise AssertionError("rebuilt, checked or walked before the size guard")
 
 
 @pytest.mark.parametrize("degrees, truncation", [({"x": 2, "y": 2}, 28), ({"x": 2, "y": 2, "z": 2}, 10 ** 5)])
 def test_certify_refuses_a_walk_above_the_guard_before_anything_else(monkeypatch, degrees, truncation):
     # at truncation 28, {x: 2, y: 2} walks 761,240 cells, which took 27 s on a 2-core Xeon
     r = build_resolution(CgaPresentation.of(degrees), truncation=truncation)
-    for name in ("check_d_squared", "_Codes", "_summand_verdicts"):
+    for name in ("build_resolution", "check_d_squared", "_Codes", "_summand_verdicts"):
         monkeypatch.setattr(resolution, name, _refuse)
     gens = ", ".join(f"{name}: 2" for name in degrees)
     with pytest.raises(SizeError, match=rf"^certify on \{{{gens}\}} at m = ∞ truncated at total degree {truncation} "

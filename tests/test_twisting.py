@@ -16,6 +16,7 @@ from cupone.twisting import (
     is_twisting,
     push_twisting,
 )
+from tables import rows_of
 
 
 _DGA_CACHE = {}
@@ -405,16 +406,16 @@ def _two_level_pair():
         "A",
         {"1": (0, 0), "u": (1, -1), "e": (2, -1), "f": (2, -1)},
         {"u": {"f": 1}},
-        {("1", "1"): {"1": 1}, ("1", "u"): {"u": 1}, ("u", "1"): {"u": 1},
-         ("1", "e"): {"e": 1}, ("e", "1"): {"e": 1},
-         ("1", "f"): {"f": 1}, ("f", "1"): {"f": 1}},
+        rows_of({("1", "1"): {"1": 1}, ("1", "u"): {"u": 1}, ("u", "1"): {"u": 1},
+                 ("1", "e"): {"e": 1}, ("e", "1"): {"e": 1},
+                 ("1", "f"): {"f": 1}, ("f", "1"): {"f": 1}}),
         {"1": 1},
     )
     B = BigradedDGA(
         "B",
         {"1": (0, 0), "e": (2, -1)},
         {},
-        {("1", "1"): {"1": 1}, ("1", "e"): {"e": 1}, ("e", "1"): {"e": 1}},
+        rows_of({("1", "1"): {"1": 1}, ("1", "e"): {"e": 1}, ("e", "1"): {"e": 1}}),
         {"1": 1},
     )
     phi = DgaMap(A, B, {"1": {"1": 1}, "e": {"e": 1}, "u": {}, "f": {}})
