@@ -2,11 +2,9 @@
 and the gauge calculus of twisting elements, over the integers."""
 
 from .algebra import (
-    FreeDGA,
     Generator,
     ImageTable,
     TensorElement,
-    check_d_squared,
     extend_derivation,
     word_multiply,
 )
@@ -44,10 +42,7 @@ from .permutohedron import (
     Face,
     cellular_homology,
     enumerate_faces,
-    f_vector,
     face_boundary,
-    face_of_monomial,
-    monomial_of_face,
 )
 from .resolution import (
     CgaPresentation,

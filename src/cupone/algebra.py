@@ -3,10 +3,10 @@
 Elements are finite integer combinations of words in bigraded letters
 (plain generators, or cup-one bundles from the cup1 module).  Words are
 plain tuples.  One base, `Combination`, holds a sparse term map with no
-stored zeros, so syntactic equality is equality; it owns the arithmetic,
-the linear extension of key images and the split by degree, for the
-words here and for the basis labels of the dga module.  Differentials
-are Koszul-signed derivations extended from letter images.
+stored zeros, so syntactic equality is equality; it owns the arithmetic
+and the linear extension of key images, for the words here and for the
+basis labels of the dga module.  Differentials are Koszul-signed
+derivations extended from letter images.
 
 Letters and images are checked once, where they enter: an `ImageTable`
 checks, when it is built, that each image is zero or homogeneous of the
@@ -184,14 +184,6 @@ class Combination:
         is a term map, or None for zero."""
         return (self if into is None else into)._like(_linear(self.terms, image_of))
 
-    def by_degree(self, degree_of):
-        """Map degree -> the part of the element in that degree, in degree
-        order; degree_of(key) is the degree of a key."""
-        parts = {}
-        for key, c in self.terms.items():
-            parts.setdefault(degree_of(key), {})[key] = c
-        return {deg: self._like(t) for deg, t in sorted(parts.items())}
-
     def __repr__(self):
         return f"<{type(self).__name__} {self}>"
 
@@ -355,43 +347,3 @@ def extend_derivation(images, x):
         return x._like(_splice(table._entries, x.terms))
     except KeyError as missing:
         raise DomainError(f"no differential image for letter {missing.args[0].label()}") from None
-
-
-class FreeDGA:
-    """Presentation of a free bigraded dga: letters plus differential
-    images, an `ImageTable` (taken as it is) or a mapping put in one."""
-
-    def __init__(self, letters, images):
-        self.letters = list(letters)
-        self.images = images if isinstance(images, ImageTable) else ImageTable(images)
-        missing = [l for l in self.letters if l not in self.images]
-        if missing:
-            raise DomainError(f"no differential given for {missing[0].label()}")
-
-    def d(self, element):
-        return extend_derivation(self.images, element)
-
-
-class DSquaredReport(Record):
-    ok: bool
-    checked: int
-    witness_letter: object = None
-    witness: object = None
-
-    def __str__(self):
-        if self.ok:
-            return f"d^2 = 0 on all {self.checked} generators checked"
-        return f"d^2 != 0 at {self.witness_letter.label()}: d(d(g)) = {self.witness}"
-
-
-def check_d_squared(dga, max_total_degree):
-    """Verify d∘d = 0 on every generator of total degree <= the bound."""
-    checked = 0
-    for letter in sorted(dga.letters, key=lambda l: l.sort_key()):
-        if letter.total_degree > max_total_degree:
-            continue
-        checked += 1
-        dd = dga.d(dga.d(TensorElement.of(letter)))
-        if not dd.is_zero():
-            return DSquaredReport(False, checked, letter, dd)
-    return DSquaredReport(True, checked)

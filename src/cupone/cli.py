@@ -324,7 +324,15 @@ def _resolve_args(w, args):
             raise InputError(f"{where} with m={args.m}: {exc}") from None
         where += " with --m"
     _truncation_acts(args.truncation, {where: p})
-    return build_resolution(p, truncation=args.truncation)
+    return _build_resolution(p, args.truncation, where)
+
+
+def _build_resolution(p, truncation, where):
+    """build_resolution(p), with a refusal by its size guard named by `where`."""
+    try:
+        return build_resolution(p, truncation=truncation)
+    except SizeError as exc:
+        raise InputError(f"{where}: {exc}") from None
 
 
 def cmd_resolve(w, args):
@@ -405,8 +413,8 @@ def cmd_boundary(w, args):
 def cmd_rh_map(w, args):
     spec = _need(w, "cga_maps", args.map, "map")
     _truncation_acts(args.truncation, {f"cgas.{spec[end]}": w.cgas[spec[end]] for end in ("source", "target")})
-    source = build_resolution(w.cgas[spec["source"]], truncation=args.truncation)
-    target = build_resolution(w.cgas[spec["target"]], truncation=args.truncation)
+    source = _build_resolution(w.cgas[spec["source"]], args.truncation, f"cgas.{spec['source']}")
+    target = _build_resolution(w.cgas[spec["target"]], args.truncation, f"cgas.{spec['target']}")
     images = {
         name: _cga_element(target, pairs, f"cga_maps.{args.map}.images.{name}")
         for name, pairs in _object(spec.get("images", {}), f"cga_maps.{args.map}: images").items()

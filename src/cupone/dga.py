@@ -241,16 +241,6 @@ class DgaMap:
 
     __call__ = apply
 
-    def compose(self, other):
-        if other.target is not self.source:
-            raise DomainError("composition mismatch")
-        return DgaMap(
-            other.source,
-            self.target,
-            {l: self.apply(img) for l, img in other.images.items()},
-            name=f"{self.name}∘{other.name}",
-        )
-
     def _validate(self):
         check_bidegree_shift(self.source, self.target, self.images, (0, 0), self.name)
         for label in sorted(self.source.bidegrees):

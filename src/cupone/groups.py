@@ -84,12 +84,6 @@ class GroupHom(Record):
         n = group.rank + len(group.torsion)
         return cls(group, group, IntMatrix([[k if i == j else 0 for j in range(n)] for i in range(n)]))
 
-    def compose(self, other):
-        """self ∘ other."""
-        if other.target != self.source:
-            raise DomainError("composition mismatch")
-        return GroupHom(other.source, self.target, self.matrix.mul(other.matrix))
-
 
 def tor(a, b):
     """Tor of two f.g. abelian groups: pairwise Z/gcd of the torsion parts.

@@ -6,15 +6,16 @@ order is product order, so P_n is the resolution summand on n distinct
 generators: its faces are that summand's strata in text order, and its
 boundary is DEFINED as the summand's transported boundary, certified
 independently by ∂∘∂ = 0 and the contractibility homology.  Faces are
-walked and ∂ is built on the code words of the resolution module, and
-decoded to letters only for face texts and labels.
+walked and ∂ is built on the code words of the resolution module; a
+`Face` is made from a face's text or a code word's blocks, and letters
+are decoded only for face texts and labels.
 """
 
 from __future__ import annotations
 
 from string import ascii_lowercase
 
-from .algebra import Generator, TensorElement, _word_key, format_word
+from .algebra import Generator, _word_key, format_word
 from .cup1 import Cup1Monomial, bundle_factors, bundle_images, closed_images
 from .errors import DomainError, SizeError
 from .linalg import homology
@@ -110,15 +111,9 @@ def _strata(n):
 
 
 def enumerate_faces(n):
-    """All faces of P_n grouped by dimension: {dim: [Face, ...]}."""
-    letters = default_letters(n)
-    faces, table = _strata(n)
-    return {dim: [face_of_monomial(table.decode(word), letters) for _, word in found] for dim, found in enumerate(faces)}
-
-
-def f_vector(n):
-    """Face counts by dimension, vertices first."""
-    return tuple(len(found) for found in _strata(n)[0])
+    """All faces of P_n grouped by dimension, in text order: {dim: [Face, ...]}."""
+    faces, _ = _strata(n)
+    return {dim: [Face.parse(text, n) for text, _ in found] for dim, found in enumerate(faces)}
 
 
 def default_letters(n):
@@ -128,65 +123,29 @@ def default_letters(n):
     return [Generator(ascii_lowercase[i], 0, 2) for i in range(n)]
 
 
-def monomial_of_face(face, letters):
-    """Word of cup-one bundles assigned to a face: block {i1<...<ik}
-    becomes letter_{i1}⌣₁...⌣₁letter_{ik}, in block order."""
-    if len(letters) != face.n:
-        raise DomainError("need one letter per item")
-    names = [l.name for l in letters]
-    if len(set(names)) != len(names):
-        raise DomainError("letters must be distinct")
-    if sorted(names) != names:
-        raise DomainError("letters must be listed in canonical (sorted) order")
-    word = []
-    for block in face.blocks:
-        members = tuple(letters[i - 1] for i in sorted(block))
-        word.append(members[0] if len(members) == 1 else Cup1Monomial(members))
-    return TensorElement({tuple(word): 1})
-
-
-def face_of_monomial(word, letters):
-    """Inverse of monomial_of_face on a single word of disjoint bundles."""
-    index = {l.name: i + 1 for i, l in enumerate(letters)}
-    blocks = []
-    seen = set()
-    for letter in word:
-        factors = letter.factors if isinstance(letter, Cup1Monomial) else (letter,)
-        block = set()
-        for f in factors:
-            if f.name not in index:
-                raise DomainError(f"letter {f.name} is not among the face letters")
-            block.add(index[f.name])
-        if block & seen:
-            raise DomainError("monomial repeats a letter; not a face")
-        seen |= block
-        blocks.append(frozenset(block))
-    if seen != set(range(1, len(letters) + 1)):
-        raise DomainError("monomial does not cover all letters; not a face")
-    return Face(len(letters), tuple(blocks))
-
-
 def face_boundary(face):
     """Signed boundary faces of one face, read through the routine of
-    boundary_matrices on the images of the face's own letters, without
+    boundary_matrices on the images of the face's own blocks, without
     enumerating P_n: a word of the boundary must have one block more and
-    use each letter once."""
+    use each item once.  Terms are sorted as `TensorElement.sorted_terms`
+    sorts the faces' words: one-item blocks first, then by items."""
     if face.dimension < 1:
         raise DomainError(f"face {face}: vertices have no boundary")
     letters = default_letters(face.n)
-    word = next(iter(monomial_of_face(face, letters).terms))
-    names = [letter.name for letter in letters]
-    table = _Codes(closed_images(letters, [letter for letter in word if isinstance(letter, Cup1Monomial)]))
+    blocks = [[letters[i - 1] for i in sorted(block)] for block in face.blocks]
+    table = _Codes(closed_images(letters, [Cup1Monomial(block) for block in blocks if len(block) > 1]))
+    index = {letter.name: i for i, letter in enumerate(letters, 1)}
+    block_of = [tuple(index[f.name] for f in bundle_factors(letter)) for letter in table.letters]  # code -> items
 
     def facet(w):
-        found = table.decode(w)
-        if len(found) != len(word) + 1 or sorted(f.name for letter in found for f in bundle_factors(letter)) != names:
+        found = tuple(map(block_of.__getitem__, w))
+        if len(found) != len(blocks) + 1 or sorted(i for block in found for i in block) != list(range(1, face.n + 1)):
             raise KeyError(w)
         return found
 
-    coded = tuple(table.code[tuple(f.name for f in bundle_factors(letter))] for letter in word)
-    boundary = sorted(_cell_boundary(table, coded, facet), key=lambda term: _word_key(term[0]))
-    return [(coeff, face_of_monomial(w, letters)) for w, coeff in boundary]
+    word = tuple(table.code[tuple(f.name for f in block)] for block in blocks)
+    boundary = sorted(_cell_boundary(table, word, facet), key=lambda term: [(len(b) > 1, b) for b in term[0]])
+    return [(coeff, Face(face.n, found)) for found, coeff in boundary]
 
 
 def boundary_matrices(n):

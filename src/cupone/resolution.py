@@ -39,7 +39,7 @@ from itertools import combinations
 from math import ceil, comb, prod
 from operator import sub
 
-from .algebra import FreeDGA, Generator, TensorElement, _merge, _splice, check_d_squared, format_word, word_multiply
+from .algebra import Generator, ImageTable, TensorElement, _merge, _splice, extend_derivation, format_word, word_multiply
 from .cup1 import Cup1Monomial, bundle_factors, closed_images, cup1_pair
 from .errors import DegreeError, DomainError, PreconditionError, SizeError
 from .linalg import IntMatrix, homology
@@ -54,6 +54,13 @@ INFINITY = None  # marker for the polynomial (m = ∞) case
 # 195,747 in 4.5 s at 17, and six generators of degree 2 at m = 12
 # walk 158,704 in 3.3 s.  So the walk takes about 10 s at this bound.
 MAX_CERTIFY_CELLS = 300_000
+# `build_resolution` refuses a resolution whose bundle images would hold
+# more words than this; a bundle on k factors has 2^k − 2 of them.  On the
+# same host, `resolve --format machine` takes 1.8–2.3 s on ten degree-2
+# generators at m = 40 (57,002 words), 1.6 s on eleven at m = 7 (48,224)
+# and 2.6–4.3 s on eleven at m = 8 (89,804).  So the build plus the
+# machine render take about 2 s at this bound.
+MAX_RESOLUTION_WORDS = 60_000
 
 
 class CgaPresentation(Record):
@@ -97,17 +104,25 @@ class CgaPresentation(Record):
         return cls(tuple(Generator(n, 0, d) for n, d in degrees.items()), m)
 
 
-class Resolution(FreeDGA):
+class Resolution:
     """The minimal multiplicative resolution, truncated at total degree m:
-    a free dga on the plain generators and the bundles."""
+    the free algebra on the plain generators and the bundles, with d given
+    on every letter by `images`, an `ImageTable` or a mapping put in one."""
 
     def __init__(self, presentation, m, plain, bundles, images):
         self.presentation = presentation
         self.m = m
         self.plain = list(plain)
         self.bundles = list(bundles)
-        super().__init__(self.plain + self.bundles, images)
+        self.letters = self.plain + self.bundles
+        self.images = images if isinstance(images, ImageTable) else ImageTable(images)
+        missing = [letter for letter in self.letters if letter not in self.images]
+        if missing:
+            raise DomainError(f"no differential given for {missing[0].label()}")
         self._letters = {letter.label(): letter for letter in self.letters}
+
+    def d(self, element):
+        return extend_derivation(self.images, element)
 
     def letter(self, label):
         try:
@@ -129,6 +144,13 @@ class Resolution(FreeDGA):
         return f"<Resolution m={self.m} plain={len(self.plain)} bundles={len(self.bundles)}>"
 
 
+def _named(p, m):
+    """`p` and its range for a message: {a: 2, ...} at m = 4, or at m = ∞
+    truncated at total degree m."""
+    gens = ", ".join(f"{g.name}: {g.int_degree}" for g in p.generators)
+    return f"{{{gens}}} at " + (f"m = ∞ truncated at total degree {m}" if p.m is INFINITY else f"m = {m}")
+
+
 def build_resolution(p, truncation=None):
     """Construct the resolution of a presentation.
 
@@ -136,7 +158,9 @@ def build_resolution(p, truncation=None):
     generators of degree <= m survive; the bundle generators are the
     cup-one monomials on distinct plain generators with total degree in
     [1, m].  Plain generators are closed and every bundle bounds by the
-    unshuffle formula.
+    unshuffle formula.  A resolution whose images would hold more than
+    `MAX_RESOLUTION_WORDS` words is refused with a SizeError while its
+    bundles are listed, before any image is built.
     """
     if p.m is INFINITY:
         if truncation is None or truncation < 1:
@@ -145,12 +169,29 @@ def build_resolution(p, truncation=None):
     else:
         m = p.m
     plain = [g for g in p.generators if g.int_degree <= m]
-    bundles = []
-    for k in range(2, len(plain) + 1):
-        for combo in combinations(plain, k):
-            total = sum(g.int_degree for g in combo) - (k - 1)
-            if 1 <= total <= m:
-                bundles.append(Cup1Monomial(combo))
+    ascending = sorted(plain, key=lambda g: g.int_degree)
+    bundles, words = [], 0
+
+    def grow(factors, total, start):
+        # a factor of degree d adds d − 1 >= 0 to the total degree, so in
+        # ascending degree the first factor that overshoots m ends the loop;
+        # the depth is a bundle's factor count k, kept small by the guard
+        # on its 2^k − 2 words
+        nonlocal words
+        for i in range(start, len(ascending)):
+            g = ascending[i]
+            if total + g.int_degree - 1 > m:
+                return
+            bundle = factors + (g,)
+            if len(bundle) > 1:
+                bundles.append(Cup1Monomial(sorted(bundle, key=lambda f: f.name)))
+                words += 2 ** len(bundle) - 2
+                if words > MAX_RESOLUTION_WORDS:
+                    raise SizeError(f"the resolution of {_named(p, m)} would have at least {words} image words, "
+                                    f"above the guard of {MAX_RESOLUTION_WORDS}")
+            grow(bundle, total + g.int_degree - 1, i + 1)
+
+    grow((), 1, 0)
     bundles.sort(key=lambda b: b.sort_key())
     return Resolution(p, m, plain, bundles, closed_images(plain, bundles))
 
@@ -413,23 +454,26 @@ def certify_resolution(r):
                     lowest[key] = lo, _window_cells(counts, lo, n_hi)
                     cells += lowest[key][1] - seen_cells
                     if cells > MAX_CERTIFY_CELLS:
-                        gens = ", ".join(f"{g.name}: {g.int_degree}" for g in r.presentation.generators)
-                        where = f"m = ∞ truncated at total degree {r.m}" if r.presentation.m is INFINITY else f"m = {r.m}"
-                        raise SizeError(f"certify on {{{gens}}} at {where} would walk at least {cells} cells, "
+                        raise SizeError(f"certify on {_named(r.presentation, r.m)} would walk at least {cells} cells, "
                                         f"above the guard of {MAX_CERTIFY_CELLS}")
         return windows
 
     windows = windows_by(by_pattern=True)
     try:
         built = build_resolution(r.presentation, truncation=r.m)
-    except DomainError:  # m < 1 has no rebuild
+    except DomainError:  # m < 1, or more words than the size guard admits, has no rebuild
         built = None
     if built is None or (built.m, built.plain, built.bundles, built.images) != (r.m, r.plain, r.bundles, r.images):
         windows = windows_by(by_pattern=False)
 
-    squared = check_d_squared(r, r.m)
-    if not squared.ok:
-        raise DomainError(str(squared))
+    # on letters, not codes: a letter met only inside an image has no code
+    # entry, and extend_derivation names it
+    for letter in sorted(r.letters, key=lambda l: l.sort_key()):
+        if letter.total_degree > r.m:
+            continue
+        dd = r.d(r.d(TensorElement.of(letter)))
+        if not dd.is_zero():
+            raise DomainError(f"d^2 != 0 at {letter.label()}: d(d(g)) = {dd}")
 
     for letter in r.letters:
         if r.rho(r.d(TensorElement.of(letter))):

@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cupone.algebra import (
-    FreeDGA,
     Generator,
     ImageTable,
     TensorElement,
-    check_d_squared,
     extend_derivation,
     word_bidegree,
     word_multiply,
@@ -119,38 +117,9 @@ def test_homogeneous_parts_and_bidegree():
     mixed = TensorElement.of(g["x"]) + TensorElement.of(g["y"])
     with pytest.raises(DegreeError):
         mixed.bidegree()
-    parts = mixed.by_degree(word_bidegree)
+    parts = {word_bidegree(word) for word in mixed.terms}
     assert set(parts) == {(0, 2), (0, 4)}
     assert TensorElement.zero().bidegree() is None
-
-
-def test_check_d_squared_pass_and_fail():
-    g = gens({"x": (0, 2), "y": (0, 2), "z": (-1, 4)})
-    x, y, z = g["x"], g["y"], g["z"]
-    closed = {x: TensorElement.zero(), y: TensorElement.zero()}
-    good = FreeDGA([x, y, z], {**closed, z: TensorElement.of(x, y) - TensorElement.of(y, x)})
-    assert check_d_squared(good, 10).ok
-
-    zero = FreeDGA([x, y], closed)
-    assert check_d_squared(zero, 10).ok
-
-    # three-generator counterexample: dv = 0, du = v, dw = uu gives
-    # d(dw) = vu - uv != 0
-    v = Generator("v", 0, 2)
-    u = Generator("u", -1, 2)
-    w = Generator("w", -3, 4)
-    bad = FreeDGA(
-        [v, u, w],
-        {
-            v: TensorElement.zero(),
-            u: TensorElement.of(v),
-            w: TensorElement.of(u, u),
-        },
-    )
-    report = check_d_squared(bad, 10)
-    assert not report.ok
-    assert report.witness_letter.label() == "w"
-    assert report.witness == TensorElement.of(v, u) - TensorElement.of(u, v)
 
 
 def test_element_formatting():

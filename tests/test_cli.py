@@ -264,11 +264,19 @@ def test_reports_are_deterministic(doc_path, capsys):
     assert out[:half] == out[half:]
 
 
+# eleven degree-2 generators at m = 8: their bundle images would hold
+# 89,804 words, so the listing stops at the first count over the guard
+WIDE = {"generators": {f"g{i:02d}": 2 for i in range(11)}, "m": 8}
+WIDE_REFUSED = ("the resolution of {" + ", ".join(f"g{i:02d}: 2" for i in range(11)) + "} at m = 8 would have "
+                "at least 60078 image words, above the guard of 60000")
+
+
 OUT_OF_DOMAIN_DOC = {
-    "cgas": {**DOC["cgas"], "Pinf": {"generators": {"x": 2, "y": 2}, "m": "infinity"}},
+    "cgas": {**DOC["cgas"], "Pinf": {"generators": {"x": 2, "y": 2}, "m": "infinity"}, "W": WIDE},
     "cga_maps": {
         **DOC["cga_maps"],
         "bad": {"source": "P2", "target": "Q", "images": {"x": [["two", ["u"]]], "y": [[3, ["u"]]]}},
+        "wide": {"source": "Q", "target": "W", "images": {"u": [[1, ["g00"]]]}},
     },
     "spaces": DOC["spaces"],
 }
@@ -317,6 +325,10 @@ OUT_OF_DOMAIN_ARGV = [
     (["--command", "certify", "--cga", "Pinf", "--truncation", "1000"],
      "cgas.Pinf: certify on {x: 2, y: 2} at m = ∞ truncated at total degree 1000 would walk at least 303512 cells, "
      "above the guard of 300000"),
+    # the resolution's images would hold more words than its guard admits: refused before any is built
+    (["--command", "resolve", "--cga", "W"], "cgas.W: " + WIDE_REFUSED),
+    (["--command", "certify", "--cga", "W"], "cgas.W: " + WIDE_REFUSED),
+    (["--command", "rh-map", "--map", "wide"], "cgas.W: " + WIDE_REFUSED),
     (["--command", "d-x", "--space", "circle", "--homology", "Z", "--truncation", "0"], "truncation"),
     (["--command", "d-x", "--space", "circle", "--homology", "Z", "--truncation", "1"], "truncation"),
     (["--command", "boundary", "--face", "({1}junk,{2})"], "'j' outside a block"),

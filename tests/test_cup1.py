@@ -79,7 +79,8 @@ def test_closed_images_match_cup1_boundary(degrees, data):
 
 def test_closed_images_match_cup1_boundary_on_face_bundles():
     # the partial lists face_boundary passes: the bundles of one face's word
-    from cupone.permutohedron import default_letters, enumerate_faces, monomial_of_face
+    from cupone.permutohedron import default_letters, enumerate_faces
+    from faces import monomial_of_face
 
     for n in range(2, 6):
         letters = default_letters(n)

@@ -93,6 +93,40 @@ def test_bundle_counts_are_binomial():
         assert by_res.get(-n, 0) == expected
 
 
+def _bundles_by_subsets(p, m):
+    """The labels of the bundles of `p` at range m, from every subset of
+    its plain generators."""
+    plain = [g for g in p.generators if g.int_degree <= m]
+    return sorted((Cup1Monomial(combo) for k in range(2, len(plain) + 1) for combo in combinations(plain, k)
+                   if 1 <= sum(g.int_degree for g in combo) - (k - 1) <= m), key=lambda b: b.sort_key())
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.lists(st.sampled_from([2, 4, 6, 8, 10, 14]), min_size=1, max_size=8), st.integers(1, 14))
+def test_bundles_are_the_subsets_in_range(degrees, m):
+    p = CgaPresentation.of({f"g{i}": d for i, d in enumerate(degrees)}, m)
+    assert build_resolution(p).bundles == _bundles_by_subsets(p, m)
+
+
+def test_bundles_of_many_generators_are_listed_without_walking_every_subset():
+    # 2^40 subsets, of which only the 780 pairs fit in m = 3
+    r = build_resolution(CgaPresentation.of({f"g{i:02d}": 2 for i in range(40)}, 3))
+    assert len(r.bundles) == 780 and all(len(b.factors) == 2 for b in r.bundles)
+
+
+def test_the_word_guard_admits_exactly_its_bound(monkeypatch):
+    p = CgaPresentation.of(dict.fromkeys("abcde", 2), 6)
+    r = build_resolution(p)
+    words = sum(len(image.terms) for image in r.images.values())
+    assert words == sum(2 ** len(b.factors) - 2 for b in r.bundles) == 3 ** 5 - 2 ** 6 + 1
+    monkeypatch.setattr(resolution, "MAX_RESOLUTION_WORDS", words)
+    assert len(build_resolution(p).bundles) == 26
+    monkeypatch.setattr(resolution, "MAX_RESOLUTION_WORDS", words - 1)
+    with pytest.raises(SizeError, match=rf"^the resolution of \{{a: 2, b: 2, c: 2, d: 2, e: 2\}} at m = 6 would have "
+                                        rf"at least {words} image words, above the guard of {words - 1}$"):
+        build_resolution(p)
+
+
 def test_certify_two_generator_and_kernel_basis():
     r = build_resolution(CgaPresentation.of({"x": 2, "y": 2}, 6))
     rep = certify_resolution(r)
@@ -133,6 +167,37 @@ def test_certify_reports_a_missing_plain_generator():
     assert not rep.ok and rep.rho_d_zero and not rep.rho_surjective
     assert rep.failure == "augmentation not surjective in range"
     assert all(c.ok for c in rep.degrees)
+
+
+def test_certify_raises_on_d_squared_naming_the_letter_and_dd():
+    r = build_resolution(CgaPresentation.of(dict.fromkeys("abc", 2), 6))
+    top, ab, c = r.letter("a⌣₁b⌣₁c"), r.letter("a⌣₁b"), r.letter("c")
+    images = {**r.images, top: r.images[top] - TensorElement.of(ab, c)}
+    with pytest.raises(DomainError, match=r"^d\^2 != 0 at a⌣₁b⌣₁c: d\(d\(g\)\) = -abc \+ bac$"):
+        certify_resolution(Resolution(r.presentation, r.m, r.plain, r.bundles, images))
+
+
+def test_certify_reports_rho_d_at_a_symmetrised_bundle():
+    r = build_resolution(CgaPresentation.of(dict.fromkeys("ab", 2), 6))
+    a, b = r.letter("a"), r.letter("b")
+    images = {**r.images, r.letter("a⌣₁b"): TensorElement.of(a, b) + TensorElement.of(b, a)}
+    report = certify_resolution(Resolution(r.presentation, r.m, r.plain, r.bundles, images))
+    assert not report.ok and not report.rho_d_zero
+    assert report.failure == "ρ∘d != 0 at a⌣₁b"
+
+
+def test_a_resolution_needs_an_image_for_every_letter():
+    r = build_resolution(CgaPresentation.of(dict.fromkeys("ab", 2), 6))
+    with pytest.raises(DomainError, match="^no differential given for a⌣₁b$"):
+        Resolution(r.presentation, r.m, r.plain, r.bundles, {g: r.images[g] for g in r.plain})
+
+
+def test_certify_names_a_letter_met_only_inside_an_image():
+    r = build_resolution(CgaPresentation.of(dict.fromkeys("ab", 2), 6))
+    a, ab, z = r.letter("a"), r.letter("a⌣₁b"), Generator("z", 0, 2)
+    images = {**r.images, ab: r.images[ab] + TensorElement.of(a, z) - TensorElement.of(z, a)}
+    with pytest.raises(DomainError, match="^no differential image for letter z$"):
+        certify_resolution(Resolution(r.presentation, r.m, r.plain, r.bundles, images))
 
 
 def _windows(r):
@@ -259,7 +324,7 @@ def _refuse(*args):
 def test_certify_refuses_a_walk_above_the_guard_before_anything_else(monkeypatch, degrees, truncation):
     # at truncation 28, {x: 2, y: 2} walks 761,240 cells, which took 27 s on a 2-core Xeon
     r = build_resolution(CgaPresentation.of(degrees), truncation=truncation)
-    for name in ("build_resolution", "check_d_squared", "_Codes", "_summand_verdicts"):
+    for name in ("build_resolution", "extend_derivation", "_Codes", "_summand_verdicts"):
         monkeypatch.setattr(resolution, name, _refuse)
     gens = ", ".join(f"{name}: 2" for name in degrees)
     with pytest.raises(SizeError, match=rf"^certify on \{{{gens}\}} at m = ∞ truncated at total degree {truncation} "
